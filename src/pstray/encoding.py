@@ -22,32 +22,6 @@ from .alphabet import PText
 STATIC_BASE = 1 << 48
 
 
-def distance_code(d: int) -> int:
-    return d
-
-
-def static_code(sym: int) -> int:
-    return STATIC_BASE + sym
-
-
-def is_static_code(code: int) -> bool:
-    return code >= STATIC_BASE
-
-
-def static_id(code: int) -> int:
-    return code - STATIC_BASE
-
-
-def format_code(code: int, text: PText | None = None) -> str:
-    """Readable form of one encoded symbol, e.g. '0', '4', 'A', '$'."""
-    if code < STATIC_BASE:
-        return str(code)
-    sym = code - STATIC_BASE
-    if text is not None and sym in text.id2tok:
-        return text.id2tok[sym]
-    return f"#{sym}"
-
-
 def prev(w: Sequence[int], pi: int) -> list[int]:
     """prev encoding of a symbol sequence.
 

@@ -2,10 +2,12 @@
 
 Suffix comparisons never materialize an encoded suffix: symbol ``d`` of the
 suffix starting at ``j`` is derived in O(1) from the whole-text prev codes
-(see ``encoding.prev_char_in_window``). The sort is an MSD character
-bucketing over suffix start indices, refining one depth per round; the LCP
-of two neighbouring suffixes is exactly the depth at which their bucket
-split, so the LCP array falls out of the sort for free.
+(see ``encoding.prev_char_in_window``). The sort is a level-synchronous
+MSD bucketing over suffix start indices: each numpy round advances every
+unsorted group by one symbol at once, so the sort takes max LCP + 1 rounds
+and O(n + sum of LCPs) element work. The LCP of two neighbouring suffixes
+is exactly the depth at which their group split, so the LCP array falls
+out of the sort for free.
 """
 
 from __future__ import annotations
@@ -100,36 +102,80 @@ class PsaIndex:
 def build_psa(text: PText, with_rmq: bool = True) -> PsaIndex:
     """Sort all suffix start positions by their prev-encoded suffixes.
 
-    MSD bucketing: a work stack holds (lo, hi, d) groups of suffixes that
-    agree on the first d-1 encoded symbols; each round orders one more
-    symbol (stable), records the LCP d-1 at the new run boundaries and
-    pushes non-singleton runs. The sentinel makes all suffixes distinct, so
-    every group eventually splits and no out-of-range symbol is ever read.
+    Level-synchronous MSD sort: before round ``d``, every suffix not yet
+    alone in its group sits in one array, groups contiguous in rank order,
+    each group agreeing on its first d-1 encoded symbols. The round reads
+    symbol ``d`` of all of them in one gather. A group is constant between
+    the places where its symbol changes, so it is already ordered iff the
+    symbol rises at every change; only when some change falls does the
+    round pay one stable argsort of (group, symbol) over all groups at
+    once. Each change records the LCP d-1 at its rank, and a suffix left
+    alone in its group takes its final rank and leaves. The sentinel makes
+    all suffixes distinct, so the sort takes max LCP + 1 rounds and
+    O(n + sum of LCPs) element work, and never reads past a suffix's end.
     Deterministic.
     """
     n = text.n
     codes = text.prev_codes
-    codes_np = np.asarray(codes, dtype=np.int64)
-    psa = np.arange(1, n + 1, dtype=np.int64)
-    plcp = np.zeros(n, dtype=np.int64)
+    raw = np.asarray(codes, dtype=np.int64)
+    # Distances are below n; moving the static codes to just above them
+    # keeps the order and lets (group, symbol) share one int64 sort key.
+    code = np.where(raw >= STATIC_BASE, raw - STATIC_BASE + n, raw)
+    width = int(code.max(initial=0)) + 1
+    # sym[p] is the symbol at text position p read at the current depth d.
+    # A distance reaching past the window start is a first occurrence inside
+    # the window, so distance x reads as 0 until depth x + 1, when the
+    # positions holding x (by_code[code_start[x]:code_start[x + 1]]) get it
+    # back: O(n) updates over the whole sort instead of a pass per round.
+    sym = np.where(code < n, 0, code)
+    by_code = np.argsort(code)
+    code_start = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code, minlength=width), out=code_start[1:])
 
-    stack: list[tuple[int, int, int]] = [(0, n, 1)]
-    while stack:
-        lo, hi, d = stack.pop()
-        starts = psa[lo:hi]
-        raw = codes_np[starts + (d - 2)]
-        # Window adjustment: a distance reaching past the window start is a
-        # first occurrence inside the window.
-        key = np.where((raw < STATIC_BASE) & (raw >= d), 0, raw)
-        order = np.argsort(key, kind="stable")
-        psa[lo:hi] = starts[order]
-        key = key[order]
-        splits = np.flatnonzero(key[1:] != key[:-1]) + 1
-        plcp[lo + splits] = d - 1
-        bounds = [0, *splits.tolist(), hi - lo]
-        for a, b in zip(bounds, bounds[1:]):
-            if b - a >= 2:
-                stack.append((lo + a, lo + b, d + 1))
+    psa = np.arange(1, n + 1, dtype=np.int64)  # set as suffixes leave
+    plcp = np.zeros(n, dtype=np.int64)
+    act = np.arange(n, dtype=np.int64)  # 0-based starts of grouped suffixes
+    slot = np.arange(n, dtype=np.int64)  # their ranks, ascending
+    head = np.zeros(n + 1, dtype=bool)  # group starts, plus an end mark
+    head[0] = head[n] = True
+    inner = ~head[1:n]  # adjacent pairs within one group
+    d = 1
+    while len(act) > 1:
+        m = len(act)
+        sym[by_code[code_start[d - 1]:code_start[d]]] = d - 1
+        key = sym[d - 1:][act]
+        step = key[1:] - key[:-1]
+        cut = step != 0
+        cut &= inner
+        change = cut.nonzero()[0]
+        if len(change):
+            if step[change].min() < 0:
+                order = np.argsort(np.cumsum(head[:m]) * width + key,
+                                   kind="stable")
+                act = act[order]
+                key = key[order]
+                cut = key[1:] != key[:-1]
+                cut &= inner
+                change = cut.nonzero()[0]
+            change += 1
+            plcp[slot[change]] = d - 1
+            head[change] = True
+            lone = (head[:-1] & head[1:]).nonzero()[0]
+            if len(lone):
+                psa[slot[lone]] = act[lone] + 1
+                k = len(lone)
+                # A run of one symbol loses its shortest suffix, the last,
+                # every round: slice rather than compact when only the last
+                # suffixes leave.
+                if lone[0] == m - k:
+                    act, slot, head = act[:m - k], slot[:m - k], head[:m - k + 1]
+                else:
+                    keep = np.ones(m + 1, dtype=bool)
+                    keep[lone] = False
+                    head = head[keep]
+                    act, slot = act[keep[:m]], slot[keep[:m]]
+            inner = ~head[1:-1]
+        d += 1
 
     rmq = SparseTable(plcp) if with_rmq else None
     return PsaIndex(psa=psa, plcp=plcp, codes=codes, rmq=rmq)
@@ -321,11 +367,10 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
         raise ValidationError("index arrays do not match text length")
     if n == 0:
         return
-    seen = np.zeros(n + 1, dtype=bool)
-    for p in psa:
-        if not (1 <= p <= n) or seen[p]:
-            raise ValidationError("psa is not a permutation of 1..n")
-        seen[p] = True
+    # n entries in 1..n form a permutation iff they hit n distinct values.
+    if (psa.min() < 1 or psa.max() > n
+            or np.count_nonzero(np.bincount(psa, minlength=n + 1)) != n):
+        raise ValidationError("psa is not a permutation of 1..n")
     if index.plcp[0] != 0:
         raise ValidationError("plcp[0] must be 0")
     if not full:

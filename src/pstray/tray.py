@@ -13,12 +13,14 @@ logarithmic term independent of the text length.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
-from .alphabet import PText, encode_pattern
+from .alphabet import PText, encode_pattern, rank
 from .encoding import (STATIC_BASE, fpos_stream, prev, prev_char_in_window,
                        spe)
-from .errors import ConstructionError, QueryError, ValidationError
+from .errors import (ConstructionError, QueryError, RankError,
+                     ValidationError)
 from .suffixes import PsaIndex, QueryStats, build_psa, range_search, report
 from .tree import NO_NODE, TrayTree, build_tree, first_edge_symbol
 
@@ -274,6 +276,30 @@ def _descend_edge(idx: PSTrayIndex, child: int, matched: int,
     return "into", child_depth
 
 
+def _encoded_pattern(text: PText, pattern) -> list[int] | None:
+    """Internal ids of a raw or pre-encoded pattern; None when it cannot
+    occur in the text.
+
+    A sequence of integers (Python or numpy) is taken as pre-encoded ids:
+    negative ids are pattern-only parameterized symbols, as
+    ``encode_pattern`` makes them, and every other id must have a rank in
+    the text's alphabet.
+    """
+    if pattern is None:
+        return None
+    if isinstance(pattern, str) or not all(
+            isinstance(c, numbers.Integral) for c in pattern):
+        return encode_pattern(text, pattern)
+    ids = [int(c) for c in pattern]
+    for c in ids:
+        if c >= 0:
+            try:
+                rank(c, text)
+            except RankError as exc:
+                raise QueryError(f"pre-encoded pattern: {exc}") from exc
+    return ids
+
+
 def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats]:
     """All positions whose window matches the pattern up to renaming of
     parameterized symbols, plus instrumentation counters.
@@ -285,10 +311,7 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
     Positions are returned sorted ascending.
     """
     stats = QueryStats()
-    if isinstance(pattern, str) or (pattern and not isinstance(pattern[0], int)):
-        encoded = encode_pattern(text, pattern)
-    else:
-        encoded = list(pattern) if pattern is not None else None
+    encoded = _encoded_pattern(text, pattern)
     if encoded is not None and len(encoded) == 0:
         raise QueryError("empty pattern")
     if encoded is None:

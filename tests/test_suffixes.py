@@ -27,25 +27,54 @@ def test_static_only_text():
     assert idx.plcp.tolist() == [0, 0]
 
 
+def clone_text(rng, copies, block_len, mutate):
+    """Renamed copies of one random block, each symbol then replaced by a
+    random one with probability ``mutate``."""
+    pis, sgs = list("uvwxyz"), list("ABC")
+    block = [rng.choice(pis + sgs) for _ in range(block_len)]
+    out = []
+    for _ in range(copies):
+        renaming = dict(zip(pis, rng.sample(pis, len(pis))))
+        out += [rng.choice(pis + sgs) if rng.random() < mutate
+                else renaming.get(c, c) for c in block]
+    return make_text("".join(out), pi=pis)
+
+
+def token_text(rng, n, statics, params):
+    """Token-mode text in which statics outnumber parameterized symbols,
+    so a round sorts inside many groups at once."""
+    pis = [f"p{i}" for i in range(params)]
+    sgs = [f"S{i}" for i in range(statics)]
+    raw = " ".join(rng.choice(pis + sgs * 3) for _ in range(n))
+    return make_text(raw, pi=pis, mode="tokens")
+
+
 def test_build_matches_oracle_randomized():
     rng = random.Random(2024)
-    for i in range(50):
-        t = random_text(rng, max_n=500 if i < 8 else 160)
+    texts = [random_text(rng, max_n=500 if i < 8 else 160) for i in range(50)]
+    for mutate in (0.0, 0.02):
+        texts += [clone_text(rng, copies, block_len, mutate)
+                  for copies, block_len in ((12, 40), (4, 120), (30, 6))]
+    texts += [token_text(rng, 400, statics, params)
+              for statics, params in ((30, 3), (60, 1), (12, 6))]
+    for t in texts:
         idx = build_psa(t)
         o_psa, o_plcp = naive_psa(t)
         assert idx.psa.tolist() == o_psa
         assert idx.plcp.tolist() == o_plcp
-        validate_psa(idx, t)
+        validate_psa(idx, t, full=True)
 
 
 def test_build_degenerate_alphabets():
+    # Periodic texts and runs split one suffix off one group per round.
     for raw, pi in [("x" * 80, "x"), ("A" * 80, ""), ("xy" * 40, "xy"),
-                    ("xA" * 40, "x")]:
+                    ("xA" * 40, "x"), ("x" * 400, "x"), ("xy" * 200, "xy"),
+                    ("xyA" * 120, "xy"), ("A" * 300 + "x" * 100, "x")]:
         t = make_text(raw, pi=pi)
         idx = build_psa(t)
         o_psa, o_plcp = naive_psa(t)
         assert idx.psa.tolist() == o_psa and idx.plcp.tolist() == o_plcp
-        validate_psa(idx, t)
+        validate_psa(idx, t, full=True)
 
 
 def test_sparse_table_matches_direct_min():

@@ -187,6 +187,31 @@ def test_query_unknown_static(demo_text, demo_index):
     assert occ == [] and stats.nodes_visited == 0
 
 
+def _random_index(seed, n=3000):
+    rng = random.Random(seed)
+    t = make_text("".join(rng.choice("uvwxyzABCDE") for _ in range(n)),
+                  pi="uvwxyz")
+    return t, assemble(t)
+
+
+def test_query_pre_encoded_out_of_range_id():
+    t, index = _random_index(41)
+    for bad in ([999], [0, 999], [1, t.pi + t.sigma + 1]):
+        with pytest.raises(QueryError):
+            index.query(bad)
+
+
+def test_query_pre_encoded_numpy_ints():
+    import numpy as np
+
+    t, index = _random_index(42)
+    enc = encode_pattern(t, t.decode(range(200, 203)))
+    occ, _ = index.query(enc)
+    assert occ == sorted(naive_ppm(t, enc)) and len(occ) > 1
+    assert index.query([np.int64(c) for c in enc])[0] == occ
+    assert index.query(np.array(enc))[0] == occ
+
+
 def test_query_vs_oracle_randomized():
     rng = random.Random(515)
     for _ in range(60):
