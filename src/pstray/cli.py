@@ -20,7 +20,7 @@ from . import index_io
 from .alphabet import encode_pattern, ingest, parse_alphabet_spec
 from .errors import PstrayError
 from .oracle import naive_ppm
-from .suffixes import QueryStats, range_search, report
+from .suffixes import QueryStats, plain_range_search, report
 from .tray import assemble, query
 
 
@@ -44,7 +44,7 @@ def _pattern_arg(raw: str, mode: str) -> str:
 
 def cmd_build(args) -> int:
     text = _load_text(args)
-    index = assemble(text, with_rmq=not args.no_rmq)
+    index = assemble(text)
     index_io.save(index, args.out)
     ann = index.ann
     pnodes = sum(ann.is_pnode)
@@ -98,7 +98,6 @@ def cmd_stats(args) -> int:
     print(f"parray_cells={cells}")
     print(f"parray_cells_bound={2 * n}")
     print(f"parray_cells_margin={2 * n - cells}")
-    print(f"rmq={'enabled' if index.psa_index.rmq is not None else 'disabled'}")
     return 0
 
 
@@ -120,8 +119,8 @@ def cmd_bench(args) -> int:
         if encoded:
             from .encoding import prev
 
-            rng = range_search(index.psa_index, text, prev(encoded, text.pi),
-                               1, text.n, 0, psa_stats)
+            rng = plain_range_search(index.psa_index, prev(encoded, text.pi),
+                                     1, text.n, 0, psa_stats)
             psa_occ = sorted(report(index.psa_index, rng))
         else:
             psa_occ = []
@@ -203,8 +202,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-rmq", action="store_true",
-                   help="skip the range-minimum table (plain binary search)")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("query", help="find pattern occurrences")

@@ -1,11 +1,16 @@
 """Versioned binary on-disk format for assembled indexes.
 
-Layout: an 8-byte magic, a fixed header, then length-prefixed sections
-(alphabet, text, suffix array, LCP, tree records, child pool, dispatch-array
-pool), each framed as ``(section_id u64, payload_len u64, payload)``. All
-integers are little-endian u64; "absent" ids are encoded as ``2**64 - 1``.
-A SHA-256 digest of everything before it closes the file. Loading verifies
-magic, version, digest and the structural invariants of the index.
+Layout: an 8-byte magic, a header of six words (version, a reserved word,
+n, pi, sigma, mode), then length-prefixed sections (alphabet, text, suffix
+array, LCP, tree records, child pool, dispatch-array pool), each framed as
+``(section_id u64, payload_len u64, payload)``. All integers are
+little-endian u64; "absent" ids are encoded as ``2**64 - 1``. A SHA-256
+digest of everything before it closes the file. Loading verifies magic,
+version, digest and the structural invariants of the index.
+
+The reserved word once flagged an optional range-minimum table. ``save``
+writes 1, as every default build did, and ``load`` ignores it, so files
+with either value load into the same linear-space index.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ import numpy as np
 
 from .alphabet import BYTE_MODE, TOKEN_MODE, AlphabetSpec, PText
 from .errors import ChecksumError, FormatError
-from .suffixes import PsaIndex, SparseTable
+from .suffixes import PsaIndex
 from .tray import NO_NODE, PSTrayIndex, TrayAnnotations
 from .tree import TrayTree
 
 MAGIC = b"PSTRAY01"
 VERSION = 1
 ABSENT = (1 << 64) - 1
+RESERVED = 1  # header word 2; ignored on load
 
 SEC_ALPHABET = 1
 SEC_TEXT = 2
@@ -149,10 +155,9 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
     sections.append((SEC_PARRAYS, _u64(len(parray_pool)) + _u64(*parray_pool)))
 
     mode_flag = 0 if text.spec.mode == BYTE_MODE else 1
-    rmq_flag = 1 if psa_index.rmq is not None else 0
     blob = bytearray()
     blob += MAGIC
-    blob += _u64(VERSION, rmq_flag, n, text.pi, text.sigma, mode_flag)
+    blob += _u64(VERSION, RESERVED, n, text.pi, text.sigma, mode_flag)
     for sec_id, payload in sections:
         blob += _u64(sec_id, len(payload))
         blob += payload
@@ -172,7 +177,7 @@ def load(path: str | Path) -> PSTrayIndex:
         raise ChecksumError("checksum mismatch (truncated or corrupt file)")
 
     r = _Reader(body, len(MAGIC))
-    version, rmq_flag, n, pi, sigma, mode_flag = r.u64s(6)
+    version, _reserved, n, pi, sigma, mode_flag = r.u64s(6)
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}")
 
@@ -203,8 +208,7 @@ def load(path: str | Path) -> PSTrayIndex:
 
     psa = np.frombuffer(payloads[SEC_PSA].raw(8 * n), dtype="<u8").astype(np.int64)
     plcp = np.frombuffer(payloads[SEC_PLCP].raw(8 * n), dtype="<u8").astype(np.int64)
-    rmq = SparseTable(plcp) if rmq_flag else None
-    psa_index = PsaIndex(psa=psa, plcp=plcp, codes=text.prev_codes, rmq=rmq)
+    psa_index = PsaIndex(psa=psa, plcp=plcp, codes=text.prev_codes)
 
     sec = payloads[SEC_TREE]
     size = sec.u64()

@@ -8,6 +8,14 @@ unsorted group by one symbol at once, so the sort takes max LCP + 1 rounds
 and O(n + sum of LCPs) element work. The LCP of two neighbouring suffixes
 is exactly the depth at which their group split, so the LCP array falls
 out of the sort for free.
+
+The index holds only O(n) words: the suffix array, the LCP array and plain
+list copies of the LCP array and the text's prev codes. There is one
+search path, an LCP-accelerated binary search (Manber & Myers). The LCP of
+two ranks is a min over the LCP slice between them, which is cheap because
+the tray only hands it ranges shorter than ``(sigma + pi + 1) *
+max(sigma, pi)``. The plain binary search is kept as the tests' oracle and
+as the full-range baseline of ``pstray bench``.
 """
 
 from __future__ import annotations
@@ -52,39 +60,24 @@ class QueryStats:
         }
 
 
-class SparseTable:
-    """Static range-minimum over an int array; O(n log n) build, O(1) query."""
-
-    def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=np.int64)
-        self._levels = [data]
-        size = 1
-        while 2 * size <= len(data):
-            prev_level = self._levels[-1]
-            self._levels.append(np.minimum(prev_level[:-size], prev_level[size:]))
-            size *= 2
-
-    def min(self, lo: int, hi: int) -> int:
-        """Minimum of data[lo:hi] (0-based, half-open); requires lo < hi."""
-        k = (hi - lo).bit_length() - 1
-        level = self._levels[k]
-        return int(min(level[lo], level[hi - (1 << k)]))
-
-
 @dataclass(eq=False)
 class PsaIndex:
-    """Parameterized suffix array plus adjacent-LCP array and optional RMQ.
+    """Parameterized suffix array plus adjacent-LCP array, in O(n) words.
 
     ``psa`` holds 1-based suffix start positions in encoded-suffix order;
     ``plcp[r]`` (0-based r) is the longest common prefix of ranks r and r-1
-    (0 at r=0). ``codes`` is a plain-list copy of the text's prev codes for
-    fast scalar access in comparison loops.
+    (0 at r=0). ``codes`` (the text's prev codes) and ``lcps`` (made from
+    ``plcp`` here) are plain-list copies for fast scalar access and slicing
+    in the search loops.
     """
 
     psa: np.ndarray
     plcp: np.ndarray
     codes: list[int]
-    rmq: SparseTable | None = field(default=None, repr=False)
+    lcps: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.lcps = self.plcp.tolist()
 
     @property
     def n(self) -> int:
@@ -95,11 +88,12 @@ class PsaIndex:
         return int(self.psa[r - 1])
 
     def lcp_between(self, a: int, b: int) -> int:
-        """LCP of the suffixes at 1-based ranks a < b via the RMQ table."""
-        return self.rmq.min(a, b)
+        """LCP of the suffixes at 1-based ranks a < b: the least adjacent
+        LCP from rank a+1 to rank b, a min over b - a list entries."""
+        return min(self.lcps[a:b])
 
 
-def build_psa(text: PText, with_rmq: bool = True) -> PsaIndex:
+def build_psa(text: PText) -> PsaIndex:
     """Sort all suffix start positions by their prev-encoded suffixes.
 
     Level-synchronous MSD sort: before round ``d``, every suffix not yet
@@ -177,8 +171,7 @@ def build_psa(text: PText, with_rmq: bool = True) -> PsaIndex:
             inner = ~head[1:-1]
         d += 1
 
-    rmq = SparseTable(plcp) if with_rmq else None
-    return PsaIndex(psa=psa, plcp=plcp, codes=codes, rmq=rmq)
+    return PsaIndex(psa=psa, plcp=plcp, codes=codes)
 
 
 def _compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
@@ -225,7 +218,16 @@ def _lower_bound_plain(index, pattern_prev, lo, hi, skip, strict, stats):
     return result
 
 
-def _search_plain(index, pattern_prev, lo, hi, skip, stats):
+def plain_range_search(index: PsaIndex, pattern_prev: list[int], lo: int,
+                       hi: int, skip: int,
+                       stats: QueryStats) -> tuple[int, int] | None:
+    """Maximal subrange of [lo, hi] whose suffixes extend the pattern, by
+    two plain binary searches that read no LCP values.
+
+    The reference the tests hold ``range_search`` to, and the full-range
+    baseline of ``pstray bench``: over [1, n] a min over LCP slices would
+    cost O(n) per probe.
+    """
     first = _lower_bound_plain(index, pattern_prev, lo, hi, skip, False, stats)
     if first > hi:
         return None
@@ -240,9 +242,9 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
     the pattern, plus that suffix's relation and LCP.
 
     Classic two-pointer search: boundary LCPs ``l``/``r`` with the pattern
-    are maintained so that a midpoint is either resolved purely from the
-    precomputed suffix-suffix LCP (no symbol comparisons) or compared
-    starting where the longer boundary match left off.
+    are maintained so that a midpoint is either resolved purely from its
+    LCP with the nearer-matching boundary (no symbol comparisons) or
+    compared starting where the longer boundary match left off.
     """
     rel, l = _compare_suffix(index, index.suffix_at(lo), pattern_prev, skip, stats)
     stats.psa_probes += 1
@@ -287,35 +289,24 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
     return right, rel_hi, r
 
 
-def _search_accelerated(index, pattern_prev, lo, hi, skip, stats):
-    m = len(pattern_prev)
-    first, rel, _ = _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats)
-    if first > hi or rel != 0:
-        return None
-    # Every later rank matches iff its LCP with rank `first` reaches m;
-    # matches are contiguous, so the right edge needs no symbol comparisons.
-    left, right = first, hi
-    while left < right:
-        mid = (left + right + 1) // 2
-        stats.psa_probes += 1
-        if index.lcp_between(first, mid) >= m:
-            left = mid
-        else:
-            right = mid - 1
-    return first, left
-
-
 def range_search(index: PsaIndex, text: PText, pattern_prev: list[int],
                  lo: int, hi: int, skip: int,
-                 stats: QueryStats | None = None,
-                 variant: str = "auto") -> tuple[int, int] | None:
+                 stats: QueryStats | None = None) -> tuple[int, int] | None:
     """Maximal subrange of [lo, hi] whose suffixes extend the pattern.
 
     Ranks are 1-based inclusive. The caller guarantees every suffix in the
     range already agrees with the pattern on its first ``skip`` symbols.
-    Returns (first, last) ranks or None. The accelerated variant uses the
-    LCP array and RMQ to avoid re-comparing matched prefixes; both variants
-    return identical ranges.
+    Returns (first, last) ranks or None.
+
+    The left edge is an LCP-accelerated lower bound: each probe resolves
+    from the LCP of two ranks, or compares symbols from where the longer
+    boundary match left off, so a search makes O(m + log(hi - lo)) symbol
+    comparisons. The LCP of two ranks is a min over the LCP slice between
+    them; the slices halve with the search interval, so they sum to about
+    one range length per search. The right edge scans forward while the
+    adjacent LCP reaches m, O(occurrences in the range). The tray's ranges
+    are shorter than ``(sigma + pi + 1) * max(sigma, pi)``, so no step
+    depends on n.
     """
     if stats is None:
         stats = QueryStats()
@@ -332,17 +323,19 @@ def range_search(index: PsaIndex, text: PText, pattern_prev: list[int],
                 raise ValidationError(
                     f"skip precondition violated at rank {rk}: lcp {got} < {skip}")
     stats.max_range_searched = max(stats.max_range_searched, hi - lo + 1)
-    if skip >= len(pattern_prev):
+    m = len(pattern_prev)
+    if skip >= m:
         return lo, hi
-    if variant == "auto":
-        variant = "accelerated" if index.rmq is not None else "plain"
-    if variant == "accelerated":
-        if index.rmq is None:
-            raise ValueError("accelerated search requires the RMQ table")
-        return _search_accelerated(index, pattern_prev, lo, hi, skip, stats)
-    if variant == "plain":
-        return _search_plain(index, pattern_prev, lo, hi, skip, stats)
-    raise ValueError(f"unknown variant {variant!r}")
+    first, rel, _ = _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats)
+    if first > hi or rel != 0:
+        return None
+    # Matches are contiguous, and the rank after a match matches iff its LCP
+    # with it reaches m, so the right edge needs no symbol comparisons.
+    lcps = index.lcps
+    last = first
+    while last < hi and lcps[last] >= m:
+        last += 1
+    return first, last
 
 
 def report(index: PsaIndex, match_range: tuple[int, int] | None) -> list[int]:
@@ -353,13 +346,23 @@ def report(index: PsaIndex, match_range: tuple[int, int] | None) -> list[int]:
     return [int(p) for p in index.psa[j - 1:k]]
 
 
+def _window_symbols(codes: np.ndarray, starts: np.ndarray, d) -> np.ndarray:
+    """Symbol ``d`` (a scalar or one depth per start) of the suffixes at
+    0-based ``starts``: a distance reaching past the window start reads 0."""
+    sym = codes[starts + (d - 1)]
+    sym[(sym >= d) & (sym < STATIC_BASE)] = 0
+    return sym
+
+
 def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
     """Check the permutation, sortedness and LCP invariants; raise
-    ValidationError on the first failure.
+    ValidationError naming the lowest failing rank of the first failed check.
 
-    The full check walks every adjacent suffix pair to the recorded LCP and
-    one symbol beyond (O(n + sum of LCPs)); ``full=False`` keeps only the
-    O(n) permutation/shape checks.
+    The full check compares every adjacent suffix pair up to its recorded
+    LCP, in numpy rounds of one depth over all pairs that reach it, and
+    then orders each pair at depth LCP + 1: max LCP rounds and
+    O(n + sum of LCPs) element work. ``full=False`` keeps only the O(n)
+    permutation/shape checks.
     """
     n = text.n
     psa = index.psa
@@ -375,33 +378,36 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
         raise ValidationError("plcp[0] must be 0")
     if not full:
         return
-    codes = index.codes
-    for r in range(1, n):
-        a = int(psa[r - 1])
-        b = int(psa[r])
-        h = int(index.plcp[r])
-        la, lb = n - a + 1, n - b + 1
-        if h > min(la, lb):
-            raise ValidationError(f"plcp[{r}] exceeds suffix length")
-        for d in range(1, h + 1):
-            ca = codes[a + d - 2]
-            if ca < STATIC_BASE and ca >= d:
-                ca = 0
-            cb = codes[b + d - 2]
-            if cb < STATIC_BASE and cb >= d:
-                cb = 0
-            if ca != cb:
-                raise ValidationError(f"plcp[{r}] overstates common prefix")
-        d = h + 1
-        if d > la:
-            raise ValidationError(f"suffix at rank {r} is a prefix of its successor")
-        ca = codes[a + d - 2]
-        if ca < STATIC_BASE and ca >= d:
-            ca = 0
-        if d > lb:
-            raise ValidationError(f"ranks {r-1},{r} out of order (exhaustion)")
-        cb = codes[b + d - 2]
-        if cb < STATIC_BASE and cb >= d:
-            cb = 0
-        if ca >= cb:
-            raise ValidationError(f"ranks {r-1},{r} out of order or plcp short")
+
+    def fail(bad: np.ndarray, message: str) -> None:
+        hits = bad.nonzero()[0]
+        if len(hits):
+            r = int(hits[0]) + 1
+            raise ValidationError(message.format(r=r, q=r - 1))
+
+    codes = np.asarray(index.codes, dtype=np.int64)
+    # Pair r - 1 holds ranks r - 1 and r; a, b are their 0-based starts and
+    # la, lb their lengths.
+    a = psa[:-1] - 1
+    b = psa[1:] - 1
+    h = index.plcp[1:]
+    la, lb = n - a, n - b
+    fail((h < 0) | (h > np.minimum(la, lb)),
+         "plcp[{r}] is negative or exceeds suffix length")
+    # Depth d compares the pairs with h >= d; sorted by h descending, they
+    # are a prefix of the pairs.
+    order = np.argsort(-h, kind="stable")
+    sa, sb = a[order], b[order]
+    top = int(h.max(initial=0))
+    reach = len(h) - np.searchsorted(np.sort(h), np.arange(1, top + 1))
+    for d, k in enumerate(reach.tolist(), start=1):
+        differ = (_window_symbols(codes, sa[:k], d)
+                  != _window_symbols(codes, sb[:k], d))
+        if differ.any():
+            r = int(order[:k][differ].min()) + 1
+            raise ValidationError(f"plcp[{r}] overstates common prefix")
+    d = h + 1
+    fail(d > la, "suffix at rank {r} is a prefix of its successor")
+    fail(d > lb, "ranks {q},{r} out of order (exhaustion)")
+    fail(_window_symbols(codes, a, d) >= _window_symbols(codes, b, d),
+         "ranks {q},{r} out of order or plcp short")

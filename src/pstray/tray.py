@@ -148,8 +148,8 @@ def _sort_pairs_comparison(triples, max_node, max_val):
     return sorted(triples, key=lambda t: (t[0], t[1]))
 
 
-def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                       sorter=_radix_sort_pairs) -> None:
+def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations,
+                       text: PText) -> None:
     """Canonical renamings for all heavy-node representative windows at once.
 
     For heavy node v with representative (i, f-array) and window length
@@ -164,7 +164,7 @@ def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations, text: PText,
         for x, pos in enumerate(farr, start=1):
             if 1 <= pos <= limit:
                 triples.append((v, pos, x))
-    ordered = sorter(triples, tree.size - 1, text.n)
+    ordered = _radix_sort_pairs(triples, tree.size - 1, text.n)
     for v in ann.rep_farr:
         ann.pfun[v] = {}
     for v, _, x in ordered:
@@ -181,9 +181,8 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
     canonical id of ``T[i+D-k]`` (the window position the distance points
     at); the distance-0 child is the continuation for every canonical id
     not used inside the window; a static child sits at its own rank.
+    Needs the p-functions of ``compute_pfunctions``.
     """
-    if not ann.pfun:
-        compute_pfunctions(tree, ann, text)
     width = text.sigma + text.pi
     pi = text.pi
     for v in range(tree.size):
@@ -240,10 +239,10 @@ class PSTrayIndex:
         validate_annotations(self.tree, self.ann, self.text, self.psa_index)
 
 
-def assemble(text: PText, with_rmq: bool = True) -> PSTrayIndex:
+def assemble(text: PText) -> PSTrayIndex:
     """Run the whole pipeline: sort suffixes, build the tree, classify
     heavy nodes, attach representatives, fill dispatch arrays."""
-    psa_index = build_psa(text, with_rmq=with_rmq)
+    psa_index = build_psa(text)
     tree = build_tree(psa_index, text)
     ann = classify_pnodes(tree, text)
     propagate_rep_pairs(tree, ann, text)

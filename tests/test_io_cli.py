@@ -89,13 +89,18 @@ def test_corrupt_section_fails_validation(tmp_path, demo_index):
         index_io.load(path)
 
 
-def test_rmq_flag_round_trip(tmp_path, demo_text):
-    index = assemble(demo_text, with_rmq=False)
+def test_reserved_header_word_is_ignored(tmp_path, demo_index):
     path = tmp_path / "x.idx"
-    index_io.save(index, path)
+    index_io.save(demo_index, path)
+    default = path.read_bytes()
+    data = bytearray(default)
+    struct.pack_into("<Q", data, 16, 0)  # the word after the version
+    body = bytes(data[:-32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
     loaded = index_io.load(path)
-    assert loaded.psa_index.rmq is None
     assert query(loaded, loaded.text, "xAyy")[0] == [3, 8]
+    index_io.save(loaded, path)
+    assert path.read_bytes() == default
 
 
 # ------------------------------------------------------------------- CLI
@@ -191,16 +196,6 @@ def test_cli_self_check_deterministic(tmp_path, capsys):
     # same seed, same outcome, no stderr noise
     captured = capsys.readouterr()
     assert captured.err == ""
-
-
-def test_cli_no_rmq(tmp_path, capsys):
-    text_file, alpha = write_inputs(tmp_path)
-    idx = tmp_path / "t.idx"
-    assert main(["build", "--text", str(text_file), "--alphabet", str(alpha),
-                 "--out", str(idx), "--no-rmq"]) == 0
-    capsys.readouterr()
-    assert main(["query", "--index", str(idx), "--pattern", "yAzz"]) == 0
-    assert capsys.readouterr().out == "3\n7\n"
 
 
 def test_cli_error_exits(tmp_path, capsys):

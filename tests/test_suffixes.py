@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 import pstray.suffixes as sfx
-from pstray.encoding import prev
+from pstray.alphabet import encode_pattern
+from pstray.encoding import STATIC_BASE, prev
+from pstray.errors import ValidationError
 from pstray.oracle import naive_psa
-from pstray.suffixes import (QueryStats, SparseTable, build_psa, range_search,
-                             report, validate_psa)
+from pstray.suffixes import (PsaIndex, QueryStats, build_psa,
+                             plain_range_search, range_search, report,
+                             validate_psa)
+from pstray.tree import build_tree
 
 from conftest import (DEMO_PLCP, DEMO_PSA, make_text, random_pattern,
                       random_text, sym_codes)
@@ -77,17 +81,6 @@ def test_build_degenerate_alphabets():
         validate_psa(idx, t, full=True)
 
 
-def test_sparse_table_matches_direct_min():
-    rng = random.Random(5)
-    for _ in range(30):
-        data = np.array([rng.randint(0, 50) for _ in range(rng.randint(1, 64))])
-        st = SparseTable(data)
-        for _ in range(50):
-            lo = rng.randrange(len(data))
-            hi = rng.randint(lo + 1, len(data))
-            assert st.min(lo, hi) == int(data[lo:hi].min())
-
-
 def test_range_search_demo_ranges(demo_text, demo_index):
     t = demo_text
     idx = demo_index.psa_index
@@ -120,32 +113,9 @@ def test_report_trivia(demo_index):
     assert sorted(report(idx, (1, idx.n))) == list(range(1, idx.n + 1))
 
 
-def test_variants_agree_randomized():
-    rng = random.Random(31)
-    for _ in range(40):
-        t = random_text(rng, max_n=140)
-        idx = build_psa(t)
-        for _ in range(20):
-            pat = random_pattern(rng, t)
-            from pstray.alphabet import encode_pattern
-
-            enc = encode_pattern(t, pat)
-            if not enc:
-                continue
-            pp = prev(enc, t.pi)
-            plain = range_search(idx, t, pp, 1, t.n, 0, QueryStats(),
-                                 variant="plain")
-            accel = range_search(idx, t, pp, 1, t.n, 0, QueryStats(),
-                                 variant="accelerated")
-            assert plain == accel
-
-
-def test_variants_agree_on_subranges(demo_text, demo_index):
-    # exhaustive over the demo index: every subrange sharing a prefix depth
-    t = demo_text
-    idx = demo_index.psa_index
-    tree = demo_index.tree
-    stats = QueryStats()
+def check_subranges(t, idx, tree):
+    """range_search against the plain oracle on every tree node's range,
+    for patterns ending at, one and two symbols past the node's depth."""
     sfx.STRICT_CHECKS = True
     try:
         for v in range(tree.size):
@@ -157,31 +127,103 @@ def test_variants_agree_on_subranges(demo_text, demo_index):
                 if not pat:
                     continue
                 skip = min(d, len(pat))
-                plain = range_search(idx, t, pat, lo, hi, skip, stats,
-                                     variant="plain")
-                accel = range_search(idx, t, pat, lo, hi, skip, stats,
-                                     variant="accelerated")
-                assert plain == accel
+                want = plain_range_search(idx, pat, lo, hi, skip, QueryStats())
+                assert range_search(idx, t, pat, lo, hi, skip) == want
     finally:
         sfx.STRICT_CHECKS = False
 
 
-def test_no_rmq_build_falls_back_to_plain(demo_text):
-    idx = build_psa(demo_text, with_rmq=False)
-    assert idx.rmq is None
-    got = range_search(idx, demo_text, sym_codes(demo_text, "0A01"), 6, 8, 3)
-    assert got == (6, 7)
-    with pytest.raises(ValueError):
-        range_search(idx, demo_text, [0], 1, 3, 0, variant="accelerated")
+def test_variants_agree_randomized():
+    rng = random.Random(31)
+    texts = [random_text(rng, max_n=140) for _ in range(40)]
+    # Runs and periodic texts give long match runs for the right-edge scan.
+    texts += [make_text(raw, pi="xy") for k in (1, 7, 60)
+              for raw in ("x" * k, "xy" * k, "xyA" * k)]
+    for t in texts:
+        idx = build_psa(t)
+        pats = [random_pattern(rng, t) for _ in range(20)]
+        pats += ["x" * j for j in (1, 2, 5, 30)]
+        pats += ["xy" * j for j in (1, 3, 20)]
+        for pat in pats:
+            enc = encode_pattern(t, pat)
+            if not enc:
+                continue
+            pp = prev(enc, t.pi)
+            want = plain_range_search(idx, pp, 1, t.n, 0, QueryStats())
+            assert range_search(idx, t, pp, 1, t.n, 0) == want
+            # Any range meets the skip-0 precondition; one ending inside a
+            # run of matches must stop the right-edge scan at its end.
+            lo = rng.randint(1, t.n)
+            hi = rng.randint(lo, t.n)
+            want = plain_range_search(idx, pp, lo, hi, 0, QueryStats())
+            assert range_search(idx, t, pp, lo, hi, 0) == want
+        check_subranges(t, idx, build_tree(idx, t))
+
+
+def test_variants_agree_on_subranges(demo_text, demo_index):
+    # exhaustive over the demo index: every subrange sharing a prefix depth
+    check_subranges(demo_text, demo_index.psa_index, demo_index.tree)
+
+
+def test_psa_index_is_linear_space():
+    rng = random.Random(12)
+    t = make_text("".join(rng.choice("uvwxyzABC") for _ in range(2000)),
+                  pi="uvwxyz")
+    idx = build_psa(t)
+    array_bytes, lists, todo = 0, [], [idx]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            array_bytes += obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            lists.append(len(obj))
+            todo += [x for x in obj if not isinstance(x, int)]
+        elif hasattr(obj, "__dict__"):
+            todo += vars(obj).values()
+    assert array_bytes <= 16 * t.n
+    assert lists and max(lists) <= t.n
 
 
 def test_validator_catches_corruption(demo_text, demo_index):
     import copy
 
-    idx = copy.deepcopy(demo_index.psa_index)
-    idx.psa[0], idx.psa[1] = idx.psa[1], idx.psa[0]
-    with pytest.raises(Exception):
-        validate_psa(idx, demo_text)
+    def swap(idx, r):
+        idx.psa[r], idx.psa[r + 1] = idx.psa[r + 1], idx.psa[r]
+
+    def set_plcp(r, h):
+        return lambda idx: idx.plcp.__setitem__(r, h)
+
+    # DEMO_PLCP[6] == 5: ranks 5 and 6 share a long prefix. Ranks 0 and 1
+    # and ranks 2 and 3 (of "xxyAyx") stay in order one symbol past the
+    # overstated plcp, so only the prefix comparison catches those.
+    corruptions = [
+        lambda idx: swap(idx, 0),
+        lambda idx: swap(idx, 5),  # a swapped pair with a long shared prefix
+        set_plcp(6, 6),            # overstated
+        set_plcp(1, 5),            # overstated
+        set_plcp(6, 4),            # short
+        set_plcp(6, 40),           # past the suffix's end
+        set_plcp(7, -1),
+    ]
+    for corrupt in corruptions:
+        idx = copy.deepcopy(demo_index.psa_index)
+        corrupt(idx)
+        with pytest.raises(ValidationError):
+            validate_psa(idx, demo_text)
+    t = make_text("xxyAyx", pi="xy")
+    idx = build_psa(t)
+    idx.plcp[3] += 1
+    with pytest.raises(ValidationError, match="overstates"):
+        validate_psa(idx, t)
+
+    # Codes without a unique end marker let a suffix be a prefix of its
+    # successor, or a shorter suffix sort after a longer one it prefixes.
+    t = make_text("A", pi="", sigma="A")
+    same = [STATIC_BASE, STATIC_BASE]
+    for psa, message in (([2, 1], "prefix"), ([1, 2], "exhaustion")):
+        idx = PsaIndex(psa=np.array(psa), plcp=np.array([0, 1]), codes=same)
+        with pytest.raises(ValidationError, match=message):
+            validate_psa(idx, t)
 
 
 def test_strict_mode_rejects_bad_skip(demo_text, demo_index):
