@@ -289,7 +289,7 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
     return right, rel_hi, r
 
 
-def range_search(index: PsaIndex, text: PText, pattern_prev: list[int],
+def range_search(index: PsaIndex, pattern_prev: list[int],
                  lo: int, hi: int, skip: int,
                  stats: QueryStats | None = None) -> tuple[int, int] | None:
     """Maximal subrange of [lo, hi] whose suffixes extend the pattern.
@@ -358,11 +358,13 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
     """Check the permutation, sortedness and LCP invariants; raise
     ValidationError naming the lowest failing rank of the first failed check.
 
-    The full check compares every adjacent suffix pair up to its recorded
-    LCP, in numpy rounds of one depth over all pairs that reach it, and
-    then orders each pair at depth LCP + 1: max LCP rounds and
-    O(n + sum of LCPs) element work. ``full=False`` keeps only the O(n)
-    permutation/shape checks.
+    The O(n) part checks that psa is a permutation of 1..n, that every
+    plcp is at least 0 and below both suffix lengths, and that each
+    adjacent pair is in order at depth plcp + 1. The full check adds the
+    common prefixes: it compares every adjacent suffix pair up to its
+    recorded LCP, in numpy rounds of one depth over all pairs that reach
+    it, so max LCP rounds and O(n + sum of LCPs) element work.
+    ``full=False`` keeps only the O(n) part.
     """
     n = text.n
     psa = index.psa
@@ -376,8 +378,6 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
         raise ValidationError("psa is not a permutation of 1..n")
     if index.plcp[0] != 0:
         raise ValidationError("plcp[0] must be 0")
-    if not full:
-        return
 
     def fail(bad: np.ndarray, message: str) -> None:
         hits = bad.nonzero()[0]
@@ -394,6 +394,13 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
     la, lb = n - a, n - b
     fail((h < 0) | (h > np.minimum(la, lb)),
          "plcp[{r}] is negative or exceeds suffix length")
+    d = h + 1
+    fail(d > la, "suffix at rank {r} is a prefix of its successor")
+    fail(d > lb, "ranks {q},{r} out of order (exhaustion)")
+    fail(_window_symbols(codes, a, d) >= _window_symbols(codes, b, d),
+         "ranks {q},{r} out of order or plcp short")
+    if not full:
+        return
     # Depth d compares the pairs with h >= d; sorted by h descending, they
     # are a prefix of the pairs.
     order = np.argsort(-h, kind="stable")
@@ -406,8 +413,3 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
         if differ.any():
             r = int(order[:k][differ].min()) + 1
             raise ValidationError(f"plcp[{r}] overstates common prefix")
-    d = h + 1
-    fail(d > la, "suffix at rank {r} is a prefix of its successor")
-    fail(d > lb, "ranks {q},{r} out of order (exhaustion)")
-    fail(_window_symbols(codes, a, d) >= _window_symbols(codes, b, d),
-         "ranks {q},{r} out of order or plcp short")

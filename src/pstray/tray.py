@@ -14,11 +14,15 @@ logarithmic term independent of the text length.
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
+
+import numpy as np
 
 from .alphabet import PText, encode_pattern, rank
-from .encoding import (STATIC_BASE, fpos_stream, prev, prev_char_in_window,
-                       spe)
+from .encoding import (STATIC_BASE, pfunction_from_fpos, prev,
+                       prev_char_in_window, spe)
 from .errors import (ConstructionError, QueryError, RankError,
                      ValidationError)
 from .suffixes import PsaIndex, QueryStats, build_psa, range_search, report
@@ -26,8 +30,8 @@ from .tree import NO_NODE, TrayTree, build_tree, first_edge_symbol
 
 __all__ = [
     "TrayAnnotations", "QueryStats", "PSTrayIndex", "classify_pnodes",
-    "propagate_rep_pairs", "build_parrays", "assemble", "query",
-    "validate_annotations",
+    "propagate_rep_pairs", "compute_pfunctions", "build_parrays",
+    "build_tray", "assemble", "query", "validate_annotations",
 ]
 
 
@@ -35,141 +39,124 @@ __all__ = [
 class TrayAnnotations:
     """Per-node classification and dispatch data.
 
-    Parallel to the tree's node array: ``leaf_count``, ``is_pnode``,
-    ``is_branching`` and ``heavy_child`` for every node (``heavy_child`` is
-    -1 when absent). Sparse per-heavy-node data lives in dicts keyed by node
-    id: ``rep_pos``/``rep_farr`` hold the representative suffix (largest
-    leaf position in the subtree) and its f-array; ``pfun`` the renaming of
-    the representative window onto canonical ids; ``parray`` the dispatch
-    arrays of branching nodes (index = rank, value = child id or -1, entry 0
-    unused).
+    Parallel to the tree's node array: ``is_pnode``, ``is_branching`` and
+    ``heavy_child`` for every node (``heavy_child`` is -1 when absent).
+    Sparse per-heavy-node data lives in dicts keyed by node id:
+    ``rep_pos`` holds the representative suffix (the largest leaf position
+    in the subtree); ``pfun`` the renaming of the representative window
+    onto canonical ids; ``parray`` the dispatch arrays of branching nodes
+    (index = rank, value = child id or -1, entry 0 unused).
     """
 
     threshold: int
-    leaf_count: list[int]
     is_pnode: list[bool]
     is_branching: list[bool]
     heavy_child: list[int]
     rep_pos: dict[int, int] = field(default_factory=dict)
-    rep_farr: dict[int, tuple[int, ...]] = field(default_factory=dict)
     pfun: dict[int, dict[int, int]] = field(default_factory=dict)
     parray: dict[int, list[int]] = field(default_factory=dict)
 
     def pnodes(self) -> list[int]:
-        return [v for v, p in enumerate(self.is_pnode) if p]
+        return list(compress(range(len(self.is_pnode)), self.is_pnode))
 
     def parray_cells(self) -> int:
         return sum(len(arr) - 1 for arr in self.parray.values())
 
 
-def _postorder(tree: TrayTree) -> list[int]:
-    order: list[int] = []
-    todo = [tree.root]
-    while todo:
-        v = todo.pop()
-        order.append(v)
-        todo.extend(tree.children[v])
-    order.reverse()
-    return order
+def _array(values) -> np.ndarray:
+    """int64 array of a list or dict view of Python ints."""
+    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 def classify_pnodes(tree: TrayTree, text: PText) -> TrayAnnotations:
-    """One bottom-up pass: leaf counts, heavy flags, branching flags, and
-    the unique heavy child of non-branching heavy nodes (absent when a heavy
-    node has no heavy children at all)."""
+    """Heavy flags, branching flags, and the unique heavy child of
+    non-branching heavy nodes (absent when a heavy node has no heavy
+    children at all), in a few numpy passes over the node arrays.
+
+    A node is heavy when its leaf block ``hi - lo + 1`` reaches the
+    threshold; a heavy child makes its parent heavy too, so counting heavy
+    children per parent finds both the branching nodes (two or more) and
+    the parents of a unique heavy child (exactly one).
+    """
     threshold = max(text.sigma, text.pi)
     size = tree.size
-    leaf_count = [0] * size
-    is_pnode = [False] * size
-    is_branching = [False] * size
-    heavy_child = [NO_NODE] * size
-
-    for v in _postorder(tree):
-        if tree.is_leaf(v):
-            leaf_count[v] = 1
-        else:
-            leaf_count[v] = sum(leaf_count[u] for u in tree.children[v])
-        if leaf_count[v] >= threshold:
-            is_pnode[v] = True
-            heavy_kids = [u for u in tree.children[v] if is_pnode[u]]
-            if len(heavy_kids) >= 2:
-                is_branching[v] = True
-            elif len(heavy_kids) == 1:
-                heavy_child[v] = heavy_kids[0]
-    return TrayAnnotations(threshold=threshold, leaf_count=leaf_count,
-                           is_pnode=is_pnode, is_branching=is_branching,
-                           heavy_child=heavy_child)
+    is_pnode = _array(tree.hi) - _array(tree.lo) + 1 >= threshold
+    heavy = is_pnode.nonzero()[0]
+    heavy = heavy[heavy != tree.root]
+    up = _array(tree.parent)[heavy]
+    heavy_kids = np.bincount(up, minlength=size)
+    only = heavy_kids[up] == 1
+    heavy_child = np.full(size, NO_NODE, dtype=np.int64)
+    heavy_child[up[only]] = heavy[only]
+    return TrayAnnotations(threshold=threshold, is_pnode=is_pnode.tolist(),
+                           is_branching=(heavy_kids >= 2).tolist(),
+                           heavy_child=heavy_child.tolist())
 
 
 def propagate_rep_pairs(tree: TrayTree, ann: TrayAnnotations,
                         text: PText) -> TrayAnnotations:
-    """Give every heavy node a representative suffix and its f-array.
+    """Give every heavy node its representative suffix: the largest leaf
+    position in its subtree.
 
-    The representative is the largest leaf position in the subtree
-    (propagated bottom-up); the f-arrays are then materialized in one
-    right-to-left sweep over the text, touching only the positions that
-    some heavy node actually uses.
+    Leaf ``r`` of the tree holds the suffix of rank ``r``, so a node's
+    leaf positions are one slice of ``leaf_pos`` and all representatives
+    come from one ``np.maximum.reduceat`` over the heavy nodes' blocks.
+    The blocks nest, so this reads each leaf once per heavy ancestor:
+    O(n + sum of LCPs) element steps, as many as the suffix sort's.
     """
-    max_pos = [0] * tree.size
-    for v in _postorder(tree):
-        if tree.is_leaf(v):
-            max_pos[v] = tree.leaf_pos[v]
-        else:
-            max_pos[v] = max(max_pos[u] for u in tree.children[v])
-        if ann.is_pnode[v]:
-            ann.rep_pos[v] = max_pos[v]
-
-    wanted: dict[int, list[int]] = {}
-    for v, pos in ann.rep_pos.items():
-        wanted.setdefault(pos, []).append(v)
-    for pos, farr in fpos_stream(text, positions=set(wanted)):
-        for v in wanted[pos]:
-            ann.rep_farr[v] = farr
+    heavy = ann.pnodes()
+    if not heavy:
+        return ann
+    lo, hi = tree.lo, tree.hi
+    bounds = np.array([(lo[v], hi[v] + 1) for v in heavy], dtype=np.int64)
+    # One trailing entry keeps every block end a valid reduceat index.
+    pos = _array(tree.leaf_pos[:text.n + 1] + [0])
+    reps = np.maximum.reduceat(pos, bounds.ravel())[0::2]
+    ann.rep_pos = dict(zip(heavy, reps.tolist()))
     return ann
-
-
-def _radix_sort_pairs(triples: list[tuple[int, int, int]], max_node: int,
-                      max_val: int) -> list[tuple[int, int, int]]:
-    """Stable two-key counting sort of (node, value, symbol) by (node, value)."""
-    if not triples:
-        return []
-    buckets: list[list[tuple[int, int, int]]] = [[] for _ in range(max_val + 1)]
-    for t in triples:
-        buckets[t[1]].append(t)
-    by_val = [t for b in buckets for t in b]
-    buckets = [[] for _ in range(max_node + 1)]
-    for t in by_val:
-        buckets[t[0]].append(t)
-    return [t for b in buckets for t in b]
-
-
-def _sort_pairs_comparison(triples, max_node, max_val):
-    """Reference for the radix sort (cross-checked in tests)."""
-    return sorted(triples, key=lambda t: (t[0], t[1]))
 
 
 def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations,
                        text: PText) -> None:
     """Canonical renamings for all heavy-node representative windows at once.
 
-    For heavy node v with representative (i, f-array) and window length
-    depth(v), the parameterized symbols first occurring inside the window,
-    taken in f-array order, map to canonical ids 1, 2, ... All windows are
-    processed together: one two-key radix sort of (node, offset, symbol)
-    triples groups each node's symbols in first-occurrence order.
+    For heavy node v with representative i and window ``T[i:i+depth(v)]``,
+    the parameterized symbols first occurring inside the window, in order
+    of first occurrence, map to canonical ids 1, 2, ... Each symbol's
+    first occurrence at or after every representative comes from one
+    ``searchsorted`` over that symbol's sorted positions, so the work is
+    O(pi * heavy nodes) numpy element steps; one sort of the in-window hits
+    by (node, position) then numbers each node's symbols.
     """
-    triples: list[tuple[int, int, int]] = []
-    for v, farr in ann.rep_farr.items():
-        limit = tree.depth[v]
-        for x, pos in enumerate(farr, start=1):
-            if 1 <= pos <= limit:
-                triples.append((v, pos, x))
-    ordered = _radix_sort_pairs(triples, tree.size - 1, text.n)
-    for v in ann.rep_farr:
-        ann.pfun[v] = {}
-    for v, _, x in ordered:
-        fmap = ann.pfun[v]
-        fmap[x] = len(fmap) + 1
+    nodes = list(ann.rep_pos)
+    ann.pfun = {v: {} for v in nodes}
+    if not nodes or text.pi == 0:
+        return
+    depth = tree.depth
+    reps = _array(ann.rep_pos.values())
+    ends = reps + _array([depth[v] for v in nodes])  # one past each window
+    symbols = _array(text.symbols)
+    where = (symbols <= text.pi).nonzero()[0]
+    by_symbol = where[np.argsort(symbols[where], kind="stable")] + 1
+    cuts = np.cumsum(np.bincount(symbols[where], minlength=text.pi + 1))
+    hit_node, hit_pos, hit_sym = [], [], []
+    for x in range(1, text.pi + 1):
+        occ = by_symbol[cuts[x - 1]:cuts[x]]
+        k = np.searchsorted(occ, reps)
+        first = np.append(occ, ends.max())[k]
+        inside = (first < ends).nonzero()[0]
+        hit_node.append(inside)
+        hit_pos.append(first[inside])
+        hit_sym.append(np.full(len(inside), x, dtype=np.int64))
+    node = np.concatenate(hit_node)
+    order = np.lexsort((np.concatenate(hit_pos), node))
+    node = node[order]
+    sym = np.concatenate(hit_sym)[order]
+    canon = np.arange(len(node)) - np.searchsorted(node, node) + 1
+    pfun = ann.pfun
+    for v, x, c in zip(np.array(nodes)[node].tolist(), sym.tolist(),
+                       canon.tolist()):
+        pfun[v][x] = c
 
 
 def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
@@ -181,39 +168,40 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
     canonical id of ``T[i+D-k]`` (the window position the distance points
     at); the distance-0 child is the continuation for every canonical id
     not used inside the window; a static child sits at its own rank.
-    Needs the p-functions of ``compute_pfunctions``.
+    Needs the p-functions of ``compute_pfunctions``. A child's first edge
+    symbol is symbol D+1 of its leftmost suffix, read from the prev codes
+    with the window adjustment inlined.
     """
     width = text.sigma + text.pi
     pi = text.pi
-    for v in range(tree.size):
-        if not ann.is_branching[v]:
-            continue
-        depth = tree.depth[v]
+    codes = index.codes
+    symbols = text.symbols
+    depth = tree.depth
+    lo = tree.lo
+    start = tree.leaf_pos  # leaf r holds the suffix of rank r
+    for v in compress(range(tree.size), ann.is_branching):
+        d = depth[v]
         rep = ann.rep_pos[v]
         fmap = ann.pfun[v]
         used = len(fmap)
         par = [NO_NODE] * (width + 1)
-
-        def put(rank_, child, v=v, par=par):
-            if par[rank_] != NO_NODE:
-                raise ConstructionError(
-                    f"p-array collision at node {v}, rank {rank_}")
-            par[rank_] = child
-
         for u in tree.children[v]:
-            sym = first_edge_symbol(tree, index, u)
+            sym = codes[start[lo[u]] + d - 1]
             if sym >= STATIC_BASE:
-                put(sym - STATIC_BASE, u)
-            elif sym == 0:
-                for x in range(used + 1, pi + 1):
-                    put(x, u)
-            else:
-                source = text.symbols[rep + depth - sym - 1]
-                canon = fmap.get(source)
+                ranks = (sym - STATIC_BASE,)
+            elif 0 < sym <= d:
+                canon = fmap.get(symbols[rep + d - sym - 1])
                 if canon is None:
                     raise ConstructionError(
                         f"distance child at node {v} references unmapped symbol")
-                put(canon, u)
+                ranks = (canon,)
+            else:  # a symbol not seen inside the window
+                ranks = range(used + 1, pi + 1)
+            for k in ranks:
+                if par[k] != NO_NODE:
+                    raise ConstructionError(
+                        f"p-array collision at node {v}, rank {k}")
+                par[k] = u
         ann.parray[v] = par
     return ann
 
@@ -239,16 +227,24 @@ class PSTrayIndex:
         validate_annotations(self.tree, self.ann, self.text, self.psa_index)
 
 
-def assemble(text: PText) -> PSTrayIndex:
-    """Run the whole pipeline: sort suffixes, build the tree, classify
-    heavy nodes, attach representatives, fill dispatch arrays."""
-    psa_index = build_psa(text)
+def build_tray(psa_index: PsaIndex, text: PText) -> PSTrayIndex:
+    """Everything after the suffix sort: build the tree, classify heavy
+    nodes, attach representatives and p-functions, fill dispatch arrays.
+
+    The one construction path for the tree and its annotations: both
+    ``assemble`` and ``index_io.load`` call it.
+    """
     tree = build_tree(psa_index, text)
     ann = classify_pnodes(tree, text)
     propagate_rep_pairs(tree, ann, text)
     compute_pfunctions(tree, ann, text)
     build_parrays(tree, ann, text, psa_index)
     return PSTrayIndex(text=text, psa_index=psa_index, tree=tree, ann=ann)
+
+
+def assemble(text: PText) -> PSTrayIndex:
+    """Sort the suffixes, then build the tree and its annotations."""
+    return build_tray(build_psa(text), text)
 
 
 def _descend_edge(idx: PSTrayIndex, child: int, matched: int,
@@ -343,7 +339,7 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
             if child == NO_NODE:
                 return finish(None)
             if not ann.is_pnode[child]:
-                rng = range_search(index, text, pattern_prev, tree.lo[child],
+                rng = range_search(index, pattern_prev, tree.lo[child],
                                    tree.hi[child], matched + 1, stats)
                 return finish(rng)
             state, _ = _descend_edge(idx, child, matched, pattern_prev, stats)
@@ -364,11 +360,11 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
                         lo, hi = tree.hi[heavy] + 1, tree.hi[node]
                     if lo > hi:
                         return finish(None)
-                    rng = range_search(index, text, pattern_prev, lo, hi,
+                    rng = range_search(index, pattern_prev, lo, hi,
                                        matched, stats)
                     return finish(rng)
             else:
-                rng = range_search(index, text, pattern_prev, tree.lo[node],
+                rng = range_search(index, pattern_prev, tree.lo[node],
                                    tree.hi[node], matched, stats)
                 return finish(rng)
         if state == "mismatch":
@@ -381,29 +377,37 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
 
 def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
                          index: PsaIndex) -> None:
-    """Check classification flags, the counting bounds on branching nodes
-    and dispatch cells, and that dispatch entries point at real children."""
+    """Check classification flags, representatives, the counting bounds on
+    branching nodes and dispatch cells, and that every dispatch array
+    agrees with its node.
+
+    Agreement is recomputed from the definition, trusting none of the
+    stored annotations: the canonical renaming of the representative
+    window comes from the text's symbol positions and must equal the
+    stored p-function; then each child sits at the rank its first edge
+    symbol selects (a static at its own rank, distance k at the canonical
+    id of ``T[rep+depth-k]``, distance 0 at every canonical id the window
+    leaves unused), every child appears and every other cell is empty.
+    """
     threshold = max(text.sigma, text.pi)
     if ann.threshold != threshold:
         raise ValidationError("stale threshold")
     n = text.n
     rank_of = {index.suffix_at(r): r for r in range(1, n + 1)}
+    occ: dict[int, list[int]] = {}
+    for p, c in enumerate(text.symbols, start=1):
+        if c <= text.pi:
+            occ.setdefault(c, []).append(p)
     branching = 0
     for v in range(tree.size):
         lc = tree.leaf_count(v)
-        if ann.leaf_count[v] != lc:
-            raise ValidationError(f"leaf_count mismatch at node {v}")
         if ann.is_pnode[v] != (lc >= threshold):
             raise ValidationError(f"p-node flag wrong at node {v}")
         heavy_kids = [u for u in tree.children[v]
                       if ann.is_pnode[u]] if ann.is_pnode[v] else []
         if ann.is_branching[v] != (ann.is_pnode[v] and len(heavy_kids) >= 2):
             raise ValidationError(f"branching flag wrong at node {v}")
-        if ann.is_branching[v]:
-            branching += 1
-        want_heavy = heavy_kids[0] if (
-            ann.is_pnode[v] and not ann.is_branching[v]
-            and len(heavy_kids) == 1) else NO_NODE
+        want_heavy = heavy_kids[0] if len(heavy_kids) == 1 else NO_NODE
         if ann.heavy_child[v] != want_heavy:
             raise ValidationError(f"heavy child wrong at node {v}")
         if ann.is_pnode[v]:
@@ -411,14 +415,48 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
             if rep_rank is None or not (tree.lo[v] <= rep_rank <= tree.hi[v]):
                 raise ValidationError(f"representative outside subtree at {v}")
         if ann.is_branching[v]:
-            arr = ann.parray.get(v)
-            if arr is None or len(arr) != text.sigma + text.pi + 1:
-                raise ValidationError(f"p-array missing or mis-sized at {v}")
-            kids = set(tree.children[v])
-            for child in arr[1:]:
-                if child != NO_NODE and child not in kids:
-                    raise ValidationError(f"p-array at {v} points outside node")
+            branching += 1
+            _check_dispatch(tree, ann, text, index, v, occ)
     if branching > n // threshold:
         raise ValidationError("branching node count exceeds n/max(sigma,pi)")
     if ann.parray_cells() > 2 * n:
         raise ValidationError("p-array cells exceed 2n")
+
+
+def _check_dispatch(tree: TrayTree, ann: TrayAnnotations, text: PText,
+                    index: PsaIndex, v: int,
+                    occ: dict[int, list[int]]) -> None:
+    """Dispatch agreement at branching node ``v``; ``occ`` maps each
+    parameterized symbol to its ascending text positions."""
+    arr = ann.parray.get(v)
+    if arr is None or len(arr) != text.sigma + text.pi + 1:
+        raise ValidationError(f"p-array missing or mis-sized at {v}")
+    rep, depth = ann.rep_pos[v], tree.depth[v]
+    farr = []
+    for x in range(1, text.pi + 1):
+        ps = occ.get(x, [])
+        k = bisect_left(ps, rep)
+        farr.append(ps[k] - rep + 1 if k < len(ps) else 0)
+    canon = pfunction_from_fpos(text, rep, depth, farr)
+    if ann.pfun.get(v) != canon:
+        raise ValidationError(f"p-function wrong at node {v}")
+    want = [NO_NODE] * len(arr)
+    for u in tree.children[v]:
+        sym = first_edge_symbol(tree, index, u)
+        if sym >= STATIC_BASE:
+            ranks = [sym - STATIC_BASE]
+        elif sym > 0:
+            ranks = [canon.get(text.symbols[rep + depth - sym - 1])]
+        else:
+            ranks = list(range(len(canon) + 1, text.pi + 1))
+        if not ranks or None in ranks:
+            raise ValidationError(f"child {u} of {v} has no dispatch rank")
+        for k in ranks:
+            if want[k] != NO_NODE:
+                raise ValidationError(f"children of {v} share rank {k}")
+            want[k] = u
+    for k in range(1, len(arr)):
+        if arr[k] != want[k]:
+            raise ValidationError(
+                f"p-array at {v}, rank {k} holds {arr[k]}, its rank selects "
+                f"{want[k]}")

@@ -1,10 +1,12 @@
 """Compact trie over the prev-encoded suffixes, as a node array.
 
-The tree is derived from the sorted suffix order and the adjacent-LCP array
-with the usual left-to-right stack construction: leaves arrive in sorted
-order, and an LCP drop closes every node deeper than the new common depth.
-Edge labels are never stored; an edge is a depth window of any suffix below
-the node, resolved symbol-by-symbol through the O(1) window adjustment.
+The tree is the LCP-interval tree of the sorted suffixes (Abouelhoda,
+Kurtz & Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
+2004): one left-to-right pass over the adjacent-LCP array with a stack of
+open internal nodes, where an LCP drop closes every node deeper than the
+new common depth. Edge labels are never stored; an edge is a depth window
+of any suffix below the node, resolved symbol-by-symbol through the O(1)
+window adjustment.
 """
 
 from __future__ import annotations
@@ -21,13 +23,16 @@ NO_NODE = -1
 
 @dataclass(eq=False)
 class TrayTree:
-    """Node-array tree. Node 0 is the root; all per-node data is parallel
-    lists indexed by node id.
+    """Node-array tree. All per-node data is parallel lists indexed by
+    node id: node 0 is the root, nodes 1..n are the leaves in suffix-array
+    rank order (leaf ``r`` holds the suffix of rank ``r``), and the
+    internal nodes follow in the order they open.
 
     ``lo``/``hi`` are 1-based suffix-array ranks delimiting the node's leaf
     block; ``depth`` is the string depth (encoded symbols from the root);
     ``leaf_pos`` is the 1-based suffix start for leaves, 0 for internal
-    nodes; ``children`` lists child ids in lexicographic edge order.
+    nodes; ``children`` lists child ids in lexicographic edge order (every
+    leaf shares one empty tuple).
     """
 
     parent: list[int] = field(default_factory=list)
@@ -35,18 +40,9 @@ class TrayTree:
     lo: list[int] = field(default_factory=list)
     hi: list[int] = field(default_factory=list)
     leaf_pos: list[int] = field(default_factory=list)
-    children: list[list[int]] = field(default_factory=list)
+    children: list[list[int] | tuple[int, ...]] = field(default_factory=list)
 
     root: int = 0
-
-    def new_node(self, depth: int, leaf_pos: int = 0) -> int:
-        self.parent.append(NO_NODE)
-        self.depth.append(depth)
-        self.lo.append(0)
-        self.hi.append(0)
-        self.leaf_pos.append(leaf_pos)
-        self.children.append([])
-        return len(self.parent) - 1
 
     @property
     def size(self) -> int:
@@ -63,64 +59,58 @@ class TrayTree:
 
 
 def build_tree(index: PsaIndex, text: PText) -> TrayTree:
-    """Materialize the compact trie from the sorted suffixes in O(n)."""
+    """Materialize the compact trie from the sorted suffixes in one O(n)
+    pass over the LCP array.
+
+    Leaves are laid out up front from the suffix array. Rank ``r`` then
+    closes the open nodes deeper than ``plcp[r - 1]``, attaching the
+    previous closed subtree to each, and opens a node of that depth when
+    none is open; a node's ``lo`` is set when it opens and its ``hi`` when
+    it closes.
+    """
     n = text.n
-    tree = TrayTree()
-    tree.new_node(0)
-    plcp = index.plcp
-    stack = [tree.root]
-    depth = tree.depth
+    psa = index.psa.tolist()
+    lcps = index.lcps
+    parent = [NO_NODE] * (n + 1)
+    depth = [0] + [n + 1 - p for p in psa]
+    lo = list(range(n + 1))
+    hi = list(range(n + 1))
+    lo[0], hi[0] = 1, n
+    leaf_pos = [0] + psa
+    children: list[list[int] | tuple[int, ...]] = [()] * (n + 1)
+    children[0] = []
 
-    def attach(child: int, parent: int) -> None:
-        tree.parent[child] = parent
-        tree.children[parent].append(child)
-
-    for r in range(1, n + 1):
-        start = index.suffix_at(r)
-        l = int(plcp[r - 1])
-        last = NO_NODE
-        while depth[stack[-1]] > l:
-            v = stack.pop()
-            if last != NO_NODE:
-                attach(last, v)
-            last = v
-        top = stack[-1]
-        if depth[top] == l:
-            if last != NO_NODE:
-                attach(last, top)
+    stack = [0]  # open internal nodes, the root at the bottom
+    top = 0
+    # Rank r > 1 meets the LCP with rank r - 1; a final -1 closes the root.
+    for r, l in enumerate(lcps[1:] + [-1], start=2):
+        last = r - 1  # the previous leaf, deeper than any LCP it takes part in
+        while depth[top] > l:
+            stack.pop()
+            hi[top] = r - 1
+            parent[last] = top
+            children[top].append(last)
+            last = top
+            if not stack:
+                break
+            top = stack[-1]
         else:
-            mid = tree.new_node(l)
-            if last != NO_NODE:
-                attach(last, mid)
-            stack.append(mid)
-        leaf = tree.new_node(n - start + 1, leaf_pos=start)
-        tree.lo[leaf] = tree.hi[leaf] = r
-        stack.append(leaf)
-
-    last = NO_NODE
-    while stack:
-        v = stack.pop()
-        if last != NO_NODE:
-            attach(last, v)
-        last = v
-
-    _fill_ranges(tree)
-    return tree
-
-
-def _fill_ranges(tree: TrayTree) -> None:
-    """Set lo/hi of internal nodes from their (ordered) children, bottom-up."""
-    order: list[int] = []
-    todo = [tree.root]
-    while todo:
-        v = todo.pop()
-        order.append(v)
-        todo.extend(tree.children[v])
-    for v in reversed(order):
-        kids = tree.children[v]
-        if kids:
-            tree.lo[v] = tree.lo[kids[0]]
-            tree.hi[v] = tree.hi[kids[-1]]
+            if depth[top] == l:
+                parent[last] = top
+                children[top].append(last)
+            else:
+                mid = len(depth)
+                depth.append(l)
+                lo.append(lo[last])
+                hi.append(0)
+                parent.append(NO_NODE)
+                leaf_pos.append(0)
+                children.append([last])
+                parent[last] = mid
+                stack.append(mid)
+                top = mid
+    return TrayTree(parent=parent, depth=depth, lo=lo, hi=hi,
+                    leaf_pos=leaf_pos, children=children)
 
 
 def edge_symbol(tree: TrayTree, index: PsaIndex, node: int, offset: int) -> int:
@@ -170,6 +160,8 @@ def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
             if tree.lo[u] != expect:
                 raise ValidationError(f"children of {v} do not partition its range")
             expect = tree.hi[u] + 1
+            if tree.parent[u] != v:
+                raise ValidationError(f"child {u} of {v} has another parent")
             if tree.depth[u] <= tree.depth[v]:
                 raise ValidationError(f"child {u} not deeper than parent {v}")
             sym = first_edge_symbol(tree, index, u)

@@ -6,10 +6,11 @@ import pytest
 
 from pstray import index_io
 from pstray.cli import main
-from pstray.errors import ChecksumError, FormatError
+from pstray.errors import (ChecksumError, ConstructionError, FormatError,
+                           PstrayError)
 from pstray.tray import assemble, query
 
-from conftest import random_pattern, random_text
+from conftest import make_text, random_pattern, random_text
 
 
 def write_inputs(tmp_path, raw="xyzAxxxAyyzAzx", pi="x y z", sigma="A",
@@ -54,6 +55,22 @@ def test_truncated_file(tmp_path, demo_index):
         index_io.load(path)
 
 
+def sections(data):
+    """Section id -> (payload offset, payload length) of an index file."""
+    out, pos = {}, 8 + 6 * 8  # magic and header
+    while pos < len(data) - 32:
+        sec_id, length = struct.unpack_from("<2Q", data, pos)
+        out[sec_id] = (pos + 16, length)
+        pos += 16 + length
+    return out
+
+
+def rewrite(path, data):
+    """Write ``data`` with a recomputed checksum."""
+    body = bytes(data[:-32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 def test_wrong_magic(tmp_path, demo_index):
     path = tmp_path / "x.idx"
     index_io.save(demo_index, path)
@@ -67,12 +84,14 @@ def test_wrong_magic(tmp_path, demo_index):
 def test_wrong_version(tmp_path, demo_index):
     path = tmp_path / "x.idx"
     index_io.save(demo_index, path)
-    data = bytearray(path.read_bytes())
-    struct.pack_into("<Q", data, 8, 99)  # version field follows the magic
-    body = bytes(data[:-32])
-    path.write_bytes(body + hashlib.sha256(body).digest())
-    with pytest.raises(FormatError, match="version"):
-        index_io.load(path)
+    # Version 1 stored node records and dispatch arrays; no reader is kept.
+    for version in (1, 99):
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 8, version)  # the word after the magic
+        forged = tmp_path / "forged.idx"
+        rewrite(forged, data)
+        with pytest.raises(FormatError, match=f"version {version}"):
+            index_io.load(forged)
 
 
 def test_corrupt_section_fails_validation(tmp_path, demo_index):
@@ -87,6 +106,148 @@ def test_corrupt_section_fails_validation(tmp_path, demo_index):
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(FormatError, match="validation"):
         index_io.load(path)
+
+
+def test_file_holds_only_text_psa_and_plcp(tmp_path):
+    rng = random.Random(7)
+    t = make_text("".join(rng.choice("uvwxyzABC") for _ in range(3000)),
+                  pi="uvwxyz")
+    path = tmp_path / "x.idx"
+    index_io.save(assemble(t), path)
+    data = path.read_bytes()
+    secs = sections(data)
+    assert sorted(secs) == [index_io.SEC_ALPHABET, index_io.SEC_TEXT,
+                            index_io.SEC_PSA, index_io.SEC_PLCP]
+    _, alphabet_len = secs[index_io.SEC_ALPHABET]
+    framing = 8 + 6 * 8 + 4 * 16 + 32  # magic, header, frames, digest
+    assert len(data) <= 24 * t.n + alphabet_len + framing
+
+
+def test_load_rebuilds_what_assemble_builds(tmp_path):
+    rng = random.Random(66)
+    texts = [random_text(rng, max_n=300) for _ in range(8)]
+    texts += [make_text("x" * 60, pi="x"), make_text("xyA" * 30, pi="xy")]
+    for t in texts:
+        index = assemble(t)
+        path = tmp_path / "x.idx"
+        index_io.save(index, path)
+        loaded = index_io.load(path)
+        for field in ("parent", "depth", "lo", "hi", "leaf_pos"):
+            assert getattr(loaded.tree, field) == getattr(index.tree, field)
+        assert [list(k) for k in loaded.tree.children] == \
+            [list(k) for k in index.tree.children]
+        for field in ("threshold", "is_pnode", "is_branching", "heavy_child",
+                      "rep_pos", "pfun", "parray"):
+            assert getattr(loaded.ann, field) == getattr(index.ann, field)
+        assert loaded.psa_index.psa.tolist() == index.psa_index.psa.tolist()
+        assert loaded.psa_index.plcp.tolist() == index.psa_index.plcp.tolist()
+
+
+def _forge(tmp_path, index, sec_id, change):
+    """Save ``index``, let ``change`` edit the words of one section in
+    place, re-checksum, and return the path."""
+    path = tmp_path / "x.idx"
+    index_io.save(index, path)
+    data = bytearray(path.read_bytes())
+    off, length = sections(data)[sec_id]
+    words = list(struct.unpack_from(f"<{length // 8}Q", data, off))
+    change(words)
+    struct.pack_into(f"<{length // 8}Q", data, off, *words)
+    rewrite(path, data)
+    return path
+
+
+def test_forged_psa_and_plcp_are_refused(tmp_path, demo_index):
+    def swap_psa(words):  # adjacent ranks with a long shared prefix
+        words[5], words[6] = words[6], words[5]
+
+    def plcp_past_suffix(words):
+        words[6] = 40
+
+    def plcp_lowered(words):  # the suffixes still agree one symbol past it
+        words[6] -= 1
+
+    for sec_id, change in ((index_io.SEC_PSA, swap_psa),
+                           (index_io.SEC_PLCP, plcp_past_suffix),
+                           (index_io.SEC_PLCP, plcp_lowered)):
+        path = _forge(tmp_path, demo_index, sec_id, change)
+        with pytest.raises(FormatError, match="validation"):
+            index_io.load(path)
+
+
+def test_forgery_caught_by_the_rebuild_is_a_format_error(tmp_path):
+    # This overstated LCP passes the O(n) order check; the rebuilt node
+    # then has two children claiming one dispatch rank.
+    t = make_text("xzBBBAyyByxyBByABzBzAzBBx", pi="xyz")
+    path = _forge(tmp_path, assemble(t), index_io.SEC_PLCP,
+                  lambda words: words.__setitem__(6, 5))
+    with pytest.raises(FormatError, match="collision") as caught:
+        index_io.load(path)
+    assert isinstance(caught.value.__cause__, ConstructionError)
+
+
+def test_forged_text_symbols_are_refused(tmp_path, demo_text, demo_index):
+    for bad in (0, demo_text.pi + demo_text.sigma + 1, 2**64 - 1):
+        path = _forge(tmp_path, demo_index, index_io.SEC_TEXT,
+                      lambda words: words.__setitem__(3, bad))
+        with pytest.raises(FormatError, match="text symbols"):
+            index_io.load(path)
+
+
+def test_header_alphabet_mismatch_is_refused(tmp_path, demo_index):
+    path = tmp_path / "x.idx"
+    index_io.save(demo_index, path)
+    for word, value in ((3, 0), (4, 2**40)):  # pi, sigma
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 8 + 8 * word, value)
+        forged = tmp_path / "forged.idx"
+        rewrite(forged, data)
+        with pytest.raises(FormatError, match="alphabet"):
+            index_io.load(forged)
+
+
+def test_undecodable_token_is_refused(tmp_path, demo_index):
+    path = tmp_path / "x.idx"
+    index_io.save(demo_index, path)
+    data = bytearray(path.read_bytes())
+    off, _ = sections(data)[index_io.SEC_ALPHABET]
+    data[off + 24] = 0xFF  # the first byte of the first token
+    rewrite(path, data)
+    with pytest.raises(FormatError, match="token"):
+        index_io.load(path)
+
+
+def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
+    rng = random.Random(2718)
+    t = make_text("".join(rng.choice("xyzAB") for _ in range(60)), pi="xyz")
+    index = assemble(t)
+    n = t.n
+    outcomes = {"loaded": 0, "refused": 0}
+    for _ in range(300):
+        sec_id = rng.choice((index_io.SEC_PSA, index_io.SEC_PLCP))
+
+        def change(words):
+            for _ in range(rng.randint(1, 3)):
+                j = rng.randrange(len(words))
+                words[j] = rng.choice((
+                    rng.getrandbits(64), rng.randint(0, n + 1),
+                    words[rng.randrange(len(words))],
+                    max(words[j] - 1, 0), words[j] + 1))
+
+        path = _forge(tmp_path, index, sec_id, change)
+        try:
+            loaded = index_io.load(path)
+        except FormatError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["loaded"] += 1
+        # What loads must answer queries or raise the package's own errors.
+        for _ in range(5):
+            try:
+                loaded.query(random_pattern(rng, loaded.text))
+            except PstrayError:
+                pass
+    assert outcomes["refused"] > 0 and outcomes["loaded"] > 0
 
 
 def test_reserved_header_word_is_ignored(tmp_path, demo_index):

@@ -85,11 +85,11 @@ def test_range_search_demo_ranges(demo_text, demo_index):
     t = demo_text
     idx = demo_index.psa_index
     # rows 1..3 share '00'; only row 2 continues with 'A'
-    got = range_search(idx, t, sym_codes(t, "00A"), 1, 3, 2)
+    got = range_search(idx, sym_codes(t, "00A"), 1, 3, 2)
     assert got == (2, 2)
     assert report(idx, got) == [7]
     # rows 6..8 share '0A0'; rows 6..7 continue with distance 1
-    got = range_search(idx, t, sym_codes(t, "0A01"), 6, 8, 3)
+    got = range_search(idx, sym_codes(t, "0A01"), 6, 8, 3)
     assert got == (6, 7)
     assert sorted(report(idx, got)) == [3, 8]
 
@@ -98,13 +98,13 @@ def test_range_search_pattern_longer_than_suffixes(demo_text, demo_index):
     t = demo_text
     idx = demo_index.psa_index
     pat = sym_codes(t, "0" + "1" * 20)
-    assert range_search(idx, t, pat, 1, t.n, 0) is None
+    assert range_search(idx, pat, 1, t.n, 0) is None
 
 
 def test_range_search_skip_equal_to_pattern(demo_text, demo_index):
     idx = demo_index.psa_index
     # skip >= m: the whole range is known to match
-    assert range_search(idx, demo_text, sym_codes(demo_text, "00"), 1, 3, 2) == (1, 3)
+    assert range_search(idx, sym_codes(demo_text, "00"), 1, 3, 2) == (1, 3)
 
 
 def test_report_trivia(demo_index):
@@ -128,7 +128,7 @@ def check_subranges(t, idx, tree):
                     continue
                 skip = min(d, len(pat))
                 want = plain_range_search(idx, pat, lo, hi, skip, QueryStats())
-                assert range_search(idx, t, pat, lo, hi, skip) == want
+                assert range_search(idx, pat, lo, hi, skip) == want
     finally:
         sfx.STRICT_CHECKS = False
 
@@ -150,13 +150,13 @@ def test_variants_agree_randomized():
                 continue
             pp = prev(enc, t.pi)
             want = plain_range_search(idx, pp, 1, t.n, 0, QueryStats())
-            assert range_search(idx, t, pp, 1, t.n, 0) == want
+            assert range_search(idx, pp, 1, t.n, 0) == want
             # Any range meets the skip-0 precondition; one ending inside a
             # run of matches must stop the right-edge scan at its end.
             lo = rng.randint(1, t.n)
             hi = rng.randint(lo, t.n)
             want = plain_range_search(idx, pp, lo, hi, 0, QueryStats())
-            assert range_search(idx, t, pp, lo, hi, 0) == want
+            assert range_search(idx, pp, lo, hi, 0) == want
         check_subranges(t, idx, build_tree(idx, t))
 
 
@@ -226,6 +226,33 @@ def test_validator_catches_corruption(demo_text, demo_index):
             validate_psa(idx, t)
 
 
+def test_linear_check_catches_order_faults(demo_text, demo_index):
+    import copy
+
+    def corrupt(change):
+        idx = copy.deepcopy(demo_index.psa_index)
+        change(idx)
+        return idx
+
+    def swap(r):
+        return lambda idx: idx.psa.__setitem__([r, r + 1], idx.psa[[r + 1, r]])
+
+    def set_plcp(r, h):
+        return lambda idx: idx.plcp.__setitem__(r, h)
+
+    # DEMO_PLCP[6] == 5; lowering it leaves the pair equal one symbol past.
+    for change in (swap(0), swap(5), set_plcp(6, 4), set_plcp(6, 0),
+                   set_plcp(6, 40), set_plcp(7, -1)):
+        with pytest.raises(ValidationError):
+            validate_psa(corrupt(change), demo_text, full=False)
+    # An overstated LCP keeps the pair in order one symbol past it; only
+    # the full check's prefix rounds see it.
+    overstated = corrupt(set_plcp(1, 5))
+    validate_psa(overstated, demo_text, full=False)
+    with pytest.raises(ValidationError, match="overstates"):
+        validate_psa(overstated, demo_text, full=True)
+
+
 def test_strict_mode_rejects_bad_skip(demo_text, demo_index):
     from pstray.errors import ValidationError
 
@@ -234,6 +261,6 @@ def test_strict_mode_rejects_bad_skip(demo_text, demo_index):
     try:
         with pytest.raises(ValidationError):
             # ranks 1..9 share only one symbol, not three
-            range_search(idx, demo_text, sym_codes(demo_text, "0A01"), 1, 9, 3)
+            range_search(idx, sym_codes(demo_text, "0A01"), 1, 9, 3)
     finally:
         sfx.STRICT_CHECKS = False

@@ -8,8 +8,7 @@ from pstray.encoding import spe
 from pstray.errors import QueryError
 from pstray.oracle import naive_parray, naive_ppm
 from pstray.suffixes import build_psa
-from pstray.tray import (_sort_pairs_comparison, _radix_sort_pairs,
-                         assemble, build_parrays, classify_pnodes,
+from pstray.tray import (assemble, build_parrays, classify_pnodes,
                          compute_pfunctions, propagate_rep_pairs, query,
                          validate_annotations)
 from pstray.tree import NO_NODE, build_tree
@@ -60,10 +59,6 @@ def test_demo_rep_positions(demo_text, demo_index):
     labels = labelled(demo_index, demo_text)
     assert ann.rep_pos[labels["0"]] == 12
     assert ann.rep_pos[labels[""]] == 13
-    # f-array stored alongside: for suffix 12 = "y$", only y occurs
-    y = demo_text.tok2id["y"]
-    farr = ann.rep_farr[labels["0"]]
-    assert farr[y - 1] == 1 and sum(1 for p in farr if p) == 1
 
 
 def test_rep_is_subtree_max(demo_text, demo_index):
@@ -130,16 +125,6 @@ def test_parray_pipeline_vs_oracle_randomized():
             if index.ann.is_branching[v]:
                 expect = naive_parray(index.tree, t, index.psa_index, v)
                 assert index.ann.parray[v] == expect
-
-
-def test_radix_sort_matches_comparison_sort():
-    rng = random.Random(3)
-    for _ in range(50):
-        triples = [(rng.randint(0, 30), rng.randint(0, 40), rng.randint(1, 6))
-                   for _ in range(rng.randint(0, 120))]
-        got = _radix_sort_pairs(list(triples), 30, 40)
-        want = _sort_pairs_comparison(list(triples), 30, 40)
-        assert got == want
 
 
 def test_pfunction_reconstructs_canonical_window():
@@ -266,6 +251,37 @@ def test_validate_annotations_catches_tampering(demo_text, demo_index):
     with pytest.raises(Exception):
         validate_annotations(demo_index.tree, bad, demo_text,
                              demo_index.psa_index)
+
+
+def test_validate_annotations_catches_forged_dispatch():
+    import copy
+
+    from pstray.errors import ValidationError
+
+    t, index = _random_index(43, n=600)
+    tree, idx = index.tree, index.psa_index
+    v = next(v for v, arr in index.ann.parray.items()
+             if len(set(arr[1:]) - {NO_NODE}) >= 2)
+    arr = index.ann.parray[v]
+    a = next(k for k in range(1, len(arr)) if arr[k] != NO_NODE)
+    b = next(k for k in range(a + 1, len(arr)) if arr[k] not in (NO_NODE, arr[a]))
+    forgeries = []
+    swapped = copy.deepcopy(index.ann)  # both cells still name real children
+    swapped.parray[v][a], swapped.parray[v][b] = arr[b], arr[a]
+    forgeries.append(swapped)
+    emptied = copy.deepcopy(index.ann)  # a child no longer reachable
+    emptied.parray[v] = [NO_NODE if u == arr[a] else u for u in arr]
+    forgeries.append(emptied)
+    renamed = copy.deepcopy(index.ann)
+    fmap = renamed.pfun[v]
+    if len(fmap) >= 2:
+        x, y = list(fmap)[:2]
+        fmap[x], fmap[y] = fmap[y], fmap[x]
+        forgeries.append(renamed)
+    for bad in forgeries:
+        with pytest.raises(ValidationError):
+            validate_annotations(tree, bad, t, idx)
+    validate_annotations(tree, index.ann, t, idx)
 
 
 def test_manual_stage_by_stage_equals_assemble(demo_text):
