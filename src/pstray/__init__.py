@@ -7,7 +7,7 @@ queries in time linear in the pattern plus a log of the alphabet size.
 """
 
 from .alphabet import (AlphabetSpec, PText, encode_pattern, ingest,
-                       parse_alphabet_spec, rank)
+                       parse_alphabet_spec, pattern_codes, rank)
 from .encoding import (STATIC_BASE, fpos, fpos_stream, p_match,
                        pfunction_from_fpos, prev, prev_char_in_window, spe)
 from .errors import (CapacityError, ChecksumError, ClassificationError,
@@ -24,8 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetSpec", "PText", "ingest", "parse_alphabet_spec", "rank",
-    "encode_pattern", "prev", "spe", "p_match", "prev_char_in_window",
-    "fpos", "fpos_stream", "pfunction_from_fpos", "STATIC_BASE",
+    "encode_pattern", "pattern_codes", "prev", "spe", "p_match",
+    "prev_char_in_window", "fpos", "fpos_stream", "pfunction_from_fpos",
+    "STATIC_BASE",
     "PsaIndex", "QueryStats", "build_psa", "range_search", "report",
     "validate_psa", "TrayTree", "build_tree", "edge_symbol",
     "TrayAnnotations", "PSTrayIndex", "classify_pnodes",

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import ClassificationError, InputError, RankError
+from .encoding import STATIC_BASE
+from .errors import ClassificationError, InputError, QueryError, RankError
 
 SENTINEL_TOKEN = "$"
 
@@ -134,6 +135,8 @@ class PText:
     def prev_codes(self) -> list[int]:
         """prev encoding of the whole text as order-preserving int codes."""
         if self._prev_codes is None:
+            # Looked up at call time, so that a wrapper swapped into
+            # encoding.prev (as bench/tracing.py does) sees the call.
             from .encoding import prev
 
             self._prev_codes = prev(self.symbols, self.pi)
@@ -223,3 +226,56 @@ def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:
                 return None
             out.append(sym)
     return out
+
+
+def pattern_codes(text: PText,
+                  raw: str | Sequence[str]) -> tuple[list[int], list[int]] | None:
+    """prev codes and canonical ids of a raw pattern, in one pass over its
+    tokens; None when it cannot occur in the text.
+
+    Equal to ``prev`` and ``spe`` of ``encode_pattern(text, raw)``, without
+    building the id list between them. A parameterized token needs no text
+    id, because only equality within the pattern matters: its canonical id
+    is the number of distinct parameterized tokens up to its first
+    occurrence, and its prev code the distance back to its last one. A
+    static token takes one ``tok2id`` lookup; one the text has never seen,
+    ``$`` included, gives None. Raises QueryError for an empty pattern and
+    for one that is neither a string nor a sequence of string tokens.
+    """
+    try:
+        tokens = text.spec.tokenize(raw)
+    except TypeError:
+        raise QueryError("a pattern is a string or a sequence of tokens, "
+                         f"not {type(raw).__name__}") from None
+    if not tokens:
+        raise QueryError("empty pattern")
+    params = text.spec.pi_members
+    tok2id = text.tok2id
+    codes: list[int] = []
+    canon: list[int] = []
+    seen: dict[str, int] = {}  # parameterized token -> canonical id
+    last = [0]  # last[c]: index of the latest token with canonical id c
+    for i, tok in enumerate(tokens):
+        try:
+            is_param = tok in params
+        except TypeError:  # unhashable
+            raise QueryError(f"pattern token {tok!r} is not a string") from None
+        if is_param:
+            c = seen.get(tok)
+            if c is None:
+                c = seen[tok] = len(last)
+                last.append(i)
+                codes.append(0)
+            else:
+                codes.append(i - last[c])
+                last[c] = i
+            canon.append(c)
+        else:
+            sym = tok2id.get(tok)
+            if sym is None:
+                if isinstance(tok, str):
+                    return None
+                raise QueryError(f"pattern token {tok!r} is not a string")
+            codes.append(STATIC_BASE + sym)
+            canon.append(sym)
+    return codes, canon

@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 
 from . import index_io
-from .alphabet import encode_pattern, ingest, parse_alphabet_spec
+from .alphabet import (encode_pattern, ingest, parse_alphabet_spec,
+                       pattern_codes)
 from .errors import PstrayError
 from .oracle import naive_ppm
 from .suffixes import QueryStats, plain_range_search, report
@@ -113,23 +114,21 @@ def cmd_bench(args) -> int:
         occ, stats = query(index, text, raw)
         micros_tray = (time.perf_counter() - t0) * 1e6
 
-        encoded = encode_pattern(text, raw)
         psa_stats = QueryStats()
         t0 = time.perf_counter()
-        if encoded:
-            from .encoding import prev
-
-            rng = plain_range_search(index.psa_index, prev(encoded, text.pi),
-                                     1, text.n, 0, psa_stats)
-            psa_occ = sorted(report(index.psa_index, rng))
-        else:
-            psa_occ = []
+        codes = pattern_codes(text, raw)
+        pattern_prev = codes[0] if codes else []
+        rng = None
+        if pattern_prev:
+            rng = plain_range_search(index.psa_index, pattern_prev, 1, text.n,
+                                     0, psa_stats)
+        psa_occ = sorted(report(index.psa_index, rng))
         micros_psa = (time.perf_counter() - t0) * 1e6
         if psa_occ != occ:
             print(f"bench mismatch on pattern {pid}", file=sys.stderr)
             return 1
         rows.append({
-            "pattern_id": pid, "m": len(encoded or []), "occ": len(occ),
+            "pattern_id": pid, "m": len(pattern_prev), "occ": len(occ),
             "comparisons_tray": stats.symbol_comparisons,
             "comparisons_psa": psa_stats.symbol_comparisons,
             "max_range": stats.max_range_searched,

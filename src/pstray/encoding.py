@@ -13,9 +13,10 @@ ids are offset by ``STATIC_BASE``.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .alphabet import PText
+if TYPE_CHECKING:
+    from .alphabet import PText
 
 # Distances are bounded by the text/pattern length; anything this large is
 # a static symbol id plus the base.

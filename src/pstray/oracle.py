@@ -118,13 +118,13 @@ def naive_parray(tree: TrayTree, text: PText, index, node: int) -> list[int]:
     from .tree import NO_NODE
 
     depth = tree.depth[node]
-    start = index.suffix_at(tree.lo[node])
+    start = index.starts[tree.lo[node] - 1]
     window = text.symbols[start - 1:start - 1 + depth]
     canon = spe(window, text.pi)
     kids = tree.children[node]
     kid_prefixes = []
     for u in kids:
-        leaf_start = index.suffix_at(tree.lo[u])
+        leaf_start = index.starts[tree.lo[u] - 1]
         enc = prev(text.symbols[leaf_start - 1:], text.pi)
         kid_prefixes.append((u, enc[:depth + 1]))
     width = text.sigma + text.pi

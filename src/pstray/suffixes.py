@@ -10,12 +10,14 @@ is exactly the depth at which their group split, so the LCP array falls
 out of the sort for free.
 
 The index holds only O(n) words: the suffix array, the LCP array and plain
-list copies of the LCP array and the text's prev codes. There is one
-search path, an LCP-accelerated binary search (Manber & Myers). The LCP of
-two ranks is a min over the LCP slice between them, which is cheap because
-the tray only hands it ranges shorter than ``(sigma + pi + 1) *
-max(sigma, pi)``. The plain binary search is kept as the tests' oracle and
-as the full-range baseline of ``pstray bench``.
+list copies of both and of the text's prev codes. The search loops read
+the lists, never a numpy scalar. There is one search path, an
+LCP-accelerated binary search (Manber & Myers). The LCP of two ranks is a
+min over the LCP slice between them, which is cheap because the tray only
+hands it ranges shorter than ``(sigma + pi + 1) * max(sigma, pi)``.
+Reporting a match range is one slice of the suffix-start list. The plain
+binary search is kept as the tests' oracle and as the full-range baseline
+of ``pstray bench``.
 """
 
 from __future__ import annotations
@@ -66,26 +68,26 @@ class PsaIndex:
 
     ``psa`` holds 1-based suffix start positions in encoded-suffix order;
     ``plcp[r]`` (0-based r) is the longest common prefix of ranks r and r-1
-    (0 at r=0). ``codes`` (the text's prev codes) and ``lcps`` (made from
-    ``plcp`` here) are plain-list copies for fast scalar access and slicing
-    in the search loops.
+    (0 at r=0). ``codes`` (the text's prev codes), ``starts`` and ``lcps``
+    (made from ``psa`` and ``plcp`` here) are plain-list copies for fast
+    scalar access and slicing in the search loops: the suffix of 1-based
+    rank ``r`` starts at ``starts[r - 1]``. ``starts`` is the index's one
+    rank-to-start list; the tree's leaves read it too.
     """
 
     psa: np.ndarray
     plcp: np.ndarray
     codes: list[int]
+    starts: list[int] = field(init=False, repr=False)
     lcps: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.starts = self.psa.tolist()
         self.lcps = self.plcp.tolist()
 
     @property
     def n(self) -> int:
         return len(self.psa)
-
-    def suffix_at(self, r: int) -> int:
-        """1-based suffix start of 1-based rank ``r``."""
-        return int(self.psa[r - 1])
 
     def lcp_between(self, a: int, b: int) -> int:
         """LCP of the suffixes at 1-based ranks a < b: the least adjacent
@@ -208,7 +210,7 @@ def _lower_bound_plain(index, pattern_prev, lo, hi, skip, strict, stats):
     while lo <= hi:
         mid = (lo + hi) // 2
         stats.psa_probes += 1
-        rel, _ = _compare_suffix(index, index.suffix_at(mid), pattern_prev,
+        rel, _ = _compare_suffix(index, index.starts[mid - 1], pattern_prev,
                                  skip, stats)
         if rel > 0 or (not strict and rel == 0):
             result = mid
@@ -246,13 +248,14 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
     LCP with the nearer-matching boundary (no symbol comparisons) or
     compared starting where the longer boundary match left off.
     """
-    rel, l = _compare_suffix(index, index.suffix_at(lo), pattern_prev, skip, stats)
+    starts = index.starts
+    rel, l = _compare_suffix(index, starts[lo - 1], pattern_prev, skip, stats)
     stats.psa_probes += 1
     if rel >= 0:
         return lo, rel, l
     if lo == hi:
         return hi + 1, -1, 0
-    rel_hi, r = _compare_suffix(index, index.suffix_at(hi), pattern_prev, skip, stats)
+    rel_hi, r = _compare_suffix(index, starts[hi - 1], pattern_prev, skip, stats)
     stats.psa_probes += 1
     if rel_hi < 0:
         return hi + 1, -1, 0
@@ -267,7 +270,7 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
             elif h < l:
                 right, r, rel_hi = mid, h, 1
             else:
-                rel, t = _compare_suffix(index, index.suffix_at(mid),
+                rel, t = _compare_suffix(index, starts[mid - 1],
                                          pattern_prev, l, stats)
                 if rel >= 0:
                     right, r, rel_hi = mid, t, rel
@@ -280,7 +283,7 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
             elif h < r:
                 left, l = mid, h
             else:
-                rel, t = _compare_suffix(index, index.suffix_at(mid),
+                rel, t = _compare_suffix(index, starts[mid - 1],
                                          pattern_prev, r, stats)
                 if rel >= 0:
                     right, r, rel_hi = mid, t, rel
@@ -317,8 +320,8 @@ def range_search(index: PsaIndex, pattern_prev: list[int],
     if STRICT_CHECKS:
         probe = QueryStats()
         for rk in range(lo, hi + 1):
-            _, got = _compare_suffix(index, index.suffix_at(rk), pattern_prev,
-                                     0, probe)
+            _, got = _compare_suffix(index, index.starts[rk - 1],
+                                     pattern_prev, 0, probe)
             if got < min(skip, len(pattern_prev)):
                 raise ValidationError(
                     f"skip precondition violated at rank {rk}: lcp {got} < {skip}")
@@ -339,11 +342,12 @@ def range_search(index: PsaIndex, pattern_prev: list[int],
 
 
 def report(index: PsaIndex, match_range: tuple[int, int] | None) -> list[int]:
-    """Suffix start positions of a match range, in suffix-array order."""
+    """Suffix start positions of a match range, in suffix-array order: a
+    new list, one slice of ``starts``."""
     if match_range is None:
         return []
     j, k = match_range
-    return [int(p) for p in index.psa[j - 1:k]]
+    return index.starts[j - 1:k]
 
 
 def _window_symbols(codes: np.ndarray, starts: np.ndarray, d) -> np.ndarray:

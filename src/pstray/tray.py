@@ -20,9 +20,11 @@ from itertools import compress
 
 import numpy as np
 
-from .alphabet import PText, encode_pattern, rank
-from .encoding import (STATIC_BASE, pfunction_from_fpos, prev,
-                       prev_char_in_window, spe)
+# query calls range_search, report, prev and spe through this module's
+# globals, and bench/tracing.py times them by swapping those names; it
+# wraps encode_pattern too, which query no longer calls.
+from .alphabet import PText, encode_pattern, pattern_codes, rank  # noqa: F401
+from .encoding import STATIC_BASE, pfunction_from_fpos, prev, spe
 from .errors import (ConstructionError, QueryError, RankError,
                      ValidationError)
 from .suffixes import PsaIndex, QueryStats, build_psa, range_search, report
@@ -41,11 +43,12 @@ class TrayAnnotations:
 
     Parallel to the tree's node array: ``is_pnode``, ``is_branching`` and
     ``heavy_child`` for every node (``heavy_child`` is -1 when absent).
-    Sparse per-heavy-node data lives in dicts keyed by node id:
-    ``rep_pos`` holds the representative suffix (the largest leaf position
-    in the subtree); ``pfun`` the renaming of the representative window
-    onto canonical ids; ``parray`` the dispatch arrays of branching nodes
-    (index = rank, value = child id or -1, entry 0 unused).
+    Sparse data lives in dicts keyed by node id: ``rep_pos`` holds the
+    representative suffix of every heavy node (the largest leaf position
+    in the subtree). Only branching nodes, the ones that dispatch, have a
+    ``pfun``, the renaming of the representative window onto canonical
+    ids, and a ``parray``, the dispatch array (index = rank, value = child
+    id or -1, entry 0 unused).
     """
 
     threshold: int
@@ -98,42 +101,45 @@ def propagate_rep_pairs(tree: TrayTree, ann: TrayAnnotations,
     """Give every heavy node its representative suffix: the largest leaf
     position in its subtree.
 
-    Leaf ``r`` of the tree holds the suffix of rank ``r``, so a node's
-    leaf positions are one slice of ``leaf_pos`` and all representatives
-    come from one ``np.maximum.reduceat`` over the heavy nodes' blocks.
-    The blocks nest, so this reads each leaf once per heavy ancestor:
-    O(n + sum of LCPs) element steps, as many as the suffix sort's.
+    Leaf ``r`` of the tree holds the suffix of rank ``r``, and its depth
+    is that suffix's length, so a node's leaf positions are ``n + 1``
+    minus one slice of ``depth`` and all representatives come from one
+    ``np.minimum.reduceat`` over the heavy nodes' blocks. The blocks nest,
+    so this reads each leaf once per heavy ancestor: O(n + sum of LCPs)
+    element steps, as many as the suffix sort's.
     """
     heavy = ann.pnodes()
     if not heavy:
         return ann
+    n = text.n
     lo, hi = tree.lo, tree.hi
     bounds = np.array([(lo[v], hi[v] + 1) for v in heavy], dtype=np.int64)
     # One trailing entry keeps every block end a valid reduceat index.
-    pos = _array(tree.leaf_pos[:text.n + 1] + [0])
-    reps = np.maximum.reduceat(pos, bounds.ravel())[0::2]
+    lengths = _array(tree.depth[:n + 1] + [0])
+    reps = n + 1 - np.minimum.reduceat(lengths, bounds.ravel())[0::2]
     ann.rep_pos = dict(zip(heavy, reps.tolist()))
     return ann
 
 
 def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations,
                        text: PText) -> None:
-    """Canonical renamings for all heavy-node representative windows at once.
+    """Canonical renamings of the representative windows of all branching
+    nodes at once; no other node's is ever read.
 
-    For heavy node v with representative i and window ``T[i:i+depth(v)]``,
+    For branching node v with representative i and window ``T[i:i+depth(v)]``,
     the parameterized symbols first occurring inside the window, in order
     of first occurrence, map to canonical ids 1, 2, ... Each symbol's
     first occurrence at or after every representative comes from one
     ``searchsorted`` over that symbol's sorted positions, so the work is
-    O(pi * heavy nodes) numpy element steps; one sort of the in-window hits
-    by (node, position) then numbers each node's symbols.
+    O(pi * branching nodes) numpy element steps; one sort of the in-window
+    hits by (node, position) then numbers each node's symbols.
     """
-    nodes = list(ann.rep_pos)
+    nodes = list(compress(range(tree.size), ann.is_branching))
     ann.pfun = {v: {} for v in nodes}
     if not nodes or text.pi == 0:
         return
     depth = tree.depth
-    reps = _array(ann.rep_pos.values())
+    reps = _array([ann.rep_pos[v] for v in nodes])
     ends = reps + _array([depth[v] for v in nodes])  # one past each window
     symbols = _array(text.symbols)
     where = (symbols <= text.pi).nonzero()[0]
@@ -178,7 +184,7 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
     symbols = text.symbols
     depth = tree.depth
     lo = tree.lo
-    start = tree.leaf_pos  # leaf r holds the suffix of rank r
+    starts = index.starts
     for v in compress(range(tree.size), ann.is_branching):
         d = depth[v]
         rep = ann.rep_pos[v]
@@ -186,7 +192,7 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
         used = len(fmap)
         par = [NO_NODE] * (width + 1)
         for u in tree.children[v]:
-            sym = codes[start[lo[u]] + d - 1]
+            sym = codes[starts[lo[u] - 1] + d - 1]
             if sym >= STATIC_BASE:
                 ranks = (sym - STATIC_BASE,)
             elif 0 < sym <= d:
@@ -247,52 +253,58 @@ def assemble(text: PText) -> PSTrayIndex:
     return build_tray(build_psa(text), text)
 
 
-def _descend_edge(idx: PSTrayIndex, child: int, matched: int,
-                  pattern_prev: list[int], stats: QueryStats) -> tuple[str, int]:
-    """Verify the remaining symbols of the edge entering ``child`` against
-    the pattern, assuming depth ``matched+1`` is already verified.
+def _edge_matches(idx: PSTrayIndex, child: int, matched: int,
+                  pattern_prev: list[int], stats: QueryStats) -> bool:
+    """Whether the rest of the edge entering ``child``, up to the pattern's
+    end, matches the pattern, given that depth ``matched + 1`` does.
 
-    Returns ("mismatch", _), ("done", _) when the pattern ends on the edge
-    (or exactly at the child), or ("into", new_matched) at the child node.
+    Symbol ``d`` of the child's leftmost suffix is read from the prev codes
+    with the window adjustment inlined: a distance of ``d`` or more points
+    before the window and reads 0.
     """
-    tree = idx.tree
     index = idx.psa_index
-    m = len(pattern_prev)
-    child_depth = tree.depth[child]
-    start = index.suffix_at(tree.lo[child])
-    upto = min(m, child_depth)
+    codes = index.codes
+    upto = min(len(pattern_prev), idx.tree.depth[child])
+    at = index.starts[idx.tree.lo[child] - 1] - 2  # symbol d is codes[at + d]
     for d in range(matched + 2, upto + 1):
-        sym = prev_char_in_window(index.codes, start, d)
-        stats.symbol_comparisons += 1
+        sym = codes[at + d]
+        if d <= sym < STATIC_BASE:
+            sym = 0
         if sym != pattern_prev[d - 1]:
-            return "mismatch", d
-    if m <= child_depth:
-        return "done", m
-    return "into", child_depth
+            stats.symbol_comparisons += d - matched - 1
+            return False
+    stats.symbol_comparisons += max(upto - matched - 1, 0)
+    return True
 
 
-def _encoded_pattern(text: PText, pattern) -> list[int] | None:
-    """Internal ids of a raw or pre-encoded pattern; None when it cannot
-    occur in the text.
+def _pattern_codes(text: PText,
+                   pattern) -> tuple[list[int], list[int]] | None:
+    """prev codes and canonical ids of a raw or pre-encoded pattern; None
+    when it cannot occur in the text.
 
-    A sequence of integers (Python or numpy) is taken as pre-encoded ids:
-    negative ids are pattern-only parameterized symbols, as
-    ``encode_pattern`` makes them, and every other id must have a rank in
-    the text's alphabet.
+    A string or a sequence of string tokens goes through the one-pass
+    ``pattern_codes``. A sequence of integers (Python or numpy) is taken as
+    pre-encoded ids: negative ids are pattern-only parameterized symbols,
+    as ``encode_pattern`` makes them, and every other id must have a rank
+    in the text's alphabet. Anything else raises QueryError.
     """
-    if pattern is None:
-        return None
-    if isinstance(pattern, str) or not all(
-            isinstance(c, numbers.Integral) for c in pattern):
-        return encode_pattern(text, pattern)
-    ids = [int(c) for c in pattern]
+    if isinstance(pattern, str):
+        return pattern_codes(text, pattern)
+    try:
+        tokens = list(pattern)
+    except TypeError:
+        raise QueryError("a pattern is a string or a sequence, not "
+                         f"{type(pattern).__name__}") from None
+    if not tokens or not all(isinstance(c, numbers.Integral) for c in tokens):
+        return pattern_codes(text, tokens)
+    ids = [int(c) for c in tokens]
     for c in ids:
         if c >= 0:
             try:
                 rank(c, text)
             except RankError as exc:
                 raise QueryError(f"pre-encoded pattern: {exc}") from exc
-    return ids
+    return prev(ids, text.pi), spe(ids, text.pi)
 
 
 def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats]:
@@ -300,79 +312,74 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
     parameterized symbols, plus instrumentation counters.
 
     ``pattern`` is raw input (string or token sequence) or a pre-encoded
-    id list. Descends the tree through heavy nodes (O(1) dispatch at
-    branching nodes, heavy-child pointer otherwise) and finishes with a
-    bounded suffix-array search as soon as the locus leaves the heavy part.
-    Positions are returned sorted ascending.
+    id list; one pass over it gives its prev codes and canonical ids.
+    Descends the tree through heavy nodes (O(1) dispatch at branching
+    nodes, heavy-child pointer otherwise) and finishes with a bounded
+    suffix-array search as soon as the locus leaves the heavy part. The
+    match range is reported as one slice of the suffix starts, sorted
+    ascending.
     """
     stats = QueryStats()
-    encoded = _encoded_pattern(text, pattern)
-    if encoded is not None and len(encoded) == 0:
-        raise QueryError("empty pattern")
-    if encoded is None:
+    codes = _pattern_codes(text, pattern)
+    if codes is None:
         return [], stats
-
-    pattern_prev = prev(encoded, text.pi)
-    pattern_spe = spe(encoded, text.pi)
+    pattern_prev, pattern_canon = codes
     m = len(pattern_prev)
     tree = idx.tree
     ann = idx.ann
     index = idx.psa_index
-
-    def finish(rng):
-        return sorted(report(index, rng)), stats
-
+    depth, lo, hi = tree.depth, tree.lo, tree.hi
+    rng = None
     node = tree.root
-    matched = 0
+    matched = 0  # the depth of node
     while True:
         stats.nodes_visited += 1
+        nxt = pattern_prev[matched]
         if ann.is_branching[node]:
-            nxt = pattern_prev[matched]
             if nxt >= STATIC_BASE:
                 rank_ = nxt - STATIC_BASE
             else:
-                rank_ = pattern_spe[matched]
+                rank_ = pattern_canon[matched]
                 if rank_ > text.pi:
-                    return finish(None)  # needs more distinct symbols than T has
+                    break  # needs more distinct symbols than T has
             stats.parray_lookups += 1
             child = ann.parray[node][rank_]
             if child == NO_NODE:
-                return finish(None)
+                break
             if not ann.is_pnode[child]:
-                rng = range_search(index, pattern_prev, tree.lo[child],
-                                   tree.hi[child], matched + 1, stats)
-                return finish(rng)
-            state, _ = _descend_edge(idx, child, matched, pattern_prev, stats)
+                rng = range_search(index, pattern_prev, lo[child], hi[child],
+                                   matched + 1, stats)
+                break
         else:
-            heavy = ann.heavy_child[node]
-            if heavy != NO_NODE:
-                hsym = first_edge_symbol(tree, index, heavy)
-                stats.symbol_comparisons += 1
-                nxt = pattern_prev[matched]
-                if nxt == hsym:
-                    child = heavy
-                    state, _ = _descend_edge(idx, child, matched, pattern_prev,
-                                             stats)
+            child = ann.heavy_child[node]
+            if child == NO_NODE:
+                rng = range_search(index, pattern_prev, lo[node], hi[node],
+                                   matched, stats)
+                break
+            # Symbol matched + 1 of the heavy child's edge, window-adjusted.
+            hsym = index.codes[index.starts[lo[child] - 1] + matched - 1]
+            if matched < hsym < STATIC_BASE:
+                hsym = 0
+            stats.symbol_comparisons += 1
+            if nxt != hsym:
+                if nxt < hsym:
+                    first, last = lo[node], lo[child] - 1
                 else:
-                    if nxt < hsym:
-                        lo, hi = tree.lo[node], tree.lo[heavy] - 1
-                    else:
-                        lo, hi = tree.hi[heavy] + 1, tree.hi[node]
-                    if lo > hi:
-                        return finish(None)
-                    rng = range_search(index, pattern_prev, lo, hi,
+                    first, last = hi[child] + 1, hi[node]
+                if first <= last:
+                    rng = range_search(index, pattern_prev, first, last,
                                        matched, stats)
-                    return finish(rng)
-            else:
-                rng = range_search(index, pattern_prev, tree.lo[node],
-                                   tree.hi[node], matched, stats)
-                return finish(rng)
-        if state == "mismatch":
-            return finish(None)
-        if state == "done":
-            return finish((tree.lo[child], tree.hi[child]))
+                break
+        if not _edge_matches(idx, child, matched, pattern_prev, stats):
+            break
+        if m <= depth[child]:
+            rng = (lo[child], hi[child])
+            break
         node = child
-        matched = tree.depth[child]
+        matched = depth[child]
+    occ = report(index, rng)
+    occ.sort()
+    return occ, stats
 
 
 def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
@@ -393,7 +400,7 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     if ann.threshold != threshold:
         raise ValidationError("stale threshold")
     n = text.n
-    rank_of = {index.suffix_at(r): r for r in range(1, n + 1)}
+    rank_of = {p: r for r, p in enumerate(index.starts, start=1)}
     occ: dict[int, list[int]] = {}
     for p, c in enumerate(text.symbols, start=1):
         if c <= text.pi:

@@ -25,21 +25,20 @@ NO_NODE = -1
 class TrayTree:
     """Node-array tree. All per-node data is parallel lists indexed by
     node id: node 0 is the root, nodes 1..n are the leaves in suffix-array
-    rank order (leaf ``r`` holds the suffix of rank ``r``), and the
-    internal nodes follow in the order they open.
+    rank order (leaf ``r`` holds the suffix of rank ``r``, which starts at
+    ``PsaIndex.starts[r - 1]``), and the internal nodes follow in the order
+    they open. The tree keeps no suffix starts of its own.
 
     ``lo``/``hi`` are 1-based suffix-array ranks delimiting the node's leaf
     block; ``depth`` is the string depth (encoded symbols from the root);
-    ``leaf_pos`` is the 1-based suffix start for leaves, 0 for internal
-    nodes; ``children`` lists child ids in lexicographic edge order (every
-    leaf shares one empty tuple).
+    ``children`` lists child ids in lexicographic edge order (every leaf
+    shares one empty tuple).
     """
 
     parent: list[int] = field(default_factory=list)
     depth: list[int] = field(default_factory=list)
     lo: list[int] = field(default_factory=list)
     hi: list[int] = field(default_factory=list)
-    leaf_pos: list[int] = field(default_factory=list)
     children: list[list[int] | tuple[int, ...]] = field(default_factory=list)
 
     root: int = 0
@@ -49,7 +48,8 @@ class TrayTree:
         return len(self.parent)
 
     def is_leaf(self, v: int) -> bool:
-        return self.leaf_pos[v] != 0
+        # The root's block is ranks 1..n, and leaves are nodes 1..n.
+        return 0 < v <= self.hi[self.root]
 
     def leaf_count(self, v: int) -> int:
         return self.hi[v] - self.lo[v] + 1
@@ -69,25 +69,25 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     it closes.
     """
     n = text.n
-    psa = index.psa.tolist()
     lcps = index.lcps
     parent = [NO_NODE] * (n + 1)
-    depth = [0] + [n + 1 - p for p in psa]
+    depth = [0] + [n + 1 - p for p in index.starts]
+    # Every rank r below is the int object lo[r]: the leaves' lo, hi and
+    # the children lists share one int per rank instead of holding three.
     lo = list(range(n + 1))
-    hi = list(range(n + 1))
+    hi = lo.copy()
     lo[0], hi[0] = 1, n
-    leaf_pos = [0] + psa
     children: list[list[int] | tuple[int, ...]] = [()] * (n + 1)
     children[0] = []
 
     stack = [0]  # open internal nodes, the root at the bottom
     top = 0
-    # Rank r > 1 meets the LCP with rank r - 1; a final -1 closes the root.
-    for r, l in enumerate(lcps[1:] + [-1], start=2):
-        last = r - 1  # the previous leaf, deeper than any LCP it takes part in
+    # Leaf r meets the LCP with rank r + 1; a final -1 closes the root.
+    for leaf, l in zip(lo[1:], lcps[1:] + [-1]):
+        last = leaf  # deeper than any LCP it takes part in
         while depth[top] > l:
             stack.pop()
-            hi[top] = r - 1
+            hi[top] = leaf
             parent[last] = top
             children[top].append(last)
             last = top
@@ -104,24 +104,23 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
                 lo.append(lo[last])
                 hi.append(0)
                 parent.append(NO_NODE)
-                leaf_pos.append(0)
                 children.append([last])
                 parent[last] = mid
                 stack.append(mid)
                 top = mid
     return TrayTree(parent=parent, depth=depth, lo=lo, hi=hi,
-                    leaf_pos=leaf_pos, children=children)
+                    children=children)
 
 
 def edge_symbol(tree: TrayTree, index: PsaIndex, node: int, offset: int) -> int:
     """Symbol ``offset`` (1-based) of the edge entering ``node``.
 
     Resolved through any leaf below the node; with the leftmost one the
-    window start is ``psa[lo]``.
+    window start is ``starts[lo - 1]``.
     """
     if not (1 <= offset <= tree.edge_length(node)):
         raise ValueError(f"edge offset {offset} out of range for node {node}")
-    start = index.suffix_at(tree.lo[node])
+    start = index.starts[tree.lo[node] - 1]
     return prev_char_in_window(index.codes, start, tree.depth[tree.parent[node]] + offset)
 
 
@@ -131,25 +130,27 @@ def first_edge_symbol(tree: TrayTree, index: PsaIndex, node: int) -> int:
 
 def node_label(tree: TrayTree, index: PsaIndex, node: int) -> tuple[int, ...]:
     """Full root-to-node label as encoded symbol codes (test/debug helper)."""
-    start = index.suffix_at(tree.lo[node])
+    start = index.starts[tree.lo[node] - 1]
     return tuple(prev_char_in_window(index.codes, start, d)
                  for d in range(1, tree.depth[node] + 1))
 
 
 def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
-    """Structural invariants: ordered children partition the parent's leaf
-    block, internal non-root nodes branch, node count is linear."""
+    """Structural invariants: leaf ``r`` holds rank ``r`` at its suffix's
+    length, ordered children partition the parent's leaf block, internal
+    non-root nodes branch, node count is linear."""
     n = text.n
     if tree.size > max(2 * n - 1, 1):
         raise ValidationError("node count exceeds 2n-1")
-    leaves_seen = 0
+    starts = index.starts
     for v in range(tree.size):
         kids = tree.children[v]
         if tree.is_leaf(v):
-            leaves_seen += 1
             if kids:
                 raise ValidationError(f"leaf {v} has children")
-            if tree.depth[v] != n - tree.leaf_pos[v] + 1:
+            if (tree.lo[v], tree.hi[v]) != (v, v):
+                raise ValidationError(f"leaf {v} does not hold rank {v}")
+            if tree.depth[v] != n - starts[v - 1] + 1:
                 raise ValidationError(f"leaf {v} depth mismatch")
             continue
         if v != tree.root and len(kids) < 2:
@@ -170,5 +171,3 @@ def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
             prev_sym = sym
         if kids and expect != tree.hi[v] + 1:
             raise ValidationError(f"children of {v} do not cover its range")
-    if leaves_seen != n:
-        raise ValidationError(f"expected {n} leaves, found {leaves_seen}")

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from pstray.alphabet import (AlphabetSpec, encode_pattern,
-                             parse_alphabet_spec, rank)
-from pstray.errors import ClassificationError, InputError, RankError
+                             parse_alphabet_spec, pattern_codes, rank)
+from pstray.encoding import prev, spe
+from pstray.errors import (ClassificationError, InputError, QueryError,
+                           RankError)
 
 from conftest import make_text
 
@@ -95,3 +99,50 @@ def test_encode_pattern_fresh_parameterized():
     enc = encode_pattern(t, "wAzw")
     assert enc is not None
     assert enc[0] == enc[3] < 0 and enc[1] == t.tok2id["A"]
+
+
+def test_pattern_codes_equal_prev_and_spe_of_encoding():
+    """The one-pass intake against prev and spe of encode_pattern, in both
+    input modes and for both string and token-list input. Patterns draw on
+    parameterized tokens the text never saw, unknown statics and '$', and
+    often hold more distinct parameterized tokens than the text."""
+    rng = random.Random(2031)
+    params = {"bytes": list("uvwxyz"),
+              "tokens": ["p0", "p1", "p2", "p3", "p4", "p5"]}
+    statics = {"bytes": list("ABCD"), "tokens": ["S0", "S1", "S2", "S3"]}
+    unknown = {"bytes": list("QR$"), "tokens": ["Q0", "R1", "$"]}
+    seen = {"none": 0, "unseen_param": 0, "over_pi": 0, "matchable": 0}
+    for mode, sep in (("bytes", ""), ("tokens", " ")):
+        for _ in range(40):
+            used = rng.sample(params[mode], rng.randint(0, 3))
+            stat = rng.sample(statics[mode], rng.randint(1, 2))
+            text_tokens = [rng.choice(used + stat)
+                           for _ in range(rng.randint(1, 60))]
+            t = make_text(sep.join(text_tokens), pi=params[mode], mode=mode)
+            pool = params[mode] + stat + unknown[mode] * (rng.random() < 0.3)
+            for _ in range(30):
+                tokens = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+                for raw in (sep.join(tokens), tokens):
+                    got = pattern_codes(t, raw)
+                    enc = encode_pattern(t, raw)
+                    if enc is None:
+                        assert got is None, raw
+                        seen["none"] += 1
+                        continue
+                    assert got == (prev(enc, t.pi), spe(enc, t.pi)), raw
+                    seen["matchable"] += 1
+                    seen["unseen_param"] += min(enc) < 0
+                    distinct = {c for c in enc if c <= t.pi}
+                    seen["over_pi"] += len(distinct) > t.pi
+    assert all(count > 20 for count in seen.values()), seen
+
+
+def test_pattern_codes_rejects_empty_and_malformed():
+    t = make_text("zAxAyyxyAxxy", pi="xyz", sigma="A")
+    tk = make_text("a B a", pi=["a"], mode="tokens")
+    for text, raw in ((t, ""), (t, []), (tk, ""), (tk, "   "), (tk, [])):
+        with pytest.raises(QueryError, match="empty"):
+            pattern_codes(text, raw)
+    for raw in (5, None, [["x"]], ["x", ["y"]], ["x", 1.5]):
+        with pytest.raises(QueryError):
+            pattern_codes(t, raw)

@@ -52,8 +52,14 @@ def test_build_tree_matches_interval_definition():
         assert len(got) == tree.size
         assert got == interval_nodes(idx.psa.tolist(), idx.plcp.tolist(),
                                      t.n)
-        # leaf r holds the suffix of rank r
-        assert tree.leaf_pos[1:t.n + 1] == idx.psa.tolist()
+        # leaf r holds the suffix of rank r, as deep as that suffix is long
+        psa = idx.psa.tolist()
+        assert idx.starts == psa
+        assert [(tree.lo[r], tree.hi[r], tree.depth[r])
+                for r in range(1, t.n + 1)] == \
+            [(r, r, t.n + 1 - p) for r, p in enumerate(psa, start=1)]
+        assert [v for v in range(tree.size) if tree.is_leaf(v)] == \
+            list(range(1, t.n + 1))
 
 
 def test_annotations_match_definitions():
@@ -63,8 +69,12 @@ def test_annotations_match_definitions():
         psa = idx.psa.tolist()
         validate_annotations(tree, ann, t, idx)
         assert sorted(ann.rep_pos) == ann.pnodes()
-        assert sorted(ann.pfun) == ann.pnodes()
         for v, rep in ann.rep_pos.items():
             assert rep == max(psa[tree.lo[v] - 1:tree.hi[v]])
+        # Only branching nodes dispatch, so only they keep a p-function.
+        branching = [v for v in range(tree.size) if ann.is_branching[v]]
+        assert sorted(ann.pfun) == branching
+        for v in branching:
+            rep = ann.rep_pos[v]
             assert ann.pfun[v] == pfunction_from_fpos(t, rep, tree.depth[v],
                                                       fpos(t, rep))

@@ -132,7 +132,7 @@ def test_load_rebuilds_what_assemble_builds(tmp_path):
         path = tmp_path / "x.idx"
         index_io.save(index, path)
         loaded = index_io.load(path)
-        for field in ("parent", "depth", "lo", "hi", "leaf_pos"):
+        for field in ("parent", "depth", "lo", "hi"):
             assert getattr(loaded.tree, field) == getattr(index.tree, field)
         assert [list(k) for k in loaded.tree.children] == \
             [list(k) for k in index.tree.children]

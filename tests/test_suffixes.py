@@ -120,7 +120,7 @@ def check_subranges(t, idx, tree):
     try:
         for v in range(tree.size):
             lo, hi, d = tree.lo[v], tree.hi[v], tree.depth[v]
-            start = idx.suffix_at(lo)
+            start = idx.starts[lo - 1]
             label = prev(t.symbols[start - 1:], t.pi)
             for extra in range(0, 3):
                 pat = label[:d + extra]

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pstray.alphabet import encode_pattern
@@ -64,7 +65,7 @@ def test_demo_rep_positions(demo_text, demo_index):
 def test_rep_is_subtree_max(demo_text, demo_index):
     tree, ann, idx = demo_index.tree, demo_index.ann, demo_index.psa_index
     for v, pos in ann.rep_pos.items():
-        members = [idx.suffix_at(r) for r in range(tree.lo[v], tree.hi[v] + 1)]
+        members = idx.starts[tree.lo[v] - 1:tree.hi[v]]
         assert pos == max(members)
 
 
@@ -133,9 +134,11 @@ def test_pfunction_reconstructs_canonical_window():
         t = random_text(rng, max_n=100)
         index = assemble(t)
         tree, ann = index.tree, index.ann
-        for v in ann.rep_pos:
+        # Only branching nodes keep a p-function.
+        assert sorted(ann.pfun) == [v for v in range(tree.size)
+                                    if ann.is_branching[v]]
+        for v, fmap in ann.pfun.items():
             i, depth = ann.rep_pos[v], tree.depth[v]
-            fmap = ann.pfun[v]
             window = t.symbols[i - 1:i - 1 + depth]
             mapped = [fmap[c] if c <= t.pi else c for c in window]
             assert mapped == spe(window, t.pi)
@@ -187,14 +190,50 @@ def test_query_pre_encoded_out_of_range_id():
 
 
 def test_query_pre_encoded_numpy_ints():
-    import numpy as np
-
     t, index = _random_index(42)
     enc = encode_pattern(t, t.decode(range(200, 203)))
     occ, _ = index.query(enc)
     assert occ == sorted(naive_ppm(t, enc)) and len(occ) > 1
     assert index.query([np.int64(c) for c in enc])[0] == occ
     assert index.query(np.array(enc))[0] == occ
+
+
+def test_query_pre_encoded_matches_raw():
+    rng = random.Random(616)
+    for _ in range(30):
+        t = random_text(rng, max_n=200)
+        index = assemble(t)
+        for _ in range(20):
+            pat = random_pattern(rng, t)
+            enc = encode_pattern(t, pat)
+            if not enc:
+                continue
+            occ, stats = index.query(pat)
+            for ids in (enc, [np.int64(c) for c in enc], np.array(enc)):
+                got, got_stats = index.query(ids)
+                assert got == occ and got_stats == stats, (pat, ids)
+
+
+def test_query_one_symbol_on_a_run_reports_every_position():
+    n = 2400
+    t = make_text("x" * n, pi="xw")
+    index = assemble(t)
+    # "w" never occurs in the text, but it p-matches every "x".
+    for pat, count in (("x", n), ("w", n), ("xx", n - 1), ("wx", 0)):
+        occ, _ = index.query(pat)
+        assert occ == sorted(naive_ppm(t, encode_pattern(t, pat)))
+        assert occ == list(range(1, count + 1))
+
+
+@pytest.mark.parametrize("bad", [
+    5, 3.0, np.int64(3), object(), None, [["x"]], ["x", ["y"]], ["x", 1.5],
+    ["x", 1],
+], ids=["int", "float", "numpy-int", "object", "none", "nested-list",
+        "list-in-tokens", "float-token", "token-and-id"])
+def test_query_malformed_pattern_raises_query_error(bad):
+    t, index = _random_index(44, n=300)
+    with pytest.raises(QueryError):
+        index.query(bad)
 
 
 def test_query_vs_oracle_randomized():

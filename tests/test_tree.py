@@ -83,7 +83,7 @@ def test_leaf_labels_reproduce_suffix_encodings():
         validate_tree(tree, idx, t)
         for v in range(tree.size):
             if tree.is_leaf(v):
-                start = tree.leaf_pos[v]
+                start = idx.starts[v - 1]
                 assert list(node_label(tree, idx, v)) == \
                     prev(t.symbols[start - 1:], t.pi)
 
@@ -98,3 +98,39 @@ def test_structure_bounds():
         leaves = [v for v in range(tree.size) if tree.is_leaf(v)]
         assert len(leaves) == t.n
         validate_tree(tree, idx, t)
+
+
+def test_validate_tree_catches_tampering(demo_text, demo_index):
+    import copy
+
+    from pstray.errors import ValidationError
+
+    tree, idx, n = demo_index.tree, demo_index.psa_index, demo_text.n
+    inner = n + 1  # the first internal node after the root
+
+    def leaf_too_deep(tr):
+        tr.depth[3] += 1
+
+    def leaves_renumbered(tr):  # leaf r must hold rank r
+        tr.lo[1], tr.lo[2] = tr.lo[2], tr.lo[1]
+        tr.hi[1], tr.hi[2] = tr.hi[2], tr.hi[1]
+        kids = tr.children[tr.parent[1]]
+        i, j = kids.index(1), kids.index(2)
+        kids[i], kids[j] = kids[j], kids[i]
+
+    def root_short(tr):
+        tr.hi[tr.root] = n - 1
+
+    def leaf_with_child(tr):
+        tr.children[2] = [1]
+
+    def children_reversed(tr):
+        tr.children[inner] = tr.children[inner][::-1]
+
+    for tamper in (leaf_too_deep, leaves_renumbered, root_short,
+                   leaf_with_child, children_reversed):
+        bad = copy.deepcopy(tree)
+        tamper(bad)
+        with pytest.raises(ValidationError):
+            validate_tree(bad, idx, demo_text)
+    validate_tree(tree, idx, demo_text)
