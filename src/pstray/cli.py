@@ -85,13 +85,12 @@ def cmd_stats(args) -> int:
     threshold = max(text.sigma, text.pi)
     branching = sum(ann.is_branching)
     cells = ann.parray_cells()
-    leaves = sum(1 for v in range(tree.size) if tree.is_leaf(v))
     print(f"n={n}")
     print(f"pi={text.pi}")
     print(f"sigma={text.sigma}")
     print(f"nodes={tree.size}")
-    print(f"leaves={leaves}")
-    print(f"internal={tree.size - leaves}")
+    print(f"leaves={n}")  # leaves are nodes 1..n
+    print(f"internal={tree.size - n}")
     print(f"pnodes={sum(ann.is_pnode)}")
     print(f"branching_pnodes={branching}")
     print(f"branching_bound={n // threshold}")

@@ -27,12 +27,14 @@ from .alphabet import PText, encode_pattern, pattern_codes, rank  # noqa: F401
 from .encoding import STATIC_BASE, pfunction_from_fpos, prev, spe
 from .errors import (ConstructionError, QueryError, RankError,
                      ValidationError)
-from .suffixes import PsaIndex, QueryStats, build_psa, range_search, report
-from .tree import NO_NODE, TrayTree, build_tree, first_edge_symbol
+from .suffixes import (PsaIndex, QueryStats, build_psa, range_search, report,
+                       validate_psa)
+from .tree import (NO_NODE, TrayTree, build_tree, first_edge_symbol,
+                   validate_tree)
 
 __all__ = [
     "TrayAnnotations", "QueryStats", "PSTrayIndex", "classify_pnodes",
-    "propagate_rep_pairs", "compute_pfunctions", "build_parrays",
+    "compute_pfunctions", "build_parrays",
     "build_tray", "assemble", "query", "validate_annotations",
 ]
 
@@ -43,24 +45,16 @@ class TrayAnnotations:
 
     Parallel to the tree's node array: ``is_pnode``, ``is_branching`` and
     ``heavy_child`` for every node (``heavy_child`` is -1 when absent).
-    Sparse data lives in dicts keyed by node id: ``rep_pos`` holds the
-    representative suffix of every heavy node (the largest leaf position
-    in the subtree). Only branching nodes, the ones that dispatch, have a
-    ``pfun``, the renaming of the representative window onto canonical
-    ids, and a ``parray``, the dispatch array (index = rank, value = child
-    id or -1, entry 0 unused).
+    Only branching nodes, the ones that dispatch, have a ``parray``, the
+    dispatch array (index = rank, value = child id or -1, entry 0 unused),
+    kept in a dict keyed by node id.
     """
 
     threshold: int
     is_pnode: list[bool]
     is_branching: list[bool]
     heavy_child: list[int]
-    rep_pos: dict[int, int] = field(default_factory=dict)
-    pfun: dict[int, dict[int, int]] = field(default_factory=dict)
     parray: dict[int, list[int]] = field(default_factory=dict)
-
-    def pnodes(self) -> list[int]:
-        return list(compress(range(len(self.is_pnode)), self.is_pnode))
 
     def parray_cells(self) -> int:
         return sum(len(arr) - 1 for arr in self.parray.values())
@@ -96,50 +90,29 @@ def classify_pnodes(tree: TrayTree, text: PText) -> TrayAnnotations:
                            heavy_child=heavy_child.tolist())
 
 
-def propagate_rep_pairs(tree: TrayTree, ann: TrayAnnotations,
-                        text: PText) -> TrayAnnotations:
-    """Give every heavy node its representative suffix: the largest leaf
-    position in its subtree.
-
-    Leaf ``r`` of the tree holds the suffix of rank ``r``, and its depth
-    is that suffix's length, so a node's leaf positions are ``n + 1``
-    minus one slice of ``depth`` and all representatives come from one
-    ``np.minimum.reduceat`` over the heavy nodes' blocks. The blocks nest,
-    so this reads each leaf once per heavy ancestor: O(n + sum of LCPs)
-    element steps, as many as the suffix sort's.
-    """
-    heavy = ann.pnodes()
-    if not heavy:
-        return ann
-    n = text.n
-    lo, hi = tree.lo, tree.hi
-    bounds = np.array([(lo[v], hi[v] + 1) for v in heavy], dtype=np.int64)
-    # One trailing entry keeps every block end a valid reduceat index.
-    lengths = _array(tree.depth[:n + 1] + [0])
-    reps = n + 1 - np.minimum.reduceat(lengths, bounds.ravel())[0::2]
-    ann.rep_pos = dict(zip(heavy, reps.tolist()))
-    return ann
-
-
-def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations,
-                       text: PText) -> None:
+def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations, text: PText,
+                       index: PsaIndex) -> dict[int, dict[int, int]]:
     """Canonical renamings of the representative windows of all branching
-    nodes at once; no other node's is ever read.
+    nodes at once, as ``{node: {symbol: canonical id}}``; no other node's
+    is ever read.
 
-    For branching node v with representative i and window ``T[i:i+depth(v)]``,
-    the parameterized symbols first occurring inside the window, in order
-    of first occurrence, map to canonical ids 1, 2, ... Each symbol's
-    first occurrence at or after every representative comes from one
+    A node's representative is its leftmost leaf's suffix
+    ``starts[lo[v] - 1]``: every suffix in the block shares the node's
+    label, so any of them gives the same renaming. For branching node v
+    with representative i and window ``T[i:i+depth(v)]``, the
+    parameterized symbols first occurring inside the window, in order of
+    first occurrence, map to canonical ids 1, 2, ... Each symbol's first
+    occurrence at or after every representative comes from one
     ``searchsorted`` over that symbol's sorted positions, so the work is
     O(pi * branching nodes) numpy element steps; one sort of the in-window
     hits by (node, position) then numbers each node's symbols.
     """
     nodes = list(compress(range(tree.size), ann.is_branching))
-    ann.pfun = {v: {} for v in nodes}
+    pfun: dict[int, dict[int, int]] = {v: {} for v in nodes}
     if not nodes or text.pi == 0:
-        return
-    depth = tree.depth
-    reps = _array([ann.rep_pos[v] for v in nodes])
+        return pfun
+    depth, lo, starts = tree.depth, tree.lo, index.starts
+    reps = _array([starts[lo[v] - 1] for v in nodes])
     ends = reps + _array([depth[v] for v in nodes])  # one past each window
     symbols = _array(text.symbols)
     where = (symbols <= text.pi).nonzero()[0]
@@ -159,24 +132,26 @@ def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations,
     node = node[order]
     sym = np.concatenate(hit_sym)[order]
     canon = np.arange(len(node)) - np.searchsorted(node, node) + 1
-    pfun = ann.pfun
     for v, x, c in zip(np.array(nodes)[node].tolist(), sym.tolist(),
                        canon.tolist()):
         pfun[v][x] = c
+    return pfun
 
 
 def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                  index: PsaIndex) -> TrayAnnotations:
-    """Fill the dispatch array of every branching heavy node.
+                  index: PsaIndex,
+                  pfun: dict[int, dict[int, int]]) -> TrayAnnotations:
+    """Fill the dispatch array of every branching heavy node from the
+    p-functions ``compute_pfunctions`` returns.
 
-    For a node of depth D with representative suffix i, a child whose edge
-    starts with distance k > 0 continues the canonical form with the
-    canonical id of ``T[i+D-k]`` (the window position the distance points
-    at); the distance-0 child is the continuation for every canonical id
-    not used inside the window; a static child sits at its own rank.
-    Needs the p-functions of ``compute_pfunctions``. A child's first edge
-    symbol is symbol D+1 of its leftmost suffix, read from the prev codes
-    with the window adjustment inlined.
+    For a node of depth D with representative suffix i (its leftmost
+    leaf's), a child whose edge starts with distance k > 0 continues the
+    canonical form with the canonical id of ``T[i+D-k]`` (the window
+    position the distance points at); the distance-0 child is the
+    continuation for every canonical id not used inside the window; a
+    static child sits at its own rank. A child's first edge symbol is
+    symbol D+1 of its leftmost suffix, read from the prev codes with the
+    window adjustment inlined.
     """
     width = text.sigma + text.pi
     pi = text.pi
@@ -187,8 +162,8 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
     starts = index.starts
     for v in compress(range(tree.size), ann.is_branching):
         d = depth[v]
-        rep = ann.rep_pos[v]
-        fmap = ann.pfun[v]
+        rep = starts[lo[v] - 1]
+        fmap = pfun[v]
         used = len(fmap)
         par = [NO_NODE] * (width + 1)
         for u in tree.children[v]:
@@ -225,9 +200,6 @@ class PSTrayIndex:
         return query(self, self.text, pattern)
 
     def validate(self, full: bool = True) -> None:
-        from .suffixes import validate_psa
-        from .tree import validate_tree
-
         validate_psa(self.psa_index, self.text, full=full)
         validate_tree(self.tree, self.psa_index, self.text)
         validate_annotations(self.tree, self.ann, self.text, self.psa_index)
@@ -235,16 +207,16 @@ class PSTrayIndex:
 
 def build_tray(psa_index: PsaIndex, text: PText) -> PSTrayIndex:
     """Everything after the suffix sort: build the tree, classify heavy
-    nodes, attach representatives and p-functions, fill dispatch arrays.
+    nodes, and fill the dispatch arrays from the branching nodes'
+    p-functions, which are dropped once the arrays are built.
 
     The one construction path for the tree and its annotations: both
     ``assemble`` and ``index_io.load`` call it.
     """
     tree = build_tree(psa_index, text)
     ann = classify_pnodes(tree, text)
-    propagate_rep_pairs(tree, ann, text)
-    compute_pfunctions(tree, ann, text)
-    build_parrays(tree, ann, text, psa_index)
+    pfun = compute_pfunctions(tree, ann, text, psa_index)
+    build_parrays(tree, ann, text, psa_index, pfun)
     return PSTrayIndex(text=text, psa_index=psa_index, tree=tree, ann=ann)
 
 
@@ -384,23 +356,21 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
 
 def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
                          index: PsaIndex) -> None:
-    """Check classification flags, representatives, the counting bounds on
-    branching nodes and dispatch cells, and that every dispatch array
-    agrees with its node.
+    """Check classification flags, the counting bounds on branching nodes
+    and dispatch cells, and that every dispatch array agrees with its node.
 
     Agreement is recomputed from the definition, trusting none of the
     stored annotations: the canonical renaming of the representative
-    window comes from the text's symbol positions and must equal the
-    stored p-function; then each child sits at the rank its first edge
-    symbol selects (a static at its own rank, distance k at the canonical
-    id of ``T[rep+depth-k]``, distance 0 at every canonical id the window
-    leaves unused), every child appears and every other cell is empty.
+    window (the leftmost leaf's) comes from the text's symbol positions;
+    then each child sits at the rank its first edge symbol selects (a
+    static at its own rank, distance k at the canonical id of
+    ``T[rep+depth-k]``, distance 0 at every canonical id the window leaves
+    unused), every child appears and every other cell is empty.
     """
     threshold = max(text.sigma, text.pi)
     if ann.threshold != threshold:
         raise ValidationError("stale threshold")
     n = text.n
-    rank_of = {p: r for r, p in enumerate(index.starts, start=1)}
     occ: dict[int, list[int]] = {}
     for p, c in enumerate(text.symbols, start=1):
         if c <= text.pi:
@@ -417,10 +387,6 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
         want_heavy = heavy_kids[0] if len(heavy_kids) == 1 else NO_NODE
         if ann.heavy_child[v] != want_heavy:
             raise ValidationError(f"heavy child wrong at node {v}")
-        if ann.is_pnode[v]:
-            rep_rank = rank_of.get(ann.rep_pos.get(v))
-            if rep_rank is None or not (tree.lo[v] <= rep_rank <= tree.hi[v]):
-                raise ValidationError(f"representative outside subtree at {v}")
         if ann.is_branching[v]:
             branching += 1
             _check_dispatch(tree, ann, text, index, v, occ)
@@ -438,15 +404,13 @@ def _check_dispatch(tree: TrayTree, ann: TrayAnnotations, text: PText,
     arr = ann.parray.get(v)
     if arr is None or len(arr) != text.sigma + text.pi + 1:
         raise ValidationError(f"p-array missing or mis-sized at {v}")
-    rep, depth = ann.rep_pos[v], tree.depth[v]
+    rep, depth = index.starts[tree.lo[v] - 1], tree.depth[v]
     farr = []
     for x in range(1, text.pi + 1):
         ps = occ.get(x, [])
         k = bisect_left(ps, rep)
         farr.append(ps[k] - rep + 1 if k < len(ps) else 0)
     canon = pfunction_from_fpos(text, rep, depth, farr)
-    if ann.pfun.get(v) != canon:
-        raise ValidationError(f"p-function wrong at node {v}")
     want = [NO_NODE] * len(arr)
     for u in tree.children[v]:
         sym = first_edge_symbol(tree, index, u)

@@ -5,7 +5,7 @@ import random
 
 from pstray.encoding import fpos, pfunction_from_fpos
 from pstray.suffixes import build_psa
-from pstray.tray import assemble, validate_annotations
+from pstray.tray import assemble, compute_pfunctions, validate_annotations
 from pstray.tree import build_tree, validate_tree
 
 from conftest import make_text, random_text
@@ -66,15 +66,13 @@ def test_annotations_match_definitions():
     for t in construction_texts():
         index = assemble(t)
         tree, ann, idx = index.tree, index.ann, index.psa_index
-        psa = idx.psa.tolist()
         validate_annotations(tree, ann, t, idx)
-        assert sorted(ann.rep_pos) == ann.pnodes()
-        for v, rep in ann.rep_pos.items():
-            assert rep == max(psa[tree.lo[v] - 1:tree.hi[v]])
-        # Only branching nodes dispatch, so only they keep a p-function.
+        # Only branching nodes dispatch, so only they get a p-function: the
+        # renaming of the window at their leftmost leaf.
+        pfun = compute_pfunctions(tree, ann, t, idx)
         branching = [v for v in range(tree.size) if ann.is_branching[v]]
-        assert sorted(ann.pfun) == branching
+        assert sorted(pfun) == branching == sorted(ann.parray)
         for v in branching:
-            rep = ann.rep_pos[v]
-            assert ann.pfun[v] == pfunction_from_fpos(t, rep, tree.depth[v],
-                                                      fpos(t, rep))
+            rep = idx.starts[tree.lo[v] - 1]
+            assert pfun[v] == pfunction_from_fpos(t, rep, tree.depth[v],
+                                                  fpos(t, rep))

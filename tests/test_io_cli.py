@@ -136,9 +136,7 @@ def test_load_rebuilds_what_assemble_builds(tmp_path):
             assert getattr(loaded.tree, field) == getattr(index.tree, field)
         assert [list(k) for k in loaded.tree.children] == \
             [list(k) for k in index.tree.children]
-        for field in ("threshold", "is_pnode", "is_branching", "heavy_child",
-                      "rep_pos", "pfun", "parray"):
-            assert getattr(loaded.ann, field) == getattr(index.ann, field)
+        assert vars(loaded.ann) == vars(index.ann)
         assert loaded.psa_index.psa.tolist() == index.psa_index.psa.tolist()
         assert loaded.psa_index.plcp.tolist() == index.psa_index.plcp.tolist()
 
@@ -311,7 +309,12 @@ def test_cli_stats_report(tmp_path, capsys):
           "--out", str(idx)])
     capsys.readouterr()
     assert main(["stats", "--index", str(idx)]) == 0
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    # 12 symbols and the end marker give 13 leaves; 8 of the 21 nodes are
+    # internal.
+    assert "n=13" in out and "nodes=21" in out
+    assert "leaves=13" in out
+    assert "internal=8" in out
     assert "branching_pnodes=2" in out
     assert "branching_bound=4" in out  # 13 // max(2, 3)
     assert "parray_cells=10" in out

@@ -10,8 +10,7 @@ from pstray.errors import QueryError
 from pstray.oracle import naive_parray, naive_ppm
 from pstray.suffixes import build_psa
 from pstray.tray import (assemble, build_parrays, classify_pnodes,
-                         compute_pfunctions, propagate_rep_pairs, query,
-                         validate_annotations)
+                         compute_pfunctions, query, validate_annotations)
 from pstray.tree import NO_NODE, build_tree
 
 from conftest import make_text, random_pattern, random_text
@@ -51,22 +50,6 @@ def test_small_text_only_root_can_be_pnode():
     assert ann.is_pnode[tree.root]
     assert all(not ann.is_pnode[v] for v in range(1, tree.size)
                if tree.leaf_count(v) < ann.threshold)
-
-
-# ------------------------------------------------------------ rep pairs
-
-def test_demo_rep_positions(demo_text, demo_index):
-    ann = demo_index.ann
-    labels = labelled(demo_index, demo_text)
-    assert ann.rep_pos[labels["0"]] == 12
-    assert ann.rep_pos[labels[""]] == 13
-
-
-def test_rep_is_subtree_max(demo_text, demo_index):
-    tree, ann, idx = demo_index.tree, demo_index.ann, demo_index.psa_index
-    for v, pos in ann.rep_pos.items():
-        members = idx.starts[tree.lo[v] - 1:tree.hi[v]]
-        assert pos == max(members)
 
 
 # ------------------------------------------------------------ p-arrays
@@ -133,12 +116,13 @@ def test_pfunction_reconstructs_canonical_window():
     for _ in range(50):
         t = random_text(rng, max_n=100)
         index = assemble(t)
-        tree, ann = index.tree, index.ann
-        # Only branching nodes keep a p-function.
-        assert sorted(ann.pfun) == [v for v in range(tree.size)
-                                    if ann.is_branching[v]]
-        for v, fmap in ann.pfun.items():
-            i, depth = ann.rep_pos[v], tree.depth[v]
+        tree, ann, idx = index.tree, index.ann, index.psa_index
+        pfun = compute_pfunctions(tree, ann, t, idx)
+        # Only branching nodes get a p-function, from their leftmost leaf.
+        assert sorted(pfun) == [v for v in range(tree.size)
+                                if ann.is_branching[v]]
+        for v, fmap in pfun.items():
+            i, depth = idx.starts[tree.lo[v] - 1], tree.depth[v]
             window = t.symbols[i - 1:i - 1 + depth]
             mapped = [fmap[c] if c <= t.pi else c for c in window]
             assert mapped == spe(window, t.pi)
@@ -311,12 +295,6 @@ def test_validate_annotations_catches_forged_dispatch():
     emptied = copy.deepcopy(index.ann)  # a child no longer reachable
     emptied.parray[v] = [NO_NODE if u == arr[a] else u for u in arr]
     forgeries.append(emptied)
-    renamed = copy.deepcopy(index.ann)
-    fmap = renamed.pfun[v]
-    if len(fmap) >= 2:
-        x, y = list(fmap)[:2]
-        fmap[x], fmap[y] = fmap[y], fmap[x]
-        forgeries.append(renamed)
     for bad in forgeries:
         with pytest.raises(ValidationError):
             validate_annotations(tree, bad, t, idx)
@@ -328,10 +306,7 @@ def test_manual_stage_by_stage_equals_assemble(demo_text):
     psa_index = build_psa(t)
     tree = build_tree(psa_index, t)
     ann = classify_pnodes(tree, t)
-    propagate_rep_pairs(tree, ann, t)
-    compute_pfunctions(tree, ann, t)
-    build_parrays(tree, ann, t, psa_index)
+    pfun = compute_pfunctions(tree, ann, t, psa_index)
+    assert build_parrays(tree, ann, t, psa_index, pfun) is ann
     auto = assemble(t)
-    assert ann.parray == auto.ann.parray
-    assert ann.rep_pos == auto.ann.rep_pos
-    assert ann.heavy_child == auto.ann.heavy_child
+    assert vars(ann) == vars(auto.ann)
