@@ -82,7 +82,7 @@ def cmd_stats(args) -> int:
     tree = index.tree
     ann = index.ann
     n = text.n
-    threshold = max(text.sigma, text.pi)
+    threshold = ann.threshold
     branching = sum(ann.is_branching)
     cells = ann.parray_cells()
     print(f"n={n}")

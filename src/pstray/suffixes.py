@@ -4,10 +4,15 @@ Suffix comparisons never materialize an encoded suffix: symbol ``d`` of the
 suffix starting at ``j`` is derived in O(1) from the whole-text prev codes
 (see ``encoding.prev_char_in_window``). The sort is a level-synchronous
 MSD bucketing over suffix start indices: each numpy round advances every
-unsorted group by one symbol at once, so the sort takes max LCP + 1 rounds
-and O(n + sum of LCPs) element work. The LCP of two neighbouring suffixes
-is exactly the depth at which their group split, so the LCP array falls
-out of the sort for free.
+unsorted group by one symbol at once, and the LCP of two neighbouring
+suffixes is the depth at which their group split. Past a suffix's last
+window correction its window reads the global prev codes, so a group whose
+members are all past theirs is finished at once from the ordinary suffix
+order of the prev-code string (I et al., IWOCA 2009), with LCPs from an
+ordinary LCE. Runs, periodic text and exact renamed clones then take a
+few dozen rounds instead of max LCP + 1. What still costs max LCP + 1
+rounds and O(n + sum of LCPs) element work is a text whose suffixes all
+keep a late correction, such as ``y x^n y``.
 
 The index holds only O(n) words: the suffix array, the LCP array and plain
 list copies of both and of the text's prev codes. The search loops read
@@ -34,6 +39,10 @@ from .errors import ValidationError
 # (every suffix in the range agrees with the pattern on the first `skip`
 # symbols). Too slow for production paths; tests flip it on.
 STRICT_CHECKS = False
+
+# Depth of build_psa's first readiness check; each later check doubles it.
+# Tests lower it so that groups finish early on small texts.
+FIRST_CHECK = 32
 
 
 @dataclass
@@ -95,6 +104,62 @@ class PsaIndex:
         return min(self.lcps[a:b])
 
 
+def _last_corrections(code: np.ndarray) -> np.ndarray:
+    """g[i]: the last 1-based offset at which the window of the suffix at
+    0-based ``i`` reads 0 where the global code is a positive distance (a
+    window correction), or 0 if it has none. ``code`` holds distances below
+    ``len(code)`` and statics above them.
+
+    A distance x at position p corrects the starts p - x + 1 .. p. The left
+    ends p - x + 1 (one past the symbol's previous occurrence) are distinct,
+    so a running maximum over them gives each start its rightmost
+    correcting position in O(n).
+    """
+    n = len(code)
+    at = ((code > 0) & (code < n)).nonzero()[0]
+    right = np.full(n, -1, dtype=np.int64)
+    right[at - code[at] + 1] = at
+    np.maximum.accumulate(right, out=right)
+    start = np.arange(n, dtype=np.int64)
+    return np.where(right >= start, right - start + 1, 0)
+
+
+def _rank_levels(code: np.ndarray) -> list[np.ndarray]:
+    """Prefix-doubling ranks of the code string (Manber & Myers): level k
+    ranks the 2**k symbols from each position, a window cut short by the
+    end ranking below the full windows it prefixes. The last level is the
+    ordinary suffix rank: all distinct, since the sentinel is the unique
+    maximum. O(n log n) words, held only while ``build_psa`` runs.
+    """
+    n = len(code)
+    rank = np.unique(code, return_inverse=True)[1]
+    levels = [rank]
+    h = 1
+    while rank.max() < n - 1:
+        nxt = np.zeros(n, dtype=np.int64)
+        nxt[:n - h] = rank[h:] + 1
+        rank = np.unique(rank * (n + 1) + nxt, return_inverse=True)[1]
+        levels.append(rank)
+        h *= 2
+    return levels
+
+
+def _lce(levels: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Longest common prefix of the code suffixes at 0-based ``a`` and
+    ``b`` (arrays, ``a != b`` pairwise), by binary lifting over the rank
+    levels from the top down. Equal level-k ranks at distinct positions
+    mean two full, equal windows, so a lifted position stays below n.
+    """
+    a, b = a.copy(), b.copy()
+    out = np.zeros(len(a), dtype=np.int64)
+    for k in range(len(levels) - 2, -1, -1):
+        step = (levels[k][a] == levels[k][b]) * (1 << k)
+        a += step
+        b += step
+        out += step
+    return out
+
+
 def build_psa(text: PText) -> PsaIndex:
     """Sort all suffix start positions by their prev-encoded suffixes.
 
@@ -107,9 +172,20 @@ def build_psa(text: PText) -> PsaIndex:
     round pay one stable argsort of (group, symbol) over all groups at
     once. Each change records the LCP d-1 at its rank, and a suffix left
     alone in its group takes its final rank and leaves. The sentinel makes
-    all suffixes distinct, so the sort takes max LCP + 1 rounds and
-    O(n + sum of LCPs) element work, and never reads past a suffix's end.
-    Deterministic.
+    all suffixes distinct, so no suffix is read past its end.
+
+    At depths ``FIRST_CHECK``, twice that, and so on, one ``reduceat``
+    finds the groups whose members all have their last window correction
+    (``_last_corrections``) within the d-1 symbols they share. From there
+    on such a group reads the global codes, so one argsort by (group,
+    ordinary rank of position i + d - 1) finishes it, and its adjacent LCPs
+    are d - 1 plus an ordinary LCE (``_rank_levels``, ``_lce``). The rank
+    levels take O(n log n) time and words, built at the first ready group
+    and dropped on return. Texts with no late corrections, such as runs,
+    periodic text and exact renamed clones, finish within a few checks;
+    random text ends before the first. A text whose suffixes keep a late
+    correction, such as ``y x^n y``, still takes max LCP + 1 rounds and
+    O(n + sum of LCPs) element work. Deterministic.
     """
     n = text.n
     codes = text.prev_codes
@@ -135,8 +211,34 @@ def build_psa(text: PText) -> PsaIndex:
     head = np.zeros(n + 1, dtype=bool)  # group starts, plus an end mark
     head[0] = head[n] = True
     inner = ~head[1:n]  # adjacent pairs within one group
+    check = FIRST_CHECK  # depth of the next readiness check
+    g = levels = None
     d = 1
     while len(act) > 1:
+        if d == check:
+            check *= 2
+            if g is None:
+                g = _last_corrections(code)
+            m = len(act)
+            ready = np.maximum.reduceat(g[act], head[:m].nonzero()[0]) < d
+            if ready.any():
+                if levels is None:
+                    levels = _rank_levels(code)
+                # Past its last correction a suffix reads the global codes,
+                # so a ready group is in the ordinary order of the code
+                # suffixes at i + d - 1. Those ranks are distinct, so the
+                # (group, rank) key is too and any sort order is the same.
+                group = np.cumsum(head[:m]) - 1
+                done = ready[group]
+                fin, fin_group, fin_slot = act[done], group[done], slot[done]
+                fin = fin[np.argsort(fin_group * n + levels[-1][fin + d - 1])]
+                psa[fin_slot] = fin + 1
+                pair = (fin_group[1:] == fin_group[:-1]).nonzero()[0]
+                plcp[fin_slot[pair + 1]] = d - 1 + _lce(
+                    levels, fin[pair] + d - 1, fin[pair + 1] + d - 1)
+                act, slot = act[~done], slot[~done]
+                head = head[np.append(~done, True)]
+                inner = ~head[1:-1]
         m = len(act)
         sym[by_code[code_start[d - 1]:code_start[d]]] = d - 1
         key = sym[d - 1:][act]

@@ -5,7 +5,7 @@ import pytest
 
 import pstray.suffixes as sfx
 from pstray.alphabet import encode_pattern
-from pstray.encoding import STATIC_BASE, prev
+from pstray.encoding import STATIC_BASE, prev, prev_char_in_window
 from pstray.errors import ValidationError
 from pstray.oracle import naive_psa
 from pstray.suffixes import (PsaIndex, QueryStats, build_psa,
@@ -53,6 +53,16 @@ def token_text(rng, n, statics, params):
     return make_text(raw, pi=pis, mode="tokens")
 
 
+def check_against_oracle(t):
+    """build_psa equals naive_psa and passes the full check; returns it."""
+    idx = build_psa(t)
+    o_psa, o_plcp = naive_psa(t)
+    assert idx.psa.tolist() == o_psa
+    assert idx.plcp.tolist() == o_plcp
+    validate_psa(idx, t, full=True)
+    return idx
+
+
 def test_build_matches_oracle_randomized():
     rng = random.Random(2024)
     texts = [random_text(rng, max_n=500 if i < 8 else 160) for i in range(50)]
@@ -62,23 +72,123 @@ def test_build_matches_oracle_randomized():
     texts += [token_text(rng, 400, statics, params)
               for statics, params in ((30, 3), (60, 1), (12, 6))]
     for t in texts:
-        idx = build_psa(t)
-        o_psa, o_plcp = naive_psa(t)
-        assert idx.psa.tolist() == o_psa
-        assert idx.plcp.tolist() == o_plcp
-        validate_psa(idx, t, full=True)
+        check_against_oracle(t)
+    # Exact renamed clones share prefixes past the first readiness check.
+    for copies, block_len in ((6, 40), (3, 90), (8, 45)):
+        idx = check_against_oracle(clone_text(rng, copies, block_len, 0.0))
+        assert idx.plcp.max() > sfx.FIRST_CHECK
 
 
 def test_build_degenerate_alphabets():
-    # Periodic texts and runs split one suffix off one group per round.
-    for raw, pi in [("x" * 80, "x"), ("A" * 80, ""), ("xy" * 40, "xy"),
-                    ("xA" * 40, "x"), ("x" * 400, "x"), ("xy" * 200, "xy"),
-                    ("xyA" * 120, "xy"), ("A" * 300 + "x" * 100, "x")]:
+    # Runs and periodic texts have no late window correction, so their
+    # groups are finished by ordinary rank at the first readiness check;
+    # every suffix of y x^k y keeps one, so it is sorted round by round.
+    # The mixed texts leave groups of both kinds at the first check, or
+    # finish the run's groups while the tail's are still splitting.
+    rng = random.Random(77)
+    tail = "".join(rng.choice("xyzAB") for _ in range(80))
+    cases = [("x" * 80, "x"), ("A" * 80, ""), ("xy" * 40, "xy"),
+             ("xA" * 40, "x"), ("x" * 400, "x"), ("xy" * 200, "xy"),
+             ("xyA" * 120, "xy"), ("A" * 300 + "x" * 100, "x"),
+             ("x" * 100, "x"), ("A" * 100, ""), ("xy" * 50, "xy"),
+             ("xyA" * 34, "xy"), ("y" + "x" * 120 + "y", "xy"),
+             ("x" * 150 + tail, "xyz"),
+             ("xA" * 50 + "y" + "zB" * 40 + "y" + tail, "xyz")]
+    for raw, pi in cases:
         t = make_text(raw, pi=pi)
-        idx = build_psa(t)
-        o_psa, o_plcp = naive_psa(t)
-        assert idx.psa.tolist() == o_psa and idx.plcp.tolist() == o_plcp
-        validate_psa(idx, t, full=True)
+        idx = check_against_oracle(t)
+        assert len(raw) < 100 or idx.plcp.max() > sfx.FIRST_CHECK
+
+
+def fuzz_text(rng):
+    """Small random, periodic, run (with and without a random tail) and
+    renamed-clone texts."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_text(rng, max_n=60)
+    if kind == 1:
+        word = "".join(rng.choice("xyzA") for _ in range(rng.randint(1, 4)))
+        return make_text(word * rng.randint(2, 20), pi="xyz")
+    if kind == 2:
+        tail = "".join(rng.choice("xyAB") for _ in range(rng.randint(0, 12)))
+        return make_text(rng.choice("xA") * rng.randint(1, 50) + tail, pi="xy")
+    return clone_text(rng, rng.randint(2, 6), rng.randint(3, 14),
+                      rng.choice((0.0, 0.0, 0.05)))
+
+
+def test_build_finish_path_fuzz(monkeypatch):
+    # Checks at depths 1, 2, 4, ... finish groups (all of them, or some
+    # while others keep splitting) on texts far too short for the real
+    # schedule.
+    monkeypatch.setattr(sfx, "FIRST_CHECK", 1)
+    rng = random.Random(909)
+    for _ in range(450):
+        check_against_oracle(fuzz_text(rng))
+
+
+def sort_code(t):
+    """The text's prev codes with statics moved just above the distances,
+    as ``build_psa`` keys them."""
+    raw = np.asarray(t.prev_codes, dtype=np.int64)
+    return np.where(raw >= STATIC_BASE, raw - STATIC_BASE + t.n, raw)
+
+
+def helper_texts():
+    """A seeded rng and texts of every kind the sort's helpers meet."""
+    rng = random.Random(5150)
+    texts = [random_text(rng, max_n=90) for _ in range(40)]
+    texts += [clone_text(rng, 4, 12, 0.0), clone_text(rng, 3, 20, 0.05)]
+    texts += [make_text(raw, pi="xy") for raw in
+              ("x" * 70, "xyA" * 20, "y" + "x" * 40 + "y", "A" * 30)]
+    return rng, texts
+
+
+def test_last_corrections_match_window_scan():
+    _, texts = helper_texts()
+    for t in texts:
+        codes = t.prev_codes
+        want = []
+        for i in range(1, t.n + 1):
+            last = 0
+            for d in range(1, t.n - i + 2):
+                if prev_char_in_window(codes, i, d) != codes[i + d - 2]:
+                    last = d
+            want.append(last)
+        assert sfx._last_corrections(sort_code(t)).tolist() == want
+
+
+def test_lce_matches_direct_comparison():
+    rng, texts = helper_texts()
+    for t in texts:
+        code = sort_code(t)
+        levels = sfx._rank_levels(code)
+        n = t.n
+        assert sorted(levels[-1].tolist()) == list(range(n))
+        if n < 2:
+            continue
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(60)]
+        pairs += [(n - 1, rng.randrange(n - 1)), (0, n - 1)]
+        pairs = [(a, b) for a, b in pairs if a != b]
+        want = []
+        for a, b in pairs:
+            h = 0
+            while b + h < n and a + h < n and code[a + h] == code[b + h]:
+                h += 1
+            want.append(h)
+        a, b = np.array(pairs, dtype=np.int64).T
+        assert sfx._lce(levels, a, b).tolist() == want
+
+
+def test_build_long_repeats_without_oracle():
+    # Both are quadratic for a round-per-symbol sort; no time is asserted.
+    t = make_text("x" * 29_999, pi="x")
+    n = t.n
+    idx = build_psa(t)
+    assert idx.psa.tolist() == list(range(1, n + 1))
+    assert idx.plcp[0] == 0
+    assert (idx.plcp[1:] == n - 1 - np.arange(1, n)).all()
+    t = make_text(("xyA" * 10_000)[:29_999], pi="xy")
+    validate_psa(build_psa(t), t, full=False)
 
 
 def test_range_search_demo_ranges(demo_text, demo_index):
