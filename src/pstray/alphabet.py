@@ -127,10 +127,6 @@ class PText:
     def sentinel(self) -> int:
         return self.pi + self.sigma
 
-    def is_parameterized_id(self, sym: int) -> bool:
-        # Fresh pattern-only parameterized ids are negative, hence <= pi.
-        return sym <= self.pi
-
     @property
     def prev_codes(self) -> list[int]:
         """prev encoding of the whole text as order-preserving int codes."""

@@ -7,14 +7,16 @@ payload_len u64, payload)``. All integers are little-endian u64. A
 SHA-256 digest of everything before it closes the file.
 
 The file holds no tree and no annotations. ``load`` verifies magic,
-version and digest, checks the text's symbols and the suffix and LCP
-arrays in O(n) (``validate_psa(full=False)``: a permutation, every LCP
-below both suffix lengths, each adjacent pair in order one symbol past
-its LCP), and then rebuilds the tree and annotations through
-``tray.build_tray``, the same code ``assemble`` runs after the sort. So
-no dispatch cell or tree link is ever read from disk; any check that
-fails during load is reported as a ``FormatError``. Version-1 files,
-which stored node records and dispatch arrays, are refused.
+version and digest, checks that the declared parameterized and static
+token sets agree with the token ids (ids 1..pi parameterized, the rest
+static), checks the text's symbols and the suffix and LCP arrays in O(n)
+(``validate_psa(full=False)``: a permutation, every LCP below both suffix
+lengths, each adjacent pair in order one symbol past its LCP), and then
+rebuilds the tree and annotations through ``tray.build_tray``, the same
+code ``assemble`` runs after the sort. So no dispatch cell or tree link is
+ever read from disk; any check that fails during load is reported as a
+``FormatError``. Version-1 files, which stored node records and dispatch
+arrays, are refused.
 
 The reserved word once flagged an optional range-minimum table. ``save``
 writes 1, as every default build did, and ``load`` ignores it.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .alphabet import BYTE_MODE, TOKEN_MODE, AlphabetSpec, PText
 from .errors import (ChecksumError, ConstructionError, FormatError,
-                     ValidationError)
+                     InputError, ValidationError)
 from .suffixes import PsaIndex
 from .tray import PSTrayIndex, build_tray
 
@@ -140,8 +142,9 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> PSTrayIndex:
-    """Read and checksum an index file, check its suffix and LCP arrays in
-    O(n), and rebuild the tree and annotations from them."""
+    """Read and checksum an index file, check its token classes against
+    the ids and its suffix and LCP arrays in O(n), and rebuild the tree and
+    annotations from them."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 32:
         raise ChecksumError("file too short")
@@ -173,12 +176,25 @@ def load(path: str | Path) -> PSTrayIndex:
         tok2id[sec.string()] = sym
     pi_members = frozenset(sec.tokens())
     sigma_members = frozenset(sec.tokens()) if sec.u64() else None
-    spec = AlphabetSpec(pi_members=pi_members, sigma_members=sigma_members,
-                        mode=TOKEN_MODE if mode_flag else BYTE_MODE)
+    try:
+        spec = AlphabetSpec(pi_members=pi_members,
+                            sigma_members=sigma_members,
+                            mode=TOKEN_MODE if mode_flag else BYTE_MODE)
+    except InputError as exc:
+        raise FormatError(f"alphabet section: {exc}") from exc
     # Ids 1..pi+sigma-1 name the tokens; the sentinel takes pi+sigma.
     if (len(tok2id) != pi + sigma - 1
             or sorted(tok2id.values()) != list(range(1, pi + sigma))):
         raise FormatError("alphabet section does not match pi and sigma")
+    # Queries classify pattern tokens by the declared sets, so those must
+    # agree with the ids: 1..pi parameterized, the rest static.
+    for tok, sym in tok2id.items():
+        declared = ("parameterized" if tok in pi_members
+                    else "static" if sigma_members is None
+                    or tok in sigma_members else "in neither alphabet")
+        if declared != ("parameterized" if sym <= pi else "static"):
+            raise FormatError(f"alphabet section: token {tok!r} has id {sym} "
+                              f"but is declared {declared}")
     id2tok = {v: k for k, v in tok2id.items()}
     id2tok[pi + sigma] = "$"
 

@@ -27,18 +27,13 @@ of ``pstray bench``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .alphabet import PText
 from .encoding import STATIC_BASE
 from .errors import ValidationError
-
-# When enabled, range_search re-checks its caller-guaranteed precondition
-# (every suffix in the range agrees with the pattern on the first `skip`
-# symbols). Too slow for production paths; tests flip it on.
-STRICT_CHECKS = False
 
 # Depth of build_psa's first readiness check; each later check doubles it.
 # Tests lower it so that groups finish early on small texts.
@@ -62,13 +57,7 @@ class QueryStats:
     max_range_searched: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "symbol_comparisons": self.symbol_comparisons,
-            "nodes_visited": self.nodes_visited,
-            "parray_lookups": self.parray_lookups,
-            "psa_probes": self.psa_probes,
-            "max_range_searched": self.max_range_searched,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -261,37 +250,38 @@ def build_psa(text: PText) -> PsaIndex:
             lone = (head[:-1] & head[1:]).nonzero()[0]
             if len(lone):
                 psa[slot[lone]] = act[lone] + 1
-                k = len(lone)
-                # A run of one symbol loses its shortest suffix, the last,
-                # every round: slice rather than compact when only the last
-                # suffixes leave.
-                if lone[0] == m - k:
-                    act, slot, head = act[:m - k], slot[:m - k], head[:m - k + 1]
-                else:
-                    keep = np.ones(m + 1, dtype=bool)
-                    keep[lone] = False
-                    head = head[keep]
-                    act, slot = act[keep[:m]], slot[keep[:m]]
+                keep = np.ones(m + 1, dtype=bool)
+                keep[lone] = False
+                head = head[keep]
+                act, slot = act[keep[:m]], slot[keep[:m]]
             inner = ~head[1:-1]
         d += 1
 
     return PsaIndex(psa=psa, plcp=plcp, codes=codes)
 
 
-def _compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
-                    start: int, stats: QueryStats) -> tuple[int, int]:
-    """Compare the encoded suffix starting at 1-based ``j`` with the pattern.
+def compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
+                   start: int, stats: QueryStats,
+                   stop: int | None = None) -> tuple[int, int]:
+    """Compare the encoded suffix starting at 1-based ``j`` with the pattern
+    over the 0-based offsets ``start`` to ``stop`` (default: the pattern's
+    end); symbols before ``start`` are assumed equal.
 
-    Symbols before 0-based position ``start`` are assumed equal. Returns
-    (rel, lcp): rel is -1 / 0 / +1 for suffix below / pattern-is-prefix /
-    suffix above, lcp the number of matching symbols from the beginning.
+    Returns (rel, t): rel is -1 / 0 / +1 for suffix below / equal up to
+    ``stop`` / suffix above, and t the offset of the first mismatch, or of
+    the suffix's end when it runs out first (rel -1), or ``stop``. Symbol
+    ``t + 1`` of the suffix is read from the prev codes with the window
+    adjustment inlined: a distance reaching past the suffix's start reads
+    0. Each symbol read counts one ``symbol_comparisons``. The package's
+    one loop comparing suffix symbols with a pattern: the tree descent and
+    the binary searches both call it.
     """
     codes = index.codes
-    n = index.n
-    m = len(pattern_prev)
-    slen = n - j + 1
+    slen = index.n - j + 1
+    if stop is None:
+        stop = len(pattern_prev)
     t = start
-    while t < m:
+    while t < stop:
         if t >= slen:
             return -1, t  # suffix exhausted first: suffix is smaller
         b = codes[j + t - 1]
@@ -302,7 +292,7 @@ def _compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
         if b != p:
             return (1 if b > p else -1), t
         t += 1
-    return 0, m
+    return 0, stop
 
 
 def _lower_bound_plain(index, pattern_prev, lo, hi, skip, strict, stats):
@@ -312,8 +302,8 @@ def _lower_bound_plain(index, pattern_prev, lo, hi, skip, strict, stats):
     while lo <= hi:
         mid = (lo + hi) // 2
         stats.psa_probes += 1
-        rel, _ = _compare_suffix(index, index.starts[mid - 1], pattern_prev,
-                                 skip, stats)
+        rel, _ = compare_suffix(index, index.starts[mid - 1], pattern_prev,
+                                skip, stats)
         if rel > 0 or (not strict and rel == 0):
             result = mid
             hi = mid - 1
@@ -351,13 +341,13 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
     compared starting where the longer boundary match left off.
     """
     starts = index.starts
-    rel, l = _compare_suffix(index, starts[lo - 1], pattern_prev, skip, stats)
+    rel, l = compare_suffix(index, starts[lo - 1], pattern_prev, skip, stats)
     stats.psa_probes += 1
     if rel >= 0:
         return lo, rel, l
     if lo == hi:
         return hi + 1, -1, 0
-    rel_hi, r = _compare_suffix(index, starts[hi - 1], pattern_prev, skip, stats)
+    rel_hi, r = compare_suffix(index, starts[hi - 1], pattern_prev, skip, stats)
     stats.psa_probes += 1
     if rel_hi < 0:
         return hi + 1, -1, 0
@@ -372,8 +362,8 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
             elif h < l:
                 right, r, rel_hi = mid, h, 1
             else:
-                rel, t = _compare_suffix(index, starts[mid - 1],
-                                         pattern_prev, l, stats)
+                rel, t = compare_suffix(index, starts[mid - 1],
+                                        pattern_prev, l, stats)
                 if rel >= 0:
                     right, r, rel_hi = mid, t, rel
                 else:
@@ -385,8 +375,8 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
             elif h < r:
                 left, l = mid, h
             else:
-                rel, t = _compare_suffix(index, starts[mid - 1],
-                                         pattern_prev, r, stats)
+                rel, t = compare_suffix(index, starts[mid - 1],
+                                        pattern_prev, r, stats)
                 if rel >= 0:
                     right, r, rel_hi = mid, t, rel
                 else:
@@ -400,13 +390,14 @@ def range_search(index: PsaIndex, pattern_prev: list[int],
     """Maximal subrange of [lo, hi] whose suffixes extend the pattern.
 
     Ranks are 1-based inclusive. The caller guarantees every suffix in the
-    range already agrees with the pattern on its first ``skip`` symbols.
-    Returns (first, last) ranks or None.
+    range already agrees with the pattern on its first ``skip`` symbols;
+    nothing here re-checks it. Returns (first, last) ranks or None.
 
     The left edge is an LCP-accelerated lower bound: each probe resolves
-    from the LCP of two ranks, or compares symbols from where the longer
-    boundary match left off, so a search makes O(m + log(hi - lo)) symbol
-    comparisons. The LCP of two ranks is a min over the LCP slice between
+    from the LCP of two ranks, or compares symbols (``compare_suffix``, the
+    loop the tree descent uses too) from where the longer boundary match
+    left off, so a search makes O(m + log(hi - lo)) symbol comparisons.
+    The LCP of two ranks is a min over the LCP slice between
     them; the slices halve with the search interval, so they sum to about
     one range length per search. The right edge scans forward while the
     adjacent LCP reaches m, O(occurrences in the range). The tray's ranges
@@ -419,14 +410,6 @@ def range_search(index: PsaIndex, pattern_prev: list[int],
         raise ValueError(f"range [{lo},{hi}] out of bounds")
     if lo > hi:
         return None
-    if STRICT_CHECKS:
-        probe = QueryStats()
-        for rk in range(lo, hi + 1):
-            _, got = _compare_suffix(index, index.starts[rk - 1],
-                                     pattern_prev, 0, probe)
-            if got < min(skip, len(pattern_prev)):
-                raise ValidationError(
-                    f"skip precondition violated at rank {rk}: lcp {got} < {skip}")
     stats.max_range_searched = max(stats.max_range_searched, hi - lo + 1)
     m = len(pattern_prev)
     if skip >= m:

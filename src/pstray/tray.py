@@ -27,8 +27,8 @@ from .alphabet import PText, encode_pattern, pattern_codes, rank  # noqa: F401
 from .encoding import STATIC_BASE, pfunction_from_fpos, prev, spe
 from .errors import (ConstructionError, QueryError, RankError,
                      ValidationError)
-from .suffixes import (PsaIndex, QueryStats, build_psa, range_search, report,
-                       validate_psa)
+from .suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
+                       range_search, report, validate_psa)
 from .tree import (NO_NODE, TrayTree, build_tree, first_edge_symbol,
                    validate_tree)
 
@@ -199,8 +199,8 @@ class PSTrayIndex:
     def query(self, pattern) -> tuple[list[int], QueryStats]:
         return query(self, self.text, pattern)
 
-    def validate(self, full: bool = True) -> None:
-        validate_psa(self.psa_index, self.text, full=full)
+    def validate(self) -> None:
+        validate_psa(self.psa_index, self.text, full=True)
         validate_tree(self.tree, self.psa_index, self.text)
         validate_annotations(self.tree, self.ann, self.text, self.psa_index)
 
@@ -223,30 +223,6 @@ def build_tray(psa_index: PsaIndex, text: PText) -> PSTrayIndex:
 def assemble(text: PText) -> PSTrayIndex:
     """Sort the suffixes, then build the tree and its annotations."""
     return build_tray(build_psa(text), text)
-
-
-def _edge_matches(idx: PSTrayIndex, child: int, matched: int,
-                  pattern_prev: list[int], stats: QueryStats) -> bool:
-    """Whether the rest of the edge entering ``child``, up to the pattern's
-    end, matches the pattern, given that depth ``matched + 1`` does.
-
-    Symbol ``d`` of the child's leftmost suffix is read from the prev codes
-    with the window adjustment inlined: a distance of ``d`` or more points
-    before the window and reads 0.
-    """
-    index = idx.psa_index
-    codes = index.codes
-    upto = min(len(pattern_prev), idx.tree.depth[child])
-    at = index.starts[idx.tree.lo[child] - 1] - 2  # symbol d is codes[at + d]
-    for d in range(matched + 2, upto + 1):
-        sym = codes[at + d]
-        if d <= sym < STATIC_BASE:
-            sym = 0
-        if sym != pattern_prev[d - 1]:
-            stats.symbol_comparisons += d - matched - 1
-            return False
-    stats.symbol_comparisons += max(upto - matched - 1, 0)
-    return True
 
 
 def _pattern_codes(text: PText,
@@ -285,10 +261,16 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
 
     ``pattern`` is raw input (string or token sequence) or a pre-encoded
     id list; one pass over it gives its prev codes and canonical ids.
-    Descends the tree through heavy nodes (O(1) dispatch at branching
-    nodes, heavy-child pointer otherwise) and finishes with a bounded
-    suffix-array search as soon as the locus leaves the heavy part. The
-    match range is reported as one slice of the suffix starts, sorted
+    Descends the tree through heavy nodes and finishes with a bounded
+    suffix-array search as soon as the locus leaves the heavy part. A
+    branching node dispatches in O(1) on the next canonical id, which
+    matches the first symbol of the child's edge; a non-branching one
+    offers only its heavy child. Either way the rest of the edge, up to the
+    pattern's end, is compared on the child's leftmost suffix by
+    ``compare_suffix``, the loop the binary search runs too. At a heavy
+    child a mismatch on the edge's first symbol leaves the leaf block left
+    or right of the child, by the sign of the comparison, for the search.
+    The match range is reported as one slice of the suffix starts, sorted
     ascending.
     """
     stats = QueryStats()
@@ -301,13 +283,14 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
     ann = idx.ann
     index = idx.psa_index
     depth, lo, hi = tree.depth, tree.lo, tree.hi
+    starts = index.starts
     rng = None
     node = tree.root
     matched = 0  # the depth of node
     while True:
         stats.nodes_visited += 1
-        nxt = pattern_prev[matched]
         if ann.is_branching[node]:
+            nxt = pattern_prev[matched]
             if nxt >= STATIC_BASE:
                 rank_ = nxt - STATIC_BASE
             else:
@@ -322,27 +305,25 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
                 rng = range_search(index, pattern_prev, lo[child], hi[child],
                                    matched + 1, stats)
                 break
+            start = matched + 1  # the dispatch matched the edge's first symbol
         else:
             child = ann.heavy_child[node]
             if child == NO_NODE:
                 rng = range_search(index, pattern_prev, lo[node], hi[node],
                                    matched, stats)
                 break
-            # Symbol matched + 1 of the heavy child's edge, window-adjusted.
-            hsym = index.codes[index.starts[lo[child] - 1] + matched - 1]
-            if matched < hsym < STATIC_BASE:
-                hsym = 0
-            stats.symbol_comparisons += 1
-            if nxt != hsym:
-                if nxt < hsym:
+            start = matched
+        rel, t = compare_suffix(index, starts[lo[child] - 1], pattern_prev,
+                                start, stats, min(m, depth[child]))
+        if rel:
+            if t == matched:  # off the heavy child's edge at its first symbol
+                if rel > 0:
                     first, last = lo[node], lo[child] - 1
                 else:
                     first, last = hi[child] + 1, hi[node]
                 if first <= last:
                     rng = range_search(index, pattern_prev, first, last,
                                        matched, stats)
-                break
-        if not _edge_matches(idx, child, matched, pattern_prev, stats):
             break
         if m <= depth[child]:
             rng = (lo[child], hi[child])

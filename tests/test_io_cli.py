@@ -215,6 +215,48 @@ def test_undecodable_token_is_refused(tmp_path, demo_index):
         index_io.load(path)
 
 
+def _forge_alphabet(tmp_path, index, pi, sigma):
+    """Save ``index`` with the declared token sets of its alphabet section
+    replaced by ``pi`` and ``sigma`` (None: every other token is static),
+    re-checksum, and return the path."""
+    def blob(tokens):
+        return struct.pack("<Q", len(tokens)) + b"".join(
+            struct.pack("<Q", len(tok)) + tok.encode() for tok in tokens)
+
+    path = tmp_path / "x.idx"
+    index_io.save(index, path)
+    data = path.read_bytes()
+    off, length = sections(data)[index_io.SEC_ALPHABET]
+    ids = sorted(index.text.tok2id.items(), key=lambda kv: kv[1])
+    payload = struct.pack("<Q", len(ids)) + b"".join(
+        struct.pack("<2Q", sym, len(tok)) + tok.encode() for tok, sym in ids)
+    payload += blob(sorted(pi))
+    payload += (struct.pack("<Q", 0) if sigma is None
+                else struct.pack("<Q", 1) + blob(sorted(sigma)))
+    rewrite(path, data[:off - 8] + struct.pack("<Q", len(payload)) + payload
+            + data[off + length:])
+    return path
+
+
+@pytest.mark.parametrize("pi, sigma", [
+    ("wxy", "A"),    # z holds a parameterized id but is declared static
+    ("wxy", None),
+    ("xyzA", None),  # A holds a static id but is declared parameterized
+    ("xyz", "B"),    # the explicit static set leaves A out
+    ("xyz", "Ax"),   # x declared both
+])
+def test_forged_token_classes_are_refused(tmp_path, pi, sigma):
+    index = assemble(make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A"))
+    plain = tmp_path / "plain.idx"
+    index_io.save(index, plain)
+    # The forger rewrites the section exactly as save writes it.
+    same = _forge_alphabet(tmp_path, index, "xyz", "A")
+    assert same.read_bytes() == plain.read_bytes()
+    path = _forge_alphabet(tmp_path, index, pi, sigma)
+    with pytest.raises(FormatError, match="alphabet"):
+        index_io.load(path)
+
+
 def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
     rng = random.Random(2718)
     t = make_text("".join(rng.choice("xyzAB") for _ in range(60)), pi="xyz")

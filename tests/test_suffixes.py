@@ -8,7 +8,7 @@ from pstray.alphabet import encode_pattern
 from pstray.encoding import STATIC_BASE, prev, prev_char_in_window
 from pstray.errors import ValidationError
 from pstray.oracle import naive_psa
-from pstray.suffixes import (PsaIndex, QueryStats, build_psa,
+from pstray.suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
                              plain_range_search, range_search, report,
                              validate_psa)
 from pstray.tree import build_tree
@@ -223,24 +223,64 @@ def test_report_trivia(demo_index):
     assert sorted(report(idx, (1, idx.n))) == list(range(1, idx.n + 1))
 
 
+def test_compare_suffix_matches_its_definition():
+    rng = random.Random(808)
+    texts = [random_text(rng, max_n=90) for _ in range(25)]
+    texts += [make_text(raw, pi="xy") for raw in ("x" * 40, "xy" * 25,
+                                                  "xyA" * 20)]
+    for t in texts:
+        idx = build_psa(t)
+        for _ in range(60):
+            j = rng.randint(1, t.n)
+            label = prev(t.symbols[j - 1:], t.pi)
+            # Follow the suffix for a while, then go astray (or past its end).
+            m = rng.randint(1, len(label) + 3)
+            follow = label[:rng.randint(0, m)]
+            stray = sorted(set(label)) + [0, 1, 2, STATIC_BASE + 1]
+            pat = follow + [rng.choice(stray) for _ in range(m - len(follow))]
+            start = rng.randint(0, m)
+            stop = rng.choice((None, rng.randint(start, m)))
+            end = m if stop is None else stop
+            got_s, got_p = label[start:end], pat[start:end]
+            sign = (got_s > got_p) - (got_s < got_p)
+            diff = next((start + k for k, (a, b) in
+                         enumerate(zip(got_s, got_p)) if a != b), None)
+            if diff is not None:
+                want, read = (sign, diff), diff - start + 1
+            elif sign:  # the suffix ends first, so it is the smaller
+                want = (sign, max(start, len(label)))
+                read = want[1] - start
+            else:
+                want, read = (0, end), end - start
+            stats = QueryStats(symbol_comparisons=5)
+            args = (idx, j, pat, start, stats) + (() if stop is None
+                                                  else (stop,))
+            assert compare_suffix(*args) == want, (j, pat, start, stop)
+            assert stats.symbol_comparisons == 5 + read
+            # An empty span compares equal and reads nothing.
+            stats = QueryStats()
+            assert compare_suffix(idx, j, pat, end, stats, end) == (0, end)
+            assert stats.symbol_comparisons == 0
+
+
 def check_subranges(t, idx, tree):
     """range_search against the plain oracle on every tree node's range,
-    for patterns ending at, one and two symbols past the node's depth."""
-    sfx.STRICT_CHECKS = True
-    try:
-        for v in range(tree.size):
-            lo, hi, d = tree.lo[v], tree.hi[v], tree.depth[v]
-            start = idx.starts[lo - 1]
-            label = prev(t.symbols[start - 1:], t.pi)
-            for extra in range(0, 3):
-                pat = label[:d + extra]
-                if not pat:
-                    continue
-                skip = min(d, len(pat))
-                want = plain_range_search(idx, pat, lo, hi, skip, QueryStats())
-                assert range_search(idx, pat, lo, hi, skip) == want
-    finally:
-        sfx.STRICT_CHECKS = False
+    for patterns ending at, one and two symbols past the node's depth.
+    range_search trusts its caller on the first ``skip`` symbols, so the
+    check first asserts that every suffix in the range shares them."""
+    labels = [prev(t.symbols[start - 1:], t.pi) for start in idx.starts]
+    for v in range(tree.size):
+        lo, hi, d = tree.lo[v], tree.hi[v], tree.depth[v]
+        label = labels[lo - 1]
+        for extra in range(0, 3):
+            pat = label[:d + extra]
+            if not pat:
+                continue
+            skip = min(d, len(pat))
+            assert all(labels[r - 1][:skip] == pat[:skip]
+                       for r in range(lo, hi + 1))
+            want = plain_range_search(idx, pat, lo, hi, skip, QueryStats())
+            assert range_search(idx, pat, lo, hi, skip) == want
 
 
 def test_variants_agree_randomized():
@@ -361,16 +401,3 @@ def test_linear_check_catches_order_faults(demo_text, demo_index):
     validate_psa(overstated, demo_text, full=False)
     with pytest.raises(ValidationError, match="overstates"):
         validate_psa(overstated, demo_text, full=True)
-
-
-def test_strict_mode_rejects_bad_skip(demo_text, demo_index):
-    from pstray.errors import ValidationError
-
-    idx = demo_index.psa_index
-    sfx.STRICT_CHECKS = True
-    try:
-        with pytest.raises(ValidationError):
-            # ranks 1..9 share only one symbol, not three
-            range_search(idx, sym_codes(demo_text, "0A01"), 1, 9, 3)
-    finally:
-        sfx.STRICT_CHECKS = False

@@ -238,6 +238,42 @@ def test_query_vs_oracle_randomized():
                 assert stats.symbol_comparisons <= envelope
 
 
+# Full QueryStats (symbol_comparisons, nodes_visited, parray_lookups,
+# psa_probes, max_range_searched) of queries covering every way the descent
+# leaves a node: a dispatch whose edge mismatches (demo "xAx"), a heavy
+# child taken whole ("ABy", the periodic run), left off at its first symbol
+# to the left ("Buwvuvv", and the periodic query whose left block is empty)
+# or to the right ("zxAwDz", "AAxxyA"), and a heavy edge that mismatches
+# further down ("yxAyyAyyAxyAyyA"). They pin the accounting, not only the
+# answers.
+GOLDEN_STATS = [
+    ("demo", "xAyy", 2, (2, 3, 2, 1, 3)),
+    ("demo", "zz", 2, (0, 2, 2, 0, 2)),
+    ("demo", "xAx", 0, (1, 2, 2, 0, 0)),
+    ("random", "zxAwDz", 1, (8, 5, 4, 6, 19)),
+    ("random", "Buwvuvv", 1, (7, 5, 4, 6, 12)),
+    ("random", "ABy", 18, (1, 3, 2, 0, 0)),
+    ("random", "CCyCvCBy", 0, (9, 4, 2, 5, 8)),
+    ("periodic", "yxAyyAyyAxyAyyA", 0, (3, 3, 2, 0, 0)),
+    ("periodic", "yxA" * 12, 29, (34, 13, 2, 0, 0)),
+    ("periodic", "xAyxAxAAxxyxyyyyxAxyxxxxyyyxxxyAyyxAAAyx", 0,
+     (4, 4, 2, 0, 0)),
+    ("periodic", "AAxxyA", 0, (2, 2, 1, 1, 1)),
+]
+
+
+def test_query_counters_are_pinned(demo_index):
+    indexes = {"demo": demo_index, "random": _random_index(41)[1],
+               "periodic": assemble(make_text("xyA" * 40, pi="xy"))}
+    for name, pat, count, counters in GOLDEN_STATS:
+        index = indexes[name]
+        occ, stats = index.query(pat)
+        assert occ == sorted(naive_ppm(index.text,
+                                       encode_pattern(index.text, pat)))
+        assert (len(occ), tuple(stats.as_dict().values())) == (
+            count, counters), (name, pat)
+
+
 def test_query_is_pure(demo_text, demo_index):
     # stats are per-call; repeated queries agree
     a, sa = query(demo_index, demo_text, "xAyy")
