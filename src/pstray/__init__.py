@@ -16,7 +16,7 @@ from .errors import (CapacityError, ChecksumError, ClassificationError,
 from .suffixes import (PsaIndex, QueryStats, build_psa, range_search, report,
                        validate_psa)
 from .tray import (PSTrayIndex, TrayAnnotations, assemble, build_parrays,
-                   build_tray, classify_pnodes, compute_pfunctions, query)
+                   build_tray, classify_pnodes, query)
 from .tree import TrayTree, build_tree, edge_symbol
 
 __version__ = "0.1.0"
@@ -28,8 +28,7 @@ __all__ = [
     "STATIC_BASE",
     "PsaIndex", "QueryStats", "build_psa", "range_search", "report",
     "validate_psa", "TrayTree", "build_tree", "edge_symbol",
-    "TrayAnnotations", "PSTrayIndex", "classify_pnodes",
-    "compute_pfunctions", "build_parrays",
+    "TrayAnnotations", "PSTrayIndex", "classify_pnodes", "build_parrays",
     "build_tray", "assemble", "query",
     "PstrayError", "InputError", "ClassificationError", "RankError",
     "QueryError", "ConstructionError", "CapacityError", "FormatError",

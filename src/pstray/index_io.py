@@ -7,9 +7,12 @@ payload_len u64, payload)``. All integers are little-endian u64. A
 SHA-256 digest of everything before it closes the file.
 
 The file holds no tree and no annotations. ``load`` verifies magic,
-version and digest, checks that the declared parameterized and static
-token sets agree with the token ids (ids 1..pi parameterized, the rest
-static), checks the text's symbols and the suffix and LCP arrays in O(n)
+version and digest, the mode word (0 bytes, 1 tokens) and the framing:
+each of the four section ids exactly once and no other, the text, suffix
+and LCP sections exactly n words each, and the alphabet section read to
+its end. It checks that the declared parameterized and static token sets
+agree with the token ids (ids 1..pi parameterized, the rest static),
+checks the text's symbols and the suffix and LCP arrays in O(n)
 (``validate_psa(full=False)``: a permutation, every LCP below both suffix
 lengths, each adjacent pair in order one symbol past its LCP), and then
 rebuilds the tree and annotations through ``tray.build_tray``, the same
@@ -142,9 +145,9 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> PSTrayIndex:
-    """Read and checksum an index file, check its token classes against
-    the ids and its suffix and LCP arrays in O(n), and rebuild the tree and
-    annotations from them."""
+    """Read and checksum an index file, check its header and framing, its
+    token classes against the ids and its suffix and LCP arrays in O(n),
+    and rebuild the tree and annotations from them."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 32:
         raise ChecksumError("file too short")
@@ -160,9 +163,17 @@ def load(path: str | Path) -> PSTrayIndex:
         raise FormatError(f"unsupported format version {version}, "
                           f"want {VERSION}")
 
+    if mode_flag not in (0, 1):
+        raise FormatError(f"unknown mode word {mode_flag}")
+
     payloads: dict[int, _Reader] = {}
     while r.pos < len(body):
         sec_id, length = r.u64(), r.u64()
+        if sec_id not in _SECTION_NAMES or sec_id in payloads:
+            raise FormatError(f"section id {sec_id} unknown or repeated")
+        if sec_id != SEC_ALPHABET and length != 8 * n:
+            raise FormatError(f"{_SECTION_NAMES[sec_id]} section holds "
+                              f"{length} bytes, want {8 * n}")
         payloads[sec_id] = _Reader(r.raw(length))
     missing = set(_SECTION_NAMES) - set(payloads)
     if missing:
@@ -176,6 +187,8 @@ def load(path: str | Path) -> PSTrayIndex:
         tok2id[sec.string()] = sym
     pi_members = frozenset(sec.tokens())
     sigma_members = frozenset(sec.tokens()) if sec.u64() else None
+    if sec.pos != len(sec.data):
+        raise FormatError("alphabet section: bytes after the last token")
     try:
         spec = AlphabetSpec(pi_members=pi_members,
                             sigma_members=sigma_members,

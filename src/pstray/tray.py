@@ -34,8 +34,7 @@ from .tree import (NO_NODE, TrayTree, build_tree, first_edge_symbol,
 
 __all__ = [
     "TrayAnnotations", "QueryStats", "PSTrayIndex", "classify_pnodes",
-    "compute_pfunctions", "build_parrays",
-    "build_tray", "assemble", "query", "validate_annotations",
+    "build_parrays", "build_tray", "assemble", "query", "validate_annotations",
 ]
 
 
@@ -90,68 +89,55 @@ def classify_pnodes(tree: TrayTree, text: PText) -> TrayAnnotations:
                            heavy_child=heavy_child.tolist())
 
 
-def compute_pfunctions(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                       index: PsaIndex) -> dict[int, dict[int, int]]:
-    """Canonical renamings of the representative windows of all branching
-    nodes at once, as ``{node: {symbol: canonical id}}``; no other node's
-    is ever read.
+def _canonical_ids(text: PText, reps: list[int],
+                   depths: list[int]) -> list[list[int]]:
+    """Canonical renamings of the windows ``T[i:i+depth]`` at ``reps``, as
+    one table: row j, column x holds parameterized symbol x's canonical id
+    in window j, or 0 when x does not occur there, and column 0 holds the
+    row's count of ids.
 
-    A node's representative is its leftmost leaf's suffix
-    ``starts[lo[v] - 1]``: every suffix in the block shares the node's
-    label, so any of them gives the same renaming. For branching node v
-    with representative i and window ``T[i:i+depth(v)]``, the
-    parameterized symbols first occurring inside the window, in order of
-    first occurrence, map to canonical ids 1, 2, ... Each symbol's first
-    occurrence at or after every representative comes from one
-    ``searchsorted`` over that symbol's sorted positions, so the work is
-    O(pi * branching nodes) numpy element steps; one sort of the in-window
-    hits by (node, position) then numbers each node's symbols.
+    Each symbol's first occurrence at or after every window start comes
+    from one ``searchsorted`` over that symbol's sorted positions; those
+    past the window's end are blanked, and ranking the rest of each row by
+    position numbers the window's symbols in order of first occurrence.
+    The table has one row per window and pi + 1 columns.
     """
-    nodes = list(compress(range(tree.size), ann.is_branching))
-    pfun: dict[int, dict[int, int]] = {v: {} for v in nodes}
-    if not nodes or text.pi == 0:
-        return pfun
-    depth, lo, starts = tree.depth, tree.lo, index.starts
-    reps = _array([starts[lo[v] - 1] for v in nodes])
-    ends = reps + _array([depth[v] for v in nodes])  # one past each window
+    pi = text.pi
+    starts = _array(reps)
+    ends = starts + _array(depths)  # one past each window
     symbols = _array(text.symbols)
-    where = (symbols <= text.pi).nonzero()[0]
+    where = (symbols <= pi).nonzero()[0]
     by_symbol = where[np.argsort(symbols[where], kind="stable")] + 1
-    cuts = np.cumsum(np.bincount(symbols[where], minlength=text.pi + 1))
-    hit_node, hit_pos, hit_sym = [], [], []
-    for x in range(1, text.pi + 1):
+    cuts = np.cumsum(np.bincount(symbols[where], minlength=pi + 1))
+    none = np.iinfo(np.int64).max  # no occurrence at or after the start
+    first = np.empty((len(reps), pi), dtype=np.int64)
+    for x in range(1, pi + 1):
         occ = by_symbol[cuts[x - 1]:cuts[x]]
-        k = np.searchsorted(occ, reps)
-        first = np.append(occ, ends.max())[k]
-        inside = (first < ends).nonzero()[0]
-        hit_node.append(inside)
-        hit_pos.append(first[inside])
-        hit_sym.append(np.full(len(inside), x, dtype=np.int64))
-    node = np.concatenate(hit_node)
-    order = np.lexsort((np.concatenate(hit_pos), node))
-    node = node[order]
-    sym = np.concatenate(hit_sym)[order]
-    canon = np.arange(len(node)) - np.searchsorted(node, node) + 1
-    for v, x, c in zip(np.array(nodes)[node].tolist(), sym.tolist(),
-                       canon.tolist()):
-        pfun[v][x] = c
-    return pfun
+        first[:, x - 1] = np.append(occ, none)[np.searchsorted(occ, starts)]
+    inside = first < ends[:, None]
+    table = np.empty((len(reps), pi + 1), dtype=np.int64)
+    table[:, 0] = inside.sum(axis=1)
+    rank = np.argsort(np.argsort(first, axis=1), axis=1) + 1
+    table[:, 1:] = np.where(inside, rank, 0)
+    return table.tolist()
 
 
 def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                  index: PsaIndex,
-                  pfun: dict[int, dict[int, int]]) -> TrayAnnotations:
+                  index: PsaIndex) -> TrayAnnotations:
     """Fill the dispatch array of every branching heavy node from the
-    p-functions ``compute_pfunctions`` returns.
+    canonical renaming of its representative window, its leftmost leaf's
+    suffix ``starts[lo[v] - 1]`` (every suffix in the block shares the
+    node's label, so any would do). ``_canonical_ids`` computes the
+    renamings of all branching nodes as one table; no other node's is
+    ever read.
 
-    For a node of depth D with representative suffix i (its leftmost
-    leaf's), a child whose edge starts with distance k > 0 continues the
-    canonical form with the canonical id of ``T[i+D-k]`` (the window
-    position the distance points at); the distance-0 child is the
-    continuation for every canonical id not used inside the window; a
-    static child sits at its own rank. A child's first edge symbol is
-    symbol D+1 of its leftmost suffix, read from the prev codes with the
-    window adjustment inlined.
+    For a node of depth D with representative suffix i, a child whose edge
+    starts with distance k > 0 continues the canonical form with the
+    canonical id of ``T[i+D-k]`` (the window position the distance points
+    at); the distance-0 child is the continuation for every canonical id
+    not used inside the window; a static child sits at its own rank. A
+    child's first edge symbol is symbol D+1 of its leftmost suffix, read
+    from the prev codes with the window adjustment inlined.
     """
     width = text.sigma + text.pi
     pi = text.pi
@@ -160,24 +146,25 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
     depth = tree.depth
     lo = tree.lo
     starts = index.starts
-    for v in compress(range(tree.size), ann.is_branching):
+    nodes = list(compress(range(tree.size), ann.is_branching))
+    reps = [starts[lo[v] - 1] for v in nodes]
+    table = _canonical_ids(text, reps, [depth[v] for v in nodes])
+    for v, rep, row in zip(nodes, reps, table):
         d = depth[v]
-        rep = starts[lo[v] - 1]
-        fmap = pfun[v]
-        used = len(fmap)
         par = [NO_NODE] * (width + 1)
         for u in tree.children[v]:
             sym = codes[starts[lo[u] - 1] + d - 1]
             if sym >= STATIC_BASE:
                 ranks = (sym - STATIC_BASE,)
             elif 0 < sym <= d:
-                canon = fmap.get(symbols[rep + d - sym - 1])
-                if canon is None:
+                x = symbols[rep + d - sym - 1]
+                if x > pi:
                     raise ConstructionError(
-                        f"distance child at node {v} references unmapped symbol")
-                ranks = (canon,)
+                        f"distance child at node {v} points at static "
+                        f"symbol {x}")
+                ranks = (row[x],)
             else:  # a symbol not seen inside the window
-                ranks = range(used + 1, pi + 1)
+                ranks = range(row[0] + 1, pi + 1)
             for k in ranks:
                 if par[k] != NO_NODE:
                     raise ConstructionError(
@@ -207,16 +194,15 @@ class PSTrayIndex:
 
 def build_tray(psa_index: PsaIndex, text: PText) -> PSTrayIndex:
     """Everything after the suffix sort: build the tree, classify heavy
-    nodes, and fill the dispatch arrays from the branching nodes'
-    p-functions, which are dropped once the arrays are built.
+    nodes, and fill the dispatch arrays of the branching nodes from their
+    canonical-id table, which is dropped once the arrays are built.
 
     The one construction path for the tree and its annotations: both
     ``assemble`` and ``index_io.load`` call it.
     """
     tree = build_tree(psa_index, text)
     ann = classify_pnodes(tree, text)
-    pfun = compute_pfunctions(tree, ann, text, psa_index)
-    build_parrays(tree, ann, text, psa_index, pfun)
+    build_parrays(tree, ann, text, psa_index)
     return PSTrayIndex(text=text, psa_index=psa_index, tree=tree, ann=ann)
 
 

@@ -5,7 +5,7 @@ import random
 
 from pstray.encoding import fpos, pfunction_from_fpos
 from pstray.suffixes import build_psa
-from pstray.tray import assemble, compute_pfunctions, validate_annotations
+from pstray.tray import _canonical_ids, assemble, validate_annotations
 from pstray.tree import build_tree, validate_tree
 
 from conftest import make_text, random_text
@@ -67,12 +67,15 @@ def test_annotations_match_definitions():
         index = assemble(t)
         tree, ann, idx = index.tree, index.ann, index.psa_index
         validate_annotations(tree, ann, t, idx)
-        # Only branching nodes dispatch, so only they get a p-function: the
-        # renaming of the window at their leftmost leaf.
-        pfun = compute_pfunctions(tree, ann, t, idx)
+        # Only branching nodes dispatch, so only they get a row of canonical
+        # ids: the renaming of the window at their leftmost leaf.
         branching = [v for v in range(tree.size) if ann.is_branching[v]]
-        assert sorted(pfun) == branching == sorted(ann.parray)
-        for v in branching:
-            rep = idx.starts[tree.lo[v] - 1]
-            assert pfun[v] == pfunction_from_fpos(t, rep, tree.depth[v],
-                                                  fpos(t, rep))
+        assert branching == sorted(ann.parray)
+        reps = [idx.starts[tree.lo[v] - 1] for v in branching]
+        table = _canonical_ids(t, reps, [tree.depth[v] for v in branching])
+        assert len(table) == len(branching)
+        for v, rep, row in zip(branching, reps, table):
+            assert len(row) == t.pi + 1
+            fmap = pfunction_from_fpos(t, rep, tree.depth[v], fpos(t, rep))
+            assert {x: c for x, c in enumerate(row) if x and c} == fmap
+            assert row[0] == len(fmap)

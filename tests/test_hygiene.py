@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never reads."""
+"""Source hygiene: no module of the package imports a name it never reads,
+and every name a module exports in ``__all__`` is bound in it."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,33 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pstray"
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The string entries of every ``__all__ = [...]`` assignment."""
+    return {elt.value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for elt in node.value.elts}
+
+
+def unbound_exports(source: str) -> list[str]:
+    """``__all__`` entries of ``source`` that no top-level statement binds
+    (a def, a class, an import or an assignment)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return sorted(exported(tree) - bound)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,11 +55,7 @@ def unused_imports(source: str) -> list[str]:
             imported[name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            read |= {elt.value for elt in node.value.elts}
+    read |= exported(tree)
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in read]
 
@@ -52,3 +76,28 @@ def test_unused_import_check_sees_what_it_should():
               "__all__ = ['g']\n"
               "print(b, os.sep)\n")
     assert unused_imports(source) == ["line 4: c", "line 6: f"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
+
+
+def test_unbound_export_check_sees_what_it_should():
+    source = ("import os.path\n"
+              "from a import b as c\n"
+              "d, (e, f) = 1, (2, 3)\n"
+              "g: int = 4\n"
+              "def h(): i = 5\n"
+              "class J: pass\n"
+              "__all__ = ['os', 'c', 'd', 'e', 'f', 'g', 'h', 'J',\n"
+              "           'b', 'i', 'gone']\n")
+    assert unbound_exports(source) == ["b", "gone", "i"]
+
+
+def test_star_import_of_the_package_runs():
+    namespace = {}
+    exec("from pstray import *", namespace)
+    import pstray
+    assert set(pstray.__all__) <= set(namespace)

@@ -8,6 +8,7 @@ from pstray import index_io
 from pstray.cli import main
 from pstray.errors import (ChecksumError, ConstructionError, FormatError,
                            PstrayError)
+from pstray.suffixes import PsaIndex, validate_psa
 from pstray.tray import assemble, query
 
 from conftest import make_text, random_pattern, random_text
@@ -174,14 +175,24 @@ def test_forged_psa_and_plcp_are_refused(tmp_path, demo_index):
 
 
 def test_forgery_caught_by_the_rebuild_is_a_format_error(tmp_path):
-    # This overstated LCP passes the O(n) order check; the rebuilt node
-    # then has two children claiming one dispatch rank.
-    t = make_text("xzBBBAyyByxyBByABzBzAzBBx", pi="xyz")
-    path = _forge(tmp_path, assemble(t), index_io.SEC_PLCP,
-                  lambda words: words.__setitem__(6, 5))
-    with pytest.raises(FormatError, match="collision") as caught:
-        index_io.load(path)
-    assert isinstance(caught.value.__cause__, ConstructionError)
+    # Each overstated LCP passes the O(n) order check; the rebuild then
+    # finds two children of one node claiming one dispatch rank, or a
+    # child whose distance points at a static symbol of the node's window.
+    for raw, word, value, message in (
+            ("xzBBBAyyByxyBByABzBzAzBBx", 6, 5, "collision"),
+            ("xxAyAxxxAyAxAyxAAA", 4, 3, "distance child")):
+        index = assemble(make_text(raw, pi="xyz"))
+        plcp = index.psa_index.plcp.copy()
+        assert plcp[word] < value
+        plcp[word] = value
+        validate_psa(PsaIndex(psa=index.psa_index.psa, plcp=plcp,
+                              codes=index.psa_index.codes), index.text,
+                     full=False)
+        path = _forge(tmp_path, index, index_io.SEC_PLCP,
+                      lambda words: words.__setitem__(word, value))
+        with pytest.raises(FormatError, match=message) as caught:
+            index_io.load(path)
+        assert isinstance(caught.value.__cause__, ConstructionError)
 
 
 def test_forged_text_symbols_are_refused(tmp_path, demo_text, demo_index):
@@ -254,6 +265,52 @@ def test_forged_token_classes_are_refused(tmp_path, pi, sigma):
     assert same.read_bytes() == plain.read_bytes()
     path = _forge_alphabet(tmp_path, index, pi, sigma)
     with pytest.raises(FormatError, match="alphabet"):
+        index_io.load(path)
+
+
+def _reframe(tmp_path, index, change):
+    """Save ``index``, split the file into its header and its (section id,
+    payload) frames, let ``change`` return edited ones, write them back
+    framed as ``save`` frames them, re-checksum, and return the path."""
+    path = tmp_path / "x.idx"
+    index_io.save(index, path)
+    data = path.read_bytes()
+    head = data[:8 + 6 * 8]
+    frames = [(sec_id, data[off:off + length])
+              for sec_id, (off, length) in sections(data).items()]
+    head, frames = change(head, frames)
+    body = head + b"".join(struct.pack("<2Q", sec_id, len(payload)) + payload
+                           for sec_id, payload in frames)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+def _grow(sec_id, extra):
+    """Append ``extra`` to the payload of section ``sec_id``."""
+    return lambda head, frames: (head, [
+        (s, p + extra if s == sec_id else p) for s, p in frames])
+
+
+@pytest.mark.parametrize("change, message", [
+    # mode word 7 loaded as token mode, and "Az" then matched nothing
+    (lambda head, frames: (head[:48] + struct.pack("<Q", 7) + head[56:],
+                           frames), "mode word 7"),
+    (_grow(index_io.SEC_TEXT, struct.pack("<Q", 1)), "text section holds"),
+    (lambda head, frames: (head, frames + [(9, struct.pack("<Q", 0))]),
+     "section id 9"),
+    (lambda head, frames: (head, frames + [frames[1]]),  # the text again
+     "section id 2"),
+    (_grow(index_io.SEC_ALPHABET, bytes(8)), "after the last token"),
+], ids=["mode_word", "long_text", "unknown_section", "second_text",
+        "alphabet_tail"])
+def test_forged_header_and_framing_are_refused(tmp_path, change, message):
+    index = assemble(make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A"))
+    plain = tmp_path / "plain.idx"
+    index_io.save(index, plain)
+    same = _reframe(tmp_path, index, lambda head, frames: (head, frames))
+    assert same.read_bytes() == plain.read_bytes()
+    path = _reframe(tmp_path, index, change)
+    with pytest.raises(FormatError, match=message):
         index_io.load(path)
 
 

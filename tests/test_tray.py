@@ -9,9 +9,9 @@ from pstray.encoding import spe
 from pstray.errors import QueryError
 from pstray.oracle import naive_parray, naive_ppm
 from pstray.suffixes import build_psa
-from pstray.tray import (assemble, build_parrays, classify_pnodes,
-                         compute_pfunctions, query, validate_annotations)
-from pstray.tree import NO_NODE, build_tree
+from pstray.tray import (_canonical_ids, assemble, build_parrays,
+                         classify_pnodes, query, validate_annotations)
+from pstray.tree import NO_NODE, build_tree, first_edge_symbol
 
 from conftest import make_text, random_pattern, random_text
 from test_tree import label_map
@@ -117,15 +117,50 @@ def test_pfunction_reconstructs_canonical_window():
         t = random_text(rng, max_n=100)
         index = assemble(t)
         tree, ann, idx = index.tree, index.ann, index.psa_index
-        pfun = compute_pfunctions(tree, ann, t, idx)
-        # Only branching nodes get a p-function, from their leftmost leaf.
-        assert sorted(pfun) == [v for v in range(tree.size)
-                                if ann.is_branching[v]]
-        for v, fmap in pfun.items():
-            i, depth = idx.starts[tree.lo[v] - 1], tree.depth[v]
+        # Only branching nodes get a row, from their leftmost leaf.
+        nodes = [v for v in range(tree.size) if ann.is_branching[v]]
+        reps = [idx.starts[tree.lo[v] - 1] for v in nodes]
+        depths = [tree.depth[v] for v in nodes]
+        table = _canonical_ids(t, reps, depths)
+        for i, depth, row in zip(reps, depths, table):
             window = t.symbols[i - 1:i - 1 + depth]
-            mapped = [fmap[c] if c <= t.pi else c for c in window]
+            mapped = [row[c] if c <= t.pi else c for c in window]
             assert mapped == spe(window, t.pi)
+
+
+def _statements(rng, pi_tokens, count):
+    """``count`` assignments over the first four identifiers; the rest of
+    ``pi_tokens`` occur once each, so pi is their number."""
+    common = pi_tokens[:4]
+    words = []
+    for _ in range(count):
+        a, b = rng.choice(common), rng.choice(common)
+        words += [a, "=", rng.choice((a, b)), rng.choice("+*"), b, ";"]
+    return " ".join(words + pi_tokens[4:])
+
+
+def test_parrays_match_oracle_on_wide_and_static_alphabets():
+    # Random texts draw pi <= 6; code-like token texts have hundreds of
+    # identifiers, and a text may have none.
+    rng = random.Random(909)
+    idents = [f"v{k}" for k in range(210)]
+    wide = make_text(_statements(rng, idents, 600), pi=idents, sigma=None,
+                     mode="tokens")
+    assert wide.pi >= 200
+    static = make_text("".join(rng.choice("ABC") for _ in range(400)),
+                       pi="", sigma="ABC")
+    assert static.pi == 0
+    for t in (wide, static):
+        index = assemble(t)
+        tree, ann, idx = index.tree, index.ann, index.psa_index
+        nodes = [v for v in range(tree.size) if ann.is_branching[v]]
+        assert nodes
+        for v in nodes:
+            assert ann.parray[v] == naive_parray(tree, t, idx, v)
+        distance_children = [
+            u for v in nodes for u in tree.children[v]
+            if 0 < first_edge_symbol(tree, idx, u) <= tree.depth[v]]
+        assert bool(distance_children) == (t is wide)
 
 
 # ------------------------------------------------------------ queries
@@ -342,7 +377,6 @@ def test_manual_stage_by_stage_equals_assemble(demo_text):
     psa_index = build_psa(t)
     tree = build_tree(psa_index, t)
     ann = classify_pnodes(tree, t)
-    pfun = compute_pfunctions(tree, ann, t, psa_index)
-    assert build_parrays(tree, ann, t, psa_index, pfun) is ann
+    assert build_parrays(tree, ann, t, psa_index) is ann
     auto = assemble(t)
     assert vars(ann) == vars(auto.ann)
