@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .encoding import STATIC_BASE
 from .errors import ClassificationError, InputError, QueryError, RankError
 
@@ -118,6 +120,7 @@ class PText:
     id2tok: dict[int, str]
     spec: AlphabetSpec
     _prev_codes: list[int] | None = field(default=None, repr=False)
+    _symbol_array: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -137,6 +140,14 @@ class PText:
 
             self._prev_codes = prev(self.symbols, self.pi)
         return self._prev_codes
+
+    @property
+    def symbol_array(self) -> np.ndarray:
+        """``symbols`` as an int64 array, made at most once per text (a
+        loaded text is given the array it was read from)."""
+        if self._symbol_array is None:
+            self._symbol_array = np.array(self.symbols, dtype=np.int64)
+        return self._symbol_array
 
     def decode(self, positions: Iterable[int]) -> str:
         """External tokens of the given 1-based positions (debugging aid)."""

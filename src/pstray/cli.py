@@ -52,6 +52,7 @@ def cmd_build(args) -> int:
     branching = sum(ann.is_branching)
     print(f"n={text.n} pi={text.pi} sigma={text.sigma} "
           f"nodes={index.tree.size} pnodes={pnodes} "
+          f"light_targets={index.tree.size - pnodes} "
           f"branching_pnodes={branching} parray_cells={ann.parray_cells()}")
     return 0
 
@@ -88,10 +89,12 @@ def cmd_stats(args) -> int:
     print(f"n={n}")
     print(f"pi={text.pi}")
     print(f"sigma={text.sigma}")
+    pnodes = sum(ann.is_pnode)
+    # The tree keeps the heavy nodes and their children; the light ones
+    # are where a descent hands over to the suffix-array search.
     print(f"nodes={tree.size}")
-    print(f"leaves={n}")  # leaves are nodes 1..n
-    print(f"internal={tree.size - n}")
-    print(f"pnodes={sum(ann.is_pnode)}")
+    print(f"pnodes={pnodes}")
+    print(f"light_targets={tree.size - pnodes}")
     print(f"branching_pnodes={branching}")
     print(f"branching_bound={n // threshold}")
     print(f"branching_margin={n // threshold - branching}")

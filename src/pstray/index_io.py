@@ -129,7 +129,7 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
         alpha.append(_tokens_blob(sorted(text.spec.sigma_members)))
     sections.append((SEC_ALPHABET, b"".join(alpha)))
 
-    sections.append((SEC_TEXT, np.array(text.symbols, dtype="<u8").tobytes()))
+    sections.append((SEC_TEXT, text.symbol_array.astype("<u8").tobytes()))
     sections.append((SEC_PSA, psa_index.psa.astype("<u8").tobytes()))
     sections.append((SEC_PLCP, psa_index.plcp.astype("<u8").tobytes()))
 
@@ -215,7 +215,8 @@ def load(path: str | Path) -> PSTrayIndex:
     if n == 0 or symbols.min() < 1 or symbols.max() > pi + sigma:
         raise FormatError(f"text symbols outside 1..{pi + sigma}")
     text = PText(symbols=symbols.tolist(), pi=pi, sigma=sigma,
-                 tok2id=tok2id, id2tok=id2tok, spec=spec)
+                 tok2id=tok2id, id2tok=id2tok, spec=spec,
+                 _symbol_array=symbols)
     psa_index = PsaIndex(psa=_words(payloads[SEC_PSA], n),
                          plcp=_words(payloads[SEC_PLCP], n),
                          codes=text.prev_codes)

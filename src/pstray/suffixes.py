@@ -70,7 +70,7 @@ class PsaIndex:
     (made from ``psa`` and ``plcp`` here) are plain-list copies for fast
     scalar access and slicing in the search loops: the suffix of 1-based
     rank ``r`` starts at ``starts[r - 1]``. ``starts`` is the index's one
-    rank-to-start list; the tree's leaves read it too.
+    rank-to-start list; the tree reaches its nodes' suffixes through it.
     """
 
     psa: np.ndarray

@@ -1,14 +1,17 @@
 """Hybrid tree/array index: heavy nodes dispatch in O(1), light subtrees
 fall through to a bounded binary search on the suffix array.
 
-A node is *heavy* (a "p-node") when its subtree holds at least
-``max(sigma, pi)`` leaves; a heavy node is *branching* when at least two of
-its children are heavy. Branching nodes carry a dispatch array of length
-``sigma + pi`` indexed by the rank of the next canonically-renamed pattern
-symbol; non-branching heavy nodes keep only a pointer to their unique heavy
-child. Every range that ever reaches the suffix-array search is smaller
-than ``(sigma + pi + 1) * max(sigma, pi)``, which keeps the search's
-logarithmic term independent of the text length.
+This is the suffix tray of Cole, Kopelowitz & Lewenstein (ICALP 2006),
+adapted to parameterized matching. A node is *heavy* (a "p-node") when its
+subtree holds at least ``max(sigma, pi)`` leaves; ``tree.build_tree``
+keeps only the heavy nodes and their children, and a light child is no
+more than a block of suffix-array ranks. A heavy node is *branching*
+when at least two of its children are heavy. Branching nodes carry a
+dispatch array of length ``sigma + pi`` indexed by the rank of the next
+canonically-renamed pattern symbol; non-branching heavy nodes keep only a
+pointer to their unique heavy child. Every range that ever reaches the
+suffix-array search is smaller than ``(sigma + pi + 1) * max(sigma, pi)``,
+which keeps the search's logarithmic term independent of the text length.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ def _canonical_ids(text: PText, reps: list[int],
     pi = text.pi
     starts = _array(reps)
     ends = starts + _array(depths)  # one past each window
-    symbols = _array(text.symbols)
+    symbols = text.symbol_array
     where = (symbols <= pi).nonzero()[0]
     by_symbol = where[np.argsort(symbols[where], kind="stable")] + 1
     cuts = np.cumsum(np.bincount(symbols[where], minlength=pi + 1))
@@ -253,7 +256,8 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
     matches the first symbol of the child's edge; a non-branching one
     offers only its heavy child. Either way the rest of the edge, up to the
     pattern's end, is compared on the child's leftmost suffix by
-    ``compare_suffix``, the loop the binary search runs too. At a heavy
+    ``compare_suffix``, the loop the binary search runs too; the call is
+    skipped when the dispatch has already read all of it. At a heavy
     child a mismatch on the edge's first symbol leaves the leaf block left
     or right of the child, by the sign of the comparison, for the search.
     The match range is reported as one slice of the suffix starts, sorted
@@ -299,18 +303,20 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
                                    matched, stats)
                 break
             start = matched
-        rel, t = compare_suffix(index, starts[lo[child] - 1], pattern_prev,
-                                start, stats, min(m, depth[child]))
-        if rel:
-            if t == matched:  # off the heavy child's edge at its first symbol
-                if rel > 0:
-                    first, last = lo[node], lo[child] - 1
-                else:
-                    first, last = hi[child] + 1, hi[node]
-                if first <= last:
-                    rng = range_search(index, pattern_prev, first, last,
-                                       matched, stats)
-            break
+        stop = min(m, depth[child])
+        if start < stop:  # else the dispatch read all the pattern reaches
+            rel, t = compare_suffix(index, starts[lo[child] - 1],
+                                    pattern_prev, start, stats, stop)
+            if rel:
+                if t == matched:  # off the heavy child's edge at once
+                    if rel > 0:
+                        first, last = lo[node], lo[child] - 1
+                    else:
+                        first, last = hi[child] + 1, hi[node]
+                    if first <= last:
+                        rng = range_search(index, pattern_prev, first, last,
+                                           matched, stats)
+                break
         if m <= depth[child]:
             rng = (lo[child], hi[child])
             break

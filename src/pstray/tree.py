@@ -1,38 +1,51 @@
-"""Compact trie over the prev-encoded suffixes, as a node array.
+"""The tray's part of the compact trie over the prev-encoded suffixes.
 
-The tree is the LCP-interval tree of the sorted suffixes (Abouelhoda,
+The trie is the LCP-interval tree of the sorted suffixes (Abouelhoda,
 Kurtz & Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
-2004): one left-to-right pass over the adjacent-LCP array with a stack of
-open internal nodes, where an LCP drop closes every node deeper than the
-new common depth. Edge labels are never stored; an edge is a depth window
-of any suffix below the node, resolved symbol-by-symbol through the O(1)
-window adjustment.
+2004): an internal node is a rank interval whose least inner adjacent LCP
+(its depth) is larger than the LCPs just outside it. A query only walks
+heavy nodes, those with at least ``max(sigma, pi)`` leaves, and leaves
+the heavy part through one of their children, so only those are kept:
+the suffix tray of Cole, Kopelowitz & Lewenstein ("Suffix trays and
+suffix trists", ICALP 2006), adapted to parameterized matching. Below a
+kept light node the suffix array answers instead.
+
+The kept nodes come from numpy passes over the LCP array, not a per-rank
+loop: each adjacent-LCP boundary belongs to the interval bounded by its
+nearest strictly smaller LCPs, so the heavy intervals are those spans that
+reach the threshold, and a heavy node's boundaries cut it into its
+children. Edge labels are never stored; an edge is a depth window of any
+suffix below the node, resolved symbol-by-symbol through the O(1) window
+adjustment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .alphabet import PText
 from .encoding import prev_char_in_window
 from .errors import ValidationError
-from .suffixes import PsaIndex
+from .suffixes import PsaIndex, _window_symbols
 
 NO_NODE = -1
 
 
 @dataclass(eq=False)
 class TrayTree:
-    """Node-array tree. All per-node data is parallel lists indexed by
-    node id: node 0 is the root, nodes 1..n are the leaves in suffix-array
-    rank order (leaf ``r`` holds the suffix of rank ``r``, which starts at
-    ``PsaIndex.starts[r - 1]``), and the internal nodes follow in the order
-    they open. The tree keeps no suffix starts of its own.
+    """Node-array tree of the heavy nodes and their children. All per-node
+    data is parallel lists indexed by node id: node 0 is the root (ranks
+    1..n), the other heavy internal nodes follow in preorder, then the
+    light children and the leaves, grouped by parent. Only heavy internal
+    nodes list their children; a kept light node is a leaf block for the
+    suffix-array search. The tree keeps no suffix starts of its own.
 
     ``lo``/``hi`` are 1-based suffix-array ranks delimiting the node's leaf
     block; ``depth`` is the string depth (encoded symbols from the root);
-    ``children`` lists child ids in lexicographic edge order (every leaf
-    shares one empty tuple).
+    ``children`` lists child ids in lexicographic edge order (every node
+    without stored children shares one empty tuple).
     """
 
     parent: list[int] = field(default_factory=list)
@@ -48,8 +61,8 @@ class TrayTree:
         return len(self.parent)
 
     def is_leaf(self, v: int) -> bool:
-        # The root's block is ranks 1..n, and leaves are nodes 1..n.
-        return 0 < v <= self.hi[self.root]
+        # A block of one rank below the root is that rank's suffix.
+        return v != self.root and self.lo[v] == self.hi[v]
 
     def leaf_count(self, v: int) -> int:
         return self.hi[v] - self.lo[v] + 1
@@ -58,58 +71,128 @@ class TrayTree:
         return self.depth[v] - self.depth[self.parent[v]]
 
 
-def build_tree(index: PsaIndex, text: PText) -> TrayTree:
-    """Materialize the compact trie from the sorted suffixes in one O(n)
-    pass over the LCP array.
+def _nearest_smaller(h: np.ndarray) -> np.ndarray:
+    """``out[i]``: the largest j < i with ``h[j] < h[i]``, for
+    0 < i < len(h) - 1; ``h[0]`` must lie below every entry between the
+    two ends.
 
-    Leaves are laid out up front from the suffix array. Rank ``r`` then
-    closes the open nodes deeper than ``plcp[r - 1]``, attaching the
-    previous closed subtree to each, and opens a node of that depth when
-    none is open; a node's ``lo`` is set when it opens and its ``hi`` when
-    it closes.
+    Pointer jumping: each pointer starts at i - 1 and takes its target's
+    pointer while the target is not smaller, every pending i at once. That
+    can take one round per entry (on ``x^k y`` the LCPs rise 1, 2, ..., k-1
+    and then drop to 1), so after about 2 log2 n rounds the rest are found
+    by binary lifting over a table of minima of 2**k consecutive entries:
+    O(n log n) words, dropped on return.
+    """
+    n = len(h)
+    near = np.arange(-1, n - 1)
+    near[0] = 0
+    todo = np.arange(1, n - 1)
+    todo = todo[h[todo - 1] >= h[todo]]
+    for _ in range(2 * n.bit_length()):
+        if not len(todo):
+            return near
+        near[todo] = near[near[todo]]
+        todo = todo[h[near[todo]] >= h[todo]]
+    # Every entry from near[i] up to i - 1 is at least h[i]; lift the left
+    # end of that run over blocks of 2**k entries whose minimum is too. A
+    # block clipped at 0 holds h[0], so it never is.
+    mins = [h]
+    while 1 << len(mins) <= n:
+        half = 1 << (len(mins) - 1)
+        mins.append(np.minimum(mins[-1][:-half], mins[-1][half:]))
+    pos, want = near[todo], h[todo]
+    for k in range(len(mins) - 1, -1, -1):
+        cand = np.maximum(pos - (1 << k), 0)
+        pos = np.where(mins[k][cand] >= want, cand, pos)
+    near[todo] = pos - 1
+    return near
+
+
+def _boundary_lcps(index: PsaIndex) -> np.ndarray:
+    """h[b], 0 <= b <= n: the LCP of ranks b and b + 1, and -1 at both
+    ends, below every LCP."""
+    n = index.n
+    h = np.empty(n + 1, dtype=np.int64)
+    h[0] = h[n] = -1
+    h[1:n] = index.plcp[1:]
+    return h
+
+
+def build_tree(index: PsaIndex, text: PText) -> TrayTree:
+    """The heavy LCP intervals (at least ``max(sigma, pi)`` leaves) and
+    their children, in a few numpy passes over the LCP array.
+
+    Boundary b (1 <= b < n) lies between ranks b and b + 1 at LCP h[b].
+    With its nearest strictly smaller LCPs at L and R (the ends count as
+    -1), it is a child boundary of the interval L + 1 .. R at depth h[b],
+    and all boundaries of one interval share L and R. Those whose span
+    R - L reaches the threshold name the heavy nodes; a heavy node's
+    boundaries, in order, cut its block into its child blocks. A child
+    block of at least threshold ranks is itself a heavy node; any other is
+    a light node of depth min h over its inner boundaries, or a leaf as
+    deep as its suffix is long. When the root is light or holds one rank,
+    the tree is the root alone.
     """
     n = text.n
-    lcps = index.lcps
-    parent = [NO_NODE] * (n + 1)
-    depth = [0] + [n + 1 - p for p in index.starts]
-    # Every rank r below is the int object lo[r]: the leaves' lo, hi and
-    # the children lists share one int per rank instead of holding three.
-    lo = list(range(n + 1))
-    hi = lo.copy()
-    lo[0], hi[0] = 1, n
-    children: list[list[int] | tuple[int, ...]] = [()] * (n + 1)
-    children[0] = []
-
-    stack = [0]  # open internal nodes, the root at the bottom
-    top = 0
-    # Leaf r meets the LCP with rank r + 1; a final -1 closes the root.
-    for leaf, l in zip(lo[1:], lcps[1:] + [-1]):
-        last = leaf  # deeper than any LCP it takes part in
-        while depth[top] > l:
-            stack.pop()
-            hi[top] = leaf
-            parent[last] = top
-            children[top].append(last)
-            last = top
-            if not stack:
-                break
-            top = stack[-1]
-        else:
-            if depth[top] == l:
-                parent[last] = top
-                children[top].append(last)
-            else:
-                mid = len(depth)
-                depth.append(l)
-                lo.append(lo[last])
-                hi.append(0)
-                parent.append(NO_NODE)
-                children.append([last])
-                parent[last] = mid
-                stack.append(mid)
-                top = mid
-    return TrayTree(parent=parent, depth=depth, lo=lo, hi=hi,
-                    children=children)
+    threshold = max(text.sigma, text.pi)
+    h = _boundary_lcps(index)
+    left = _nearest_smaller(h)[1:n]
+    right = n - _nearest_smaller(h[::-1])[::-1][1:n]
+    cut = ((right - left) >= threshold).nonzero()[0]
+    if not len(cut):
+        return TrayTree(parent=[NO_NODE], depth=[0], lo=[1], hi=[n],
+                        children=[()])
+    # Order the heavy nodes by (lo, -hi), a preorder that puts the root
+    # first, and each node's boundaries by rank.
+    key = left[cut] * (n + 1) + n - right[cut]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    cut = cut[order] + 1
+    first = np.empty(len(cut), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    heads = first.nonzero()[0]
+    heavy = len(heads)
+    node_key = key[heads]
+    node_lo = left[cut[heads] - 1] + 1
+    node_hi = right[cut[heads] - 1]
+    # Each boundary ends a child block, and each node's last block ends at
+    # its hi; node g's blocks are slots bounds[g] to bounds[g + 1] - 1.
+    bounds = np.append(heads, len(cut)) + np.arange(heavy + 1)
+    ends = np.empty(bounds[-1], dtype=np.int64)
+    ends[np.arange(len(cut)) + np.cumsum(first) - 1] = cut
+    ends[bounds[1:] - 1] = node_hi
+    owner = np.repeat(np.arange(heavy), np.diff(bounds))
+    begins = np.empty_like(ends)
+    begins[1:] = ends[:-1] + 1
+    begins[bounds[:-1]] = node_lo
+    inner = ends - begins + 1 >= max(threshold, 2)
+    kid = np.empty(len(ends), dtype=np.int64)
+    kid[inner] = np.searchsorted(
+        node_key, (begins[inner] - 1) * (n + 1) + n - ends[inner])
+    light = ~inner
+    kid[light] = np.arange(heavy, heavy + np.count_nonzero(light))
+    light_lo, light_hi = begins[light], ends[light]
+    light_depth = n + 1 - index.psa[light_lo - 1]
+    wide = (light_lo < light_hi).nonzero()[0]
+    if len(wide):
+        # Light blocks are disjoint, so their inner minima cost O(n).
+        spans = np.column_stack((light_lo[wide], light_hi[wide])).ravel()
+        light_depth[wide] = np.minimum.reduceat(h, spans)[::2]
+    parent = np.empty(heavy + len(light_lo), dtype=np.int64)
+    parent[kid] = owner
+    parent[0] = NO_NODE
+    kids = kid.tolist()
+    bounds = bounds.tolist()
+    children: list[list[int] | tuple[int, ...]] = [
+        kids[a:b] for a, b in zip(bounds, bounds[1:])]
+    children += [()] * len(light_lo)
+    return TrayTree(
+        parent=parent.tolist(),
+        depth=np.concatenate((h[cut[heads]], light_depth)).tolist(),
+        lo=np.concatenate((node_lo, light_lo)).tolist(),
+        hi=np.concatenate((node_hi, light_hi)).tolist(),
+        children=children)
 
 
 def edge_symbol(tree: TrayTree, index: PsaIndex, node: int, offset: int) -> int:
@@ -136,38 +219,83 @@ def node_label(tree: TrayTree, index: PsaIndex, node: int) -> tuple[int, ...]:
 
 
 def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
-    """Structural invariants: leaf ``r`` holds rank ``r`` at its suffix's
-    length, ordered children partition the parent's leaf block, internal
-    non-root nodes branch, node count is linear."""
+    """Check in O(n), against the suffix and LCP arrays, that the tree
+    holds exactly the heavy LCP intervals and their children.
+
+    The root is ranks 1..n at depth 0. Every other node is the child of
+    exactly one node, which lists it. Each listed node's children partition
+    its block in order of their first edge symbols, every boundary between
+    two of them has the node's depth as its LCP, and each child is deeper
+    than the node. A child without listed children is a leaf (lo == hi, as
+    deep as its suffix is long) or a light node whose inner LCPs have the
+    node's depth as their minimum. A node lists children iff it holds at
+    least ``max(sigma, pi)`` leaves and more than one rank. By induction
+    every node is then an exact LCP interval.
+    """
     n = text.n
-    if tree.size > max(2 * n - 1, 1):
-        raise ValidationError("node count exceeds 2n-1")
-    starts = index.starts
-    for v in range(tree.size):
-        kids = tree.children[v]
-        if tree.is_leaf(v):
-            if kids:
-                raise ValidationError(f"leaf {v} has children")
-            if (tree.lo[v], tree.hi[v]) != (v, v):
-                raise ValidationError(f"leaf {v} does not hold rank {v}")
-            if tree.depth[v] != n - starts[v - 1] + 1:
-                raise ValidationError(f"leaf {v} depth mismatch")
-            continue
-        if v != tree.root and len(kids) < 2:
-            raise ValidationError(f"internal node {v} has {len(kids)} child(ren)")
-        expect = tree.lo[v]
-        prev_sym = None
-        for u in kids:
-            if tree.lo[u] != expect:
-                raise ValidationError(f"children of {v} do not partition its range")
-            expect = tree.hi[u] + 1
-            if tree.parent[u] != v:
-                raise ValidationError(f"child {u} of {v} has another parent")
-            if tree.depth[u] <= tree.depth[v]:
-                raise ValidationError(f"child {u} not deeper than parent {v}")
-            sym = first_edge_symbol(tree, index, u)
-            if prev_sym is not None and not prev_sym < sym:
-                raise ValidationError(f"children of {v} not in symbol order")
-            prev_sym = sym
-        if kids and expect != tree.hi[v] + 1:
-            raise ValidationError(f"children of {v} do not cover its range")
+    size = tree.size
+    threshold = max(text.sigma, text.pi)
+    if not 1 <= size <= max(2 * n - 1, 1):
+        raise ValidationError("node count outside 1..2n-1")
+    if len({len(tree.parent), len(tree.depth), len(tree.lo), len(tree.hi),
+            len(tree.children)}) != 1:
+        raise ValidationError("node arrays differ in length")
+    parent = np.array(tree.parent, dtype=np.int64)
+    depth = np.array(tree.depth, dtype=np.int64)
+    lo = np.array(tree.lo, dtype=np.int64)
+    hi = np.array(tree.hi, dtype=np.int64)
+    root = tree.root
+    if (root, lo[0], hi[0], depth[0], parent[0]) != (0, 1, n, 0, NO_NODE):
+        raise ValidationError("root is not node 0 over ranks 1..n at depth 0")
+    count = np.array([len(k) for k in tree.children], dtype=np.int64)
+    listed = np.array([u for k in tree.children for u in k], dtype=np.int64)
+    owner = np.repeat(np.arange(size), count)
+    if (np.count_nonzero(listed <= 0) or np.count_nonzero(listed >= size)
+            or np.count_nonzero(np.bincount(listed, minlength=size)[1:] != 1)):
+        raise ValidationError("a node other than the root is not listed "
+                              "exactly once as a child")
+    if np.count_nonzero(parent[listed] != owner):
+        raise ValidationError("a child's parent link names another node")
+    if np.count_nonzero((lo < 1) | (hi > n) | (lo > hi)):
+        raise ValidationError("a node's block is not a rank range in 1..n")
+    lists = count > 0
+    if np.count_nonzero(lists != ((hi - lo + 1 >= threshold) & (lo < hi))):
+        raise ValidationError("a node lists children iff it is heavy and "
+                              "holds more than one rank")
+    if not len(listed):
+        return
+    # Children in order: the first starts at lo, each next one rank past
+    # the last, and the last ends at hi.
+    group_start = np.cumsum(count) - count
+    heads = group_start[lists]
+    tails = heads + count[lists] - 1
+    expect = np.empty(len(listed), dtype=np.int64)
+    expect[1:] = hi[listed[:-1]] + 1
+    expect[heads] = lo[lists]
+    if (np.count_nonzero(lo[listed] != expect)
+            or np.count_nonzero(hi[listed[tails]] != hi[lists])):
+        raise ValidationError("children do not partition their parent's block")
+    h = _boundary_lcps(index)
+    inside = np.ones(len(listed), dtype=bool)
+    inside[tails] = False
+    if np.count_nonzero(h[hi[listed[inside]]] != depth[owner[inside]]):
+        raise ValidationError("a boundary between children is not at its "
+                              "parent's depth")
+    if np.count_nonzero(depth[listed] <= depth[owner]):
+        raise ValidationError("a child is not deeper than its parent")
+    psa = index.psa
+    bare = listed[count[listed] == 0]
+    leaf = bare[lo[bare] == hi[bare]]
+    if np.count_nonzero(depth[leaf] != n + 1 - psa[lo[leaf] - 1]):
+        raise ValidationError("a leaf is not as deep as its suffix")
+    block = bare[lo[bare] < hi[bare]]
+    if len(block):
+        spans = np.column_stack((lo[block], hi[block])).ravel()
+        if np.count_nonzero(np.minimum.reduceat(h, spans)[::2]
+                            != depth[block]):
+            raise ValidationError("a light node's depth is not the least "
+                                  "LCP inside its block")
+    codes = np.asarray(index.codes, dtype=np.int64)
+    sym = _window_symbols(codes, psa[lo[listed] - 1] - 1, depth[owner] + 1)
+    if np.count_nonzero(sym[1:][inside[:-1]] <= sym[:-1][inside[:-1]]):
+        raise ValidationError("children are not in first-symbol order")

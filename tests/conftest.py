@@ -72,3 +72,90 @@ def demo_text():
 @pytest.fixture(scope="session")
 def demo_index(demo_text):
     return assemble(demo_text)
+
+
+# ------------------------------------------------ LCP-interval references
+
+def naive_intervals(text):
+    """Every node of the LCP-interval tree, straight from the definition
+    over materialized prev strings, as {(lo, hi, depth): parent}.
+
+    Rank interval [i, j] with i < j is an internal node of depth l when l
+    is the least LCP inside it and both LCPs just outside it are below l;
+    each rank r is a leaf as deep as its suffix is long; the root is ranks
+    1..n at depth 0. A node's parent is the deepest node that strictly
+    contains it (None for the root). O(n^2) time and space.
+    """
+    from pstray.oracle import naive_psa
+
+    order, plcp = naive_psa(text)
+    n = text.n
+    nodes = {(r, r, n + 1 - p) for r, p in enumerate(order, start=1)}
+    nodes.add((1, n, 0))
+    outside = plcp[1:] + [-1]  # outside[j - 1]: the LCP just after rank j
+    for i in range(1, n + 1):
+        least = None
+        for j in range(i + 1, n + 1):
+            h = plcp[j - 1]
+            least = h if least is None else min(least, h)
+            if (i == 1 or plcp[i - 1] < least) and outside[j - 1] < least:
+                nodes.add((i, j, least))
+    return {v: max((u for u in nodes
+                    if u[0] <= v[0] and v[1] <= u[1] and u[2] < v[2]),
+                   key=lambda u: u[2], default=None)
+            for v in nodes}
+
+
+def lcp_intervals(psa, plcp):
+    """The same {(lo, hi, depth): parent} map from a suffix and an LCP
+    array, by the one left-to-right stack pass of Abouelhoda, Kurtz &
+    Ohlebusch (2004): O(n), for inputs too long for ``naive_intervals``."""
+    n = len(psa)
+    parent = {}
+    stack = [(0, 1, [])]  # open nodes: depth, lo, closed children
+    for r in range(1, n + 1):
+        last = (r, r, n + 1 - psa[r - 1])
+        h = plcp[r] if r < n else 0  # the root stays open
+        while stack[-1][0] > h:
+            d, lo, kids = stack.pop()
+            node = (lo, r, d)
+            for u in kids + [last]:
+                parent[u] = node
+            last = node
+        if stack[-1][0] < h:
+            stack.append((h, last[0], [last]))
+        else:
+            stack[-1][2].append(last)
+    root = (1, n, 0)
+    for u in stack[0][2]:
+        parent[u] = root
+    parent[root] = None
+    return parent
+
+
+def kept_intervals(parent, threshold):
+    """The part of an interval tree that the tray keeps, as {(lo, hi,
+    depth): (parent, [children in rank order])}: the root and every child
+    of a heavy node (at least ``threshold`` leaves) that holds more than
+    one rank; only those heavy nodes list their children. Every heavy node
+    but the root is the child of a larger one, so for n > 1 these are the
+    heavy nodes and their children."""
+    def lists(v):
+        return v[0] < v[1] and v[1] - v[0] + 1 >= threshold
+
+    kids = {}
+    for v, up in sorted(parent.items()):
+        if up is not None and lists(up):
+            kids.setdefault(up, []).append(v)
+    return {v: (up, kids.get(v, [])) for v, up in parent.items()
+            if up is None or lists(up)}
+
+
+def tree_intervals(tree):
+    """A TrayTree in the shape ``kept_intervals`` returns."""
+    def node(v):
+        return (tree.lo[v], tree.hi[v], tree.depth[v])
+
+    return {node(v): (None if v == tree.root else node(tree.parent[v]),
+                      [node(u) for u in tree.children[v]])
+            for v in range(tree.size)}

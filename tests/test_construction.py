@@ -3,12 +3,16 @@ computed straight from its definition."""
 
 import random
 
+import numpy as np
+
+from pstray.alphabet import AlphabetSpec, PText
 from pstray.encoding import fpos, pfunction_from_fpos
 from pstray.suffixes import build_psa
 from pstray.tray import _canonical_ids, assemble, validate_annotations
-from pstray.tree import build_tree, validate_tree
+from pstray.tree import _nearest_smaller, build_tree, validate_tree
 
-from conftest import make_text, random_text
+from conftest import (kept_intervals, lcp_intervals, make_text,
+                      naive_intervals, random_text, tree_intervals)
 from test_suffixes import clone_text
 
 
@@ -25,41 +29,73 @@ def construction_texts():
     return texts
 
 
-def interval_nodes(psa, plcp, n):
-    """(lo, hi, depth) of every tree node from the LCP-interval definition:
-    rank interval [i, j] with i < j is an internal node of depth l when l is
-    the least LCP inside it and both LCPs just outside it are below l. Each
-    rank r is also a leaf, as deep as its suffix is long. O(n^2)."""
-    nodes = {(r, r, n + 1 - psa[r - 1]) for r in range(1, n + 1)}
-    outside = plcp[1:] + [-1]  # outside[j - 1]: the LCP just after rank j
-    for i in range(1, n + 1):
-        least = None
-        for j in range(i + 1, n + 1):
-            h = plcp[j - 1]
-            least = h if least is None else min(least, h)
-            if (i == 1 or plcp[i - 1] < least) and outside[j - 1] < least:
-                nodes.add((i, j, least))
-    return nodes
-
-
 def test_build_tree_matches_interval_definition():
-    for t in construction_texts():
+    """The kept tree is exactly the heavy LCP intervals and their children:
+    lo, hi, depth, parent and ordered children, against the enumeration
+    from materialized prev strings. Runs of one parameterized symbol have
+    threshold 1 (every node is kept), "A" * 50 has pi = 0, and the texts
+    of one and two symbols hold two and three suffixes."""
+    texts = construction_texts()
+    texts += [make_text(raw, pi="xy") for raw in ("x", "xx", "xA", "xy")]
+    texts += [make_text("AB", pi="", sigma="AB")]
+    for t in texts:
         idx = build_psa(t)
         tree = build_tree(idx, t)
         validate_tree(tree, idx, t)
-        got = {(tree.lo[v], tree.hi[v], tree.depth[v])
-               for v in range(tree.size)}
+        got = tree_intervals(tree)
         assert len(got) == tree.size
-        assert got == interval_nodes(idx.psa.tolist(), idx.plcp.tolist(),
-                                     t.n)
-        # leaf r holds the suffix of rank r, as deep as that suffix is long
-        psa = idx.psa.tolist()
-        assert idx.starts == psa
-        assert [(tree.lo[r], tree.hi[r], tree.depth[r])
-                for r in range(1, t.n + 1)] == \
-            [(r, r, t.n + 1 - p) for r, p in enumerate(psa, start=1)]
-        assert [v for v in range(tree.size) if tree.is_leaf(v)] == \
-            list(range(1, t.n + 1))
+        full = naive_intervals(t)
+        assert lcp_intervals(idx.starts, idx.lcps) == full
+        assert got == kept_intervals(full, max(t.sigma, t.pi))
+        # A threshold of 1 keeps the whole tree.
+        if max(t.sigma, t.pi) == 1:
+            assert len(got) == len(full)
+
+
+def test_build_tree_of_one_suffix():
+    # The end marker alone: the root holds the one rank and lists nothing.
+    t = PText(symbols=[1], pi=0, sigma=1, tok2id={}, id2tok={1: "$"},
+              spec=AlphabetSpec(pi_members=frozenset()))
+    idx = build_psa(t)
+    tree = build_tree(idx, t)
+    validate_tree(tree, idx, t)
+    assert tree_intervals(tree) == kept_intervals(naive_intervals(t), 1) \
+        == {(1, 1, 0): (None, [])}
+
+
+def test_build_tree_on_long_rising_and_falling_lcps():
+    """``x^k y`` has LCPs 1, 2, ..., k-1, 1, 0 and its mirror ``y x^k``
+    has 1, k-1, ..., 1, 0: one pointer-jumping round per rank would be
+    Theta(k) rounds. With threshold 2 every internal node is heavy, so
+    the kept tree is the whole tree; it is checked against the stack pass
+    over the LCP array."""
+    k = 30_000
+    for raw in ("x" * k + "y", "y" + "x" * k):
+        t = make_text(raw, pi="xy")
+        idx = build_psa(t)
+        tree = build_tree(idx, t)
+        validate_tree(tree, idx, t)
+        full = lcp_intervals(idx.starts, idx.lcps)
+        assert tree_intervals(tree) == kept_intervals(full, 2)
+        assert tree.size == len(full)
+
+
+def test_nearest_smaller_matches_a_scan():
+    """Pointer jumping and, past its round budget, binary lifting find the
+    nearest strictly smaller entry to the left, ties included. A rising
+    run that drops back (the LCPs of ``x^k y``) outlasts the budget."""
+    rng = random.Random(77)
+    runs = [list(range(1, 300)) + [1, 0], list(range(300, 0, -1)),
+            [1] * 200 + [0], [5, 1] * 100 + list(range(9, 1, -1)) * 30,
+            (list(range(2, 90)) + [1]) * 5]
+    cases = [[rng.randint(0, rng.choice((1, 3, 50))) for _ in range(
+        rng.randint(0, 400))] for _ in range(60)] + runs
+    for inner in cases:
+        h = np.array([-1] + inner + [-1], dtype=np.int64)
+        got = _nearest_smaller(h)[1:-1].tolist()
+        want = [max(j for j in range(i) if h[j] < h[i])
+                for i in range(1, len(h) - 1)]
+        assert got == want
 
 
 def test_annotations_match_definitions():

@@ -409,11 +409,12 @@ def test_cli_stats_report(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", "--index", str(idx)]) == 0
     out = capsys.readouterr().out.splitlines()
-    # 12 symbols and the end marker give 13 leaves; 8 of the 21 nodes are
-    # internal.
-    assert "n=13" in out and "nodes=21" in out
-    assert "leaves=13" in out
-    assert "internal=8" in out
+    # 12 symbols and the end marker give 13 suffixes. The tree keeps the
+    # 5 heavy nodes (at least max(2, 3) leaves) and the 10 light children
+    # a descent can hand over to the suffix-array search.
+    assert "n=13" in out and "nodes=15" in out
+    assert "pnodes=5" in out
+    assert "light_targets=10" in out
     assert "branching_pnodes=2" in out
     assert "branching_bound=4" in out  # 13 // max(2, 3)
     assert "parray_cells=10" in out

@@ -11,10 +11,9 @@ from pstray.oracle import naive_psa
 from pstray.suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
                              plain_range_search, range_search, report,
                              validate_psa)
-from pstray.tree import build_tree
 
-from conftest import (DEMO_PLCP, DEMO_PSA, make_text, random_pattern,
-                      random_text, sym_codes)
+from conftest import (DEMO_PLCP, DEMO_PSA, make_text, naive_intervals,
+                      random_pattern, random_text, sym_codes)
 
 
 def test_demo_psa_plcp(demo_text, demo_index):
@@ -263,14 +262,15 @@ def test_compare_suffix_matches_its_definition():
             assert stats.symbol_comparisons == 0
 
 
-def check_subranges(t, idx, tree):
-    """range_search against the plain oracle on every tree node's range,
-    for patterns ending at, one and two symbols past the node's depth.
-    range_search trusts its caller on the first ``skip`` symbols, so the
-    check first asserts that every suffix in the range shares them."""
+def check_subranges(t, idx):
+    """range_search against the plain oracle on the range of every node of
+    the LCP-interval tree (light ones included, though the tray keeps only
+    the heavy nodes and their children), for patterns ending at, one and
+    two symbols past the node's depth. range_search trusts its caller on
+    the first ``skip`` symbols, so the check first asserts that every
+    suffix in the range shares them."""
     labels = [prev(t.symbols[start - 1:], t.pi) for start in idx.starts]
-    for v in range(tree.size):
-        lo, hi, d = tree.lo[v], tree.hi[v], tree.depth[v]
+    for lo, hi, d in naive_intervals(t):
         label = labels[lo - 1]
         for extra in range(0, 3):
             pat = label[:d + extra]
@@ -307,12 +307,12 @@ def test_variants_agree_randomized():
             hi = rng.randint(lo, t.n)
             want = plain_range_search(idx, pp, lo, hi, 0, QueryStats())
             assert range_search(idx, pp, lo, hi, 0) == want
-        check_subranges(t, idx, build_tree(idx, t))
+        check_subranges(t, idx)
 
 
 def test_variants_agree_on_subranges(demo_text, demo_index):
     # exhaustive over the demo index: every subrange sharing a prefix depth
-    check_subranges(demo_text, demo_index.psa_index, demo_index.tree)
+    check_subranges(demo_text, demo_index.psa_index)
 
 
 def test_psa_index_is_linear_space():

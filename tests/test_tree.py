@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from pstray.encoding import STATIC_BASE, prev
-from pstray.suffixes import build_psa
+from pstray.suffixes import PsaIndex, build_psa
 from pstray.tree import (build_tree, edge_symbol, first_edge_symbol,
                          node_label, validate_tree)
 
-from conftest import make_text, random_text
+from conftest import (kept_intervals, make_text, naive_intervals,
+                      random_text, tree_intervals)
 
 
 def label_map(index, tree, text):
@@ -75,28 +77,49 @@ def test_edge_symbol_examples(demo_text, demo_index):
 
 
 def test_leaf_labels_reproduce_suffix_encodings():
+    """Every kept node's label is the common prefix of the materialized
+    prev strings in its block, and the kept nodes are those of the
+    interval definition."""
     rng = random.Random(909)
     for i in range(20):
         t = random_text(rng, max_n=500 if i < 4 else 120)
         idx = build_psa(t)
         tree = build_tree(idx, t)
         validate_tree(tree, idx, t)
+        assert tree_intervals(tree) == kept_intervals(
+            naive_intervals(t), max(t.sigma, t.pi))
+        encoded = [prev(t.symbols[start - 1:], t.pi) for start in idx.starts]
         for v in range(tree.size):
+            label = list(node_label(tree, idx, v))
+            assert all(e[:tree.depth[v]] == label
+                       for e in encoded[tree.lo[v] - 1:tree.hi[v]])
             if tree.is_leaf(v):
-                start = idx.starts[v - 1]
-                assert list(node_label(tree, idx, v)) == \
-                    prev(t.symbols[start - 1:], t.pi)
+                assert label == encoded[tree.lo[v] - 1]
 
 
 def test_structure_bounds():
+    """At most 2n - 1 nodes, and exactly the kept nodes of the definition:
+    the heavy ones list children that tile their block, and the others
+    list none."""
     rng = random.Random(13)
     for _ in range(25):
         t = random_text(rng, max_n=150)
         idx = build_psa(t)
         tree = build_tree(idx, t)
+        threshold = max(t.sigma, t.pi)
         assert tree.size <= 2 * t.n - 1
-        leaves = [v for v in range(tree.size) if tree.is_leaf(v)]
-        assert len(leaves) == t.n
+        assert len(tree_intervals(tree)) == len(
+            kept_intervals(naive_intervals(t), threshold))
+        for v in range(tree.size):
+            kids = tree.children[v]
+            if tree.leaf_count(v) >= threshold and tree.lo[v] < tree.hi[v]:
+                assert [tree.lo[u] for u in kids] == \
+                    [tree.lo[v]] + [tree.hi[u] + 1 for u in kids[:-1]]
+                assert tree.hi[kids[-1]] == tree.hi[v]
+            else:
+                assert not kids
+            assert tree.is_leaf(v) == (v != tree.root
+                                       and tree.lo[v] == tree.hi[v])
         validate_tree(tree, idx, t)
 
 
@@ -105,32 +128,60 @@ def test_validate_tree_catches_tampering(demo_text, demo_index):
 
     from pstray.errors import ValidationError
 
-    tree, idx, n = demo_index.tree, demo_index.psa_index, demo_text.n
-    inner = n + 1  # the first internal node after the root
+    tree, idx, t = demo_index.tree, demo_index.psa_index, demo_text
+    labels = label_map(idx, tree, t)
+    heavy = labels["0"]  # ranks 1..9, children 00, 010, 0A0, 0$
+    light = labels["010"]  # ranks 4..5, below the threshold of 3
+    leaf = labels["0$"]
 
     def leaf_too_deep(tr):
-        tr.depth[3] += 1
+        tr.depth[leaf] += 1
 
-    def leaves_renumbered(tr):  # leaf r must hold rank r
-        tr.lo[1], tr.lo[2] = tr.lo[2], tr.lo[1]
-        tr.hi[1], tr.hi[2] = tr.hi[2], tr.hi[1]
-        kids = tr.children[tr.parent[1]]
-        i, j = kids.index(1), kids.index(2)
-        kids[i], kids[j] = kids[j], kids[i]
+    def light_too_shallow(tr):
+        tr.depth[light] -= 1
+
+    def heavy_too_deep(tr):
+        tr.depth[heavy] += 1
+
+    def blocks_swapped(tr):  # two children trade ranks, not places
+        a, b = tr.children[heavy][:2]
+        tr.lo[a], tr.lo[b] = tr.lo[b], tr.lo[a]
+        tr.hi[a], tr.hi[b] = tr.hi[b], tr.hi[a]
 
     def root_short(tr):
-        tr.hi[tr.root] = n - 1
+        tr.hi[tr.root] = t.n - 1
 
     def leaf_with_child(tr):
-        tr.children[2] = [1]
+        tr.children[leaf] = [light]
 
     def children_reversed(tr):
-        tr.children[inner] = tr.children[inner][::-1]
+        tr.children[heavy] = tr.children[heavy][::-1]
 
-    for tamper in (leaf_too_deep, leaves_renumbered, root_short,
-                   leaf_with_child, children_reversed):
+    def heavy_lists_nothing(tr):
+        tr.children[labels["0A0"]] = ()
+
+    def child_listed_twice(tr):
+        tr.children[labels["A0"]] = tr.children[labels["A0"]] + [leaf]
+
+    def parent_link_wrong(tr):
+        tr.parent[light] = tr.root
+
+    for tamper in (leaf_too_deep, light_too_shallow, heavy_too_deep,
+                   blocks_swapped, root_short, leaf_with_child,
+                   children_reversed, heavy_lists_nothing,
+                   child_listed_twice, parent_link_wrong):
         bad = copy.deepcopy(tree)
         tamper(bad)
         with pytest.raises(ValidationError):
-            validate_tree(bad, idx, demo_text)
-    validate_tree(tree, idx, demo_text)
+            validate_tree(bad, idx, t)
+    validate_tree(tree, idx, t)
+
+    # A tree that agrees with its LCP array but not with the symbol order:
+    # the root's blocks "0" (ranks 1..9) and "A0" (10..12) trade places.
+    psa, plcp = idx.psa, idx.plcp
+    swapped = PsaIndex(
+        psa=np.concatenate((psa[9:12], psa[:9], psa[12:])),
+        plcp=np.concatenate(([0], plcp[10:12], [0], plcp[1:9], plcp[12:])),
+        codes=idx.codes)
+    with pytest.raises(ValidationError, match="first-symbol order"):
+        validate_tree(build_tree(swapped, t), swapped, t)
