@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import STATIC_BASE
+from .encoding import STATIC_BASE, prev_array
 from .errors import ClassificationError, InputError, QueryError, RankError
 
 SENTINEL_TOKEN = "$"
@@ -108,19 +108,26 @@ def parse_alphabet_spec(content: str) -> AlphabetSpec:
 class PText:
     """An ingested text: internal symbols with the end marker appended.
 
-    Immutable after construction. ``symbols`` is 0-indexed storage for the
-    1-indexed text positions used throughout the package: position ``p``
-    holds ``symbols[p-1]``, and ``symbols[-1]`` is always the sentinel.
+    Made from its int64 ``symbol_array`` (built by ``ingest``, read by
+    ``index_io.load``) and immutable. Derived once: ``code_array``, the prev
+    codes, and the lists ``prev_codes`` and ``symbols`` for scalar loops
+    (position ``p`` is ``symbols[p-1]``; ``symbols[-1]`` is the sentinel).
     """
 
-    symbols: list[int]
+    symbol_array: np.ndarray
     pi: int
     sigma: int
     tok2id: dict[str, int]
     id2tok: dict[int, str]
     spec: AlphabetSpec
-    _prev_codes: list[int] | None = field(default=None, repr=False)
-    _symbol_array: np.ndarray | None = field(default=None, repr=False)
+    symbols: list[int] = field(init=False, repr=False)
+    code_array: np.ndarray = field(init=False, repr=False)
+    prev_codes: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.symbols = self.symbol_array.tolist()
+        self.code_array = prev_array(self.symbol_array, self.pi)
+        self.prev_codes = self.code_array.tolist()
 
     @property
     def n(self) -> int:
@@ -129,25 +136,6 @@ class PText:
     @property
     def sentinel(self) -> int:
         return self.pi + self.sigma
-
-    @property
-    def prev_codes(self) -> list[int]:
-        """prev encoding of the whole text as order-preserving int codes."""
-        if self._prev_codes is None:
-            # Looked up at call time, so that a wrapper swapped into
-            # encoding.prev (as bench/tracing.py does) sees the call.
-            from .encoding import prev
-
-            self._prev_codes = prev(self.symbols, self.pi)
-        return self._prev_codes
-
-    @property
-    def symbol_array(self) -> np.ndarray:
-        """``symbols`` as an int64 array, made at most once per text (a
-        loaded text is given the array it was read from)."""
-        if self._symbol_array is None:
-            self._symbol_array = np.array(self.symbols, dtype=np.int64)
-        return self._symbol_array
 
     def decode(self, positions: Iterable[int]) -> str:
         """External tokens of the given 1-based positions (debugging aid)."""
@@ -191,8 +179,8 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
 
     symbols = [tok2id[t] for t in tokens]
     symbols.append(sentinel)
-    return PText(symbols=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
-                 id2tok=id2tok, spec=spec)
+    return PText(symbol_array=np.array(symbols, dtype=np.int64), pi=pi,
+                 sigma=sigma, tok2id=tok2id, id2tok=id2tok, spec=spec)
 
 
 def rank(sym: int, text: PText) -> int:

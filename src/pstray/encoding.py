@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+import numpy as np
+
+from .errors import QueryError
+
 if TYPE_CHECKING:
     from .alphabet import PText
 
@@ -40,6 +44,18 @@ def prev(w: Sequence[int], pi: int) -> list[int]:
             last[c] = i
         else:
             out.append(STATIC_BASE + c)
+    return out
+
+
+def prev_array(symbols: np.ndarray, pi: int) -> np.ndarray:
+    """``prev`` of a whole text's int64 symbols, by one stable sort of the
+    parameterized positions by symbol (radix, on a key as wide as ``pi``)."""
+    out = symbols + STATIC_BASE
+    at = (symbols <= pi).nonzero()[0]
+    key = symbols[at].astype(np.min_scalar_type(pi))
+    at = at[np.argsort(key, kind="stable")]
+    same = np.diff(symbols[at], prepend=0) == 0
+    out[at] = np.where(same, np.diff(at, prepend=0), 0)
     return out
 
 
@@ -78,9 +94,10 @@ def prev_char_in_window(global_prev: Sequence[int], j: int, d: int) -> int:
     Both arguments are 1-based. A distance that would point before the
     window start collapses to 0 (the occurrence is the first one visible);
     everything else is the whole-text prev symbol unchanged. Constant time.
+    Raises QueryError for a window symbol outside the text.
     """
     if d < 1 or j < 1 or j + d - 1 > len(global_prev):
-        raise ValueError(f"window symbol ({j},{d}) out of range")
+        raise QueryError(f"window symbol ({j},{d}) out of range")
     b = global_prev[j + d - 2]
     if b < STATIC_BASE and b >= d:
         return 0
@@ -112,10 +129,11 @@ def fpos_stream(text: PText,
 
 
 def fpos(text: PText, i: int) -> tuple[int, ...]:
-    """f-array of the single suffix ``T[i:]``."""
+    """f-array of the single suffix ``T[i:]``; QueryError unless
+    1 <= i <= n."""
     for _, farr in fpos_stream(text, positions={i}):
         return farr
-    raise ValueError(f"suffix start {i} out of range")
+    raise QueryError(f"suffix start {i} out of range")
 
 
 def pfunction_from_fpos(text: PText, i: int, limit: int,

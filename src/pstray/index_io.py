@@ -214,9 +214,8 @@ def load(path: str | Path) -> PSTrayIndex:
     symbols = _words(payloads[SEC_TEXT], n)
     if n == 0 or symbols.min() < 1 or symbols.max() > pi + sigma:
         raise FormatError(f"text symbols outside 1..{pi + sigma}")
-    text = PText(symbols=symbols.tolist(), pi=pi, sigma=sigma,
-                 tok2id=tok2id, id2tok=id2tok, spec=spec,
-                 _symbol_array=symbols)
+    text = PText(symbol_array=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
+                 id2tok=id2tok, spec=spec)
     psa_index = PsaIndex(psa=_words(payloads[SEC_PSA], n),
                          plcp=_words(payloads[SEC_PLCP], n),
                          codes=text.prev_codes)

@@ -14,7 +14,7 @@ from typing import Sequence
 from .alphabet import PText
 from .encoding import STATIC_BASE, prev, spe
 from .errors import CapacityError
-from .tree import TrayTree
+from .tree import NO_NODE, TrayTree
 
 MAX_ORACLE_DISTINCT = 8
 MAX_ORACLE_TEXT = 5000
@@ -115,8 +115,6 @@ def naive_parray(tree: TrayTree, text: PText, index, node: int) -> list[int]:
     has it as a prefix (children compared through fully materialized leaf
     suffixes). Entry 0 is unused; missing children are -1.
     """
-    from .tree import NO_NODE
-
     depth = tree.depth[node]
     start = index.starts[tree.lo[node] - 1]
     window = text.symbols[start - 1:start - 1 + depth]

@@ -14,8 +14,8 @@ few dozen rounds instead of max LCP + 1. What still costs max LCP + 1
 rounds and O(n + sum of LCPs) element work is a text whose suffixes all
 keep a late correction, such as ``y x^n y``.
 
-The index holds only O(n) words: the suffix array, the LCP array and plain
-list copies of both and of the text's prev codes. The search loops read
+The index holds only O(n) words: the suffix array, the LCP array, plain
+list copies of both and the text's prev-code list. The search loops read
 the lists, never a numpy scalar. There is one search path, an
 LCP-accelerated binary search (Manber & Myers). The LCP of two ranks is a
 min over the LCP slice between them, which is cheap because the tray only
@@ -33,7 +33,7 @@ import numpy as np
 
 from .alphabet import PText
 from .encoding import STATIC_BASE
-from .errors import ValidationError
+from .errors import QueryError, ValidationError
 
 # Depth of build_psa's first readiness check; each later check doubles it.
 # Tests lower it so that groups finish early on small texts.
@@ -66,8 +66,8 @@ class PsaIndex:
 
     ``psa`` holds 1-based suffix start positions in encoded-suffix order;
     ``plcp[r]`` (0-based r) is the longest common prefix of ranks r and r-1
-    (0 at r=0). ``codes`` (the text's prev codes), ``starts`` and ``lcps``
-    (made from ``psa`` and ``plcp`` here) are plain-list copies for fast
+    (0 at r=0). ``codes`` (the text's own ``prev_codes``), ``starts`` and
+    ``lcps`` (copies of ``psa`` and ``plcp``) are plain lists for fast
     scalar access and slicing in the search loops: the suffix of 1-based
     rank ``r`` starts at ``starts[r - 1]``. ``starts`` is the index's one
     rank-to-start list; the tree reaches its nodes' suffixes through it.
@@ -177,8 +177,7 @@ def build_psa(text: PText) -> PsaIndex:
     O(n + sum of LCPs) element work. Deterministic.
     """
     n = text.n
-    codes = text.prev_codes
-    raw = np.asarray(codes, dtype=np.int64)
+    raw = text.code_array
     # Distances are below n; moving the static codes to just above them
     # keeps the order and lets (group, symbol) share one int64 sort key.
     code = np.where(raw >= STATIC_BASE, raw - STATIC_BASE + n, raw)
@@ -257,7 +256,7 @@ def build_psa(text: PText) -> PsaIndex:
             inner = ~head[1:-1]
         d += 1
 
-    return PsaIndex(psa=psa, plcp=plcp, codes=codes)
+    return PsaIndex(psa=psa, plcp=plcp, codes=text.prev_codes)
 
 
 def compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
@@ -391,7 +390,8 @@ def range_search(index: PsaIndex, pattern_prev: list[int],
 
     Ranks are 1-based inclusive. The caller guarantees every suffix in the
     range already agrees with the pattern on its first ``skip`` symbols;
-    nothing here re-checks it. Returns (first, last) ranks or None.
+    nothing here re-checks it. Returns (first, last) ranks or None, and
+    raises QueryError for a range reaching outside 1..n.
 
     The left edge is an LCP-accelerated lower bound: each probe resolves
     from the LCP of two ranks, or compares symbols (``compare_suffix``, the
@@ -407,7 +407,7 @@ def range_search(index: PsaIndex, pattern_prev: list[int],
     if stats is None:
         stats = QueryStats()
     if not (1 <= lo and hi <= index.n):
-        raise ValueError(f"range [{lo},{hi}] out of bounds")
+        raise QueryError(f"range [{lo},{hi}] out of bounds")
     if lo > hi:
         return None
     stats.max_range_searched = max(stats.max_range_searched, hi - lo + 1)
@@ -474,7 +474,7 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
             r = int(hits[0]) + 1
             raise ValidationError(message.format(r=r, q=r - 1))
 
-    codes = np.asarray(index.codes, dtype=np.int64)
+    codes = text.code_array
     # Pair r - 1 holds ranks r - 1 and r; a, b are their 0-based starts and
     # la, lb their lengths.
     a = psa[:-1] - 1

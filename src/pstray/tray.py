@@ -24,9 +24,8 @@ from itertools import compress
 import numpy as np
 
 # query calls range_search, report, prev and spe through this module's
-# globals, and bench/tracing.py times them by swapping those names; it
-# wraps encode_pattern too, which query no longer calls.
-from .alphabet import PText, encode_pattern, pattern_codes, rank  # noqa: F401
+# globals, and bench/tracing.py times them by swapping those names.
+from .alphabet import PText, pattern_codes, rank
 from .encoding import STATIC_BASE, pfunction_from_fpos, prev, spe
 from .errors import (ConstructionError, QueryError, RankError,
                      ValidationError)

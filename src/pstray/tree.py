@@ -27,7 +27,7 @@ import numpy as np
 
 from .alphabet import PText
 from .encoding import prev_char_in_window
-from .errors import ValidationError
+from .errors import QueryError, ValidationError
 from .suffixes import PsaIndex, _window_symbols
 
 NO_NODE = -1
@@ -199,10 +199,14 @@ def edge_symbol(tree: TrayTree, index: PsaIndex, node: int, offset: int) -> int:
     """Symbol ``offset`` (1-based) of the edge entering ``node``.
 
     Resolved through any leaf below the node; with the leftmost one the
-    window start is ``starts[lo - 1]``.
+    window start is ``starts[lo - 1]``. Raises QueryError for the root, a
+    node id outside the tree or an offset outside the edge.
     """
-    if not (1 <= offset <= tree.edge_length(node)):
-        raise ValueError(f"edge offset {offset} out of range for node {node}")
+    if not 0 < node < tree.size:
+        raise QueryError(f"node {node} has no entering edge in a tree of "
+                         f"{tree.size} nodes")
+    if not 1 <= offset <= tree.edge_length(node):
+        raise QueryError(f"edge offset {offset} out of range for node {node}")
     start = index.starts[tree.lo[node] - 1]
     return prev_char_in_window(index.codes, start, tree.depth[tree.parent[node]] + offset)
 
@@ -295,7 +299,7 @@ def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
                             != depth[block]):
             raise ValidationError("a light node's depth is not the least "
                                   "LCP inside its block")
-    codes = np.asarray(index.codes, dtype=np.int64)
-    sym = _window_symbols(codes, psa[lo[listed] - 1] - 1, depth[owner] + 1)
+    sym = _window_symbols(text.code_array, psa[lo[listed] - 1] - 1,
+                          depth[owner] + 1)
     if np.count_nonzero(sym[1:][inside[:-1]] <= sym[:-1][inside[:-1]]):
         raise ValidationError("children are not in first-symbol order")

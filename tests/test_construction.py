@@ -54,7 +54,8 @@ def test_build_tree_matches_interval_definition():
 
 def test_build_tree_of_one_suffix():
     # The end marker alone: the root holds the one rank and lists nothing.
-    t = PText(symbols=[1], pi=0, sigma=1, tok2id={}, id2tok={1: "$"},
+    t = PText(symbol_array=np.array([1], dtype=np.int64), pi=0, sigma=1,
+              tok2id={}, id2tok={1: "$"},
               spec=AlphabetSpec(pi_members=frozenset()))
     idx = build_psa(t)
     tree = build_tree(idx, t)

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from pstray.encoding import (STATIC_BASE, fpos, fpos_stream, p_match,
-                             pfunction_from_fpos, prev, prev_char_in_window,
-                             spe)
+                             pfunction_from_fpos, prev, prev_array,
+                             prev_char_in_window, spe)
+from pstray.errors import QueryError
 from pstray.oracle import bijection_p_match, naive_spe
 
-from conftest import make_text, sym_codes
+from conftest import make_text, random_text, sym_codes
 
 
 def enc(text, s):
@@ -36,6 +37,47 @@ def test_prev_all_static():
     w = enc(t, "ABBA")
     assert prev(w, t.pi) == [STATIC_BASE + c for c in w]
     assert prev([], t.pi) == []
+
+
+# ------------------------------------------------ whole-text prev, numpy
+
+def test_prev_array_equals_prev_on_random_texts():
+    rng = random.Random(2718)
+    for i in range(300):
+        t = random_text(rng, max_n=200 if i < 20 else 60)
+        want = prev(t.symbols, t.pi)
+        assert prev_array(t.symbol_array, t.pi).tolist() == want
+        assert t.code_array.tolist() == t.prev_codes == want
+
+
+def test_prev_array_on_degenerate_texts():
+    texts = [make_text("ABBA", pi=""), make_text("ABA", pi="xyz"),
+             make_text("A" * 40, pi=""), make_text("x", pi="x"),
+             make_text("x" * 50, pi="x"), make_text("x" * 50 + "A", pi="x")]
+    assert [t.pi for t in texts] == [0, 0, 0, 1, 1, 1]
+    for t in texts:
+        assert t.prev_codes == prev(t.symbols, t.pi)
+
+
+def wide_text(pi):
+    """A token-mode text over ``pi`` parameterized tokens and two statics:
+    every token once, a static, all of them again in a shuffled order, then
+    the tokens of the largest and the smallest id, so each id has a first
+    occurrence and a distance."""
+    toks = [f"p{k:06d}" for k in range(pi)]
+    again = toks[:]
+    random.Random(pi).shuffle(again)
+    return make_text(toks + ["S"] + again + ["T", toks[-1], toks[0]],
+                     pi=toks, mode="tokens")
+
+
+@pytest.mark.parametrize("pi", [255, 256, 257, 65535, 65536, 65537])
+def test_prev_array_on_both_sides_of_each_key_width(pi):
+    """The sort key narrows to 8, 16 or 32 bits by pi; a key one width too
+    narrow would merge ids 1 and 257 (or 65537)."""
+    t = wide_text(pi)
+    assert t.pi == pi and t.symbols[-3] == pi
+    assert t.prev_codes == prev(t.symbols, pi)
 
 
 # ---------------------------------------------------------------- spe
@@ -112,8 +154,9 @@ def test_window_symbols_demo(demo_text):
     # first window symbol of any parameterized position is fresh
     for j in (1, 3, 5, 6, 7, 8, 10, 11, 12):
         assert prev_char_in_window(codes, j, 1) == 0
-    with pytest.raises(ValueError):
-        prev_char_in_window(codes, 6, 9)
+    for j, d in ((6, 9), (0, 1), (1, 0), (demo_text.n + 1, 1)):
+        with pytest.raises(QueryError):
+            prev_char_in_window(codes, j, d)
 
 
 def test_window_symbols_match_materialized_suffixes():
@@ -138,6 +181,9 @@ def test_fpos_worked_example():
 
 def test_fpos_sentinel_suffix(demo_text):
     assert fpos(demo_text, demo_text.n) == (0, 0, 0)
+    for i in (0, -1, demo_text.n + 1):
+        with pytest.raises(QueryError):
+            fpos(demo_text, i)
 
 
 def test_fpos_demo_full_text(demo_text):

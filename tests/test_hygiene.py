@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never reads,
-and every name a module exports in ``__all__`` is bound in it."""
+"""Source hygiene: no module of the package imports a name it never reads
+or imports inside a function body, and every name a module exports in
+``__all__`` is bound in it."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,55 @@ def test_unbound_export_check_sees_what_it_should():
               "__all__ = ['os', 'c', 'd', 'e', 'f', 'g', 'h', 'J',\n"
               "           'b', 'i', 'gone']\n")
     assert unbound_exports(source) == ["b", "gone", "i"]
+
+
+# The one import made inside a function: ``index_io.load`` looks up
+# ``validate_psa`` per call, so that a wrapper installed on
+# ``suffixes.validate_psa`` (the benchmark's load span) sees the call.
+FUNCTION_IMPORTS = {"index_io.py": ["load: validate_psa"]}
+
+
+def function_imports(source: str) -> list[str]:
+    """``function: names`` for every import statement inside a function
+    body, named after the innermost function around it."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = ", ".join(a.name for a in child.names)
+                found.append(f"{function}: {names}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == \
+        FUNCTION_IMPORTS.get(path.name, [])
+
+
+def test_function_import_check_sees_what_it_should():
+    source = ("import os\n"
+              "from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n"
+              "    from a import b\n"
+              "def f():\n"
+              "    import sys\n"
+              "    def g():\n"
+              "        from c import d, e\n"
+              "    return sys\n"
+              "class K:\n"
+              "    def m(self):\n"
+              "        if self:\n"
+              "            from .x import y\n")
+    assert function_imports(source) == ["f: sys", "g: d, e", "m: y"]
 
 
 def test_star_import_of_the_package_runs():

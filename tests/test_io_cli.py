@@ -5,9 +5,11 @@ import struct
 import pytest
 
 from pstray import index_io
+from pstray.alphabet import encode_pattern
 from pstray.cli import main
 from pstray.errors import (ChecksumError, ConstructionError, FormatError,
                            PstrayError)
+from pstray.oracle import naive_ppm
 from pstray.suffixes import PsaIndex, validate_psa
 from pstray.tray import assemble, query
 
@@ -45,6 +47,31 @@ def test_round_trip_preserves_queries(tmp_path):
             pat = random_pattern(rng, t)
             assert query(index, t, pat)[0] == \
                 query(loaded, loaded.text, pat)[0]
+
+
+def test_build_and_load_make_no_python_prev_pass(tmp_path, monkeypatch):
+    """The text's prev codes come from its symbol array, in numpy, both on
+    ingest and on load: with ``encoding.prev`` made to raise, an index
+    still builds, saves, loads and answers like the oracle, and the loaded
+    text's arrays equal the ingested text's."""
+    def refuse(*args):
+        raise AssertionError("encoding.prev ran over a whole text")
+
+    monkeypatch.setattr("pstray.encoding.prev", refuse)
+    rng = random.Random(4711)
+    for _ in range(5):
+        t = random_text(rng, max_n=150)
+        path = tmp_path / "x.idx"
+        index_io.save(assemble(t), path)
+        loaded = index_io.load(path)
+        lt = loaded.text
+        assert lt.symbols == t.symbols and lt.prev_codes == t.prev_codes
+        assert (lt.code_array == t.code_array).all()
+        assert (lt.symbol_array == t.symbol_array).all()
+        for _ in range(20):
+            pat = random_pattern(rng, t)
+            want = sorted(naive_ppm(t, encode_pattern(t, pat)))
+            assert loaded.query(pat)[0] == want
 
 
 def test_truncated_file(tmp_path, demo_index):

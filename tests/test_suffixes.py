@@ -6,7 +6,7 @@ import pytest
 import pstray.suffixes as sfx
 from pstray.alphabet import encode_pattern
 from pstray.encoding import STATIC_BASE, prev, prev_char_in_window
-from pstray.errors import ValidationError
+from pstray.errors import QueryError, ValidationError
 from pstray.oracle import naive_psa
 from pstray.suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
                              plain_range_search, range_search, report,
@@ -201,6 +201,9 @@ def test_range_search_demo_ranges(demo_text, demo_index):
     got = range_search(idx, sym_codes(t, "0A01"), 6, 8, 3)
     assert got == (6, 7)
     assert sorted(report(idx, got)) == [3, 8]
+    for lo, hi in ((0, 3), (1, idx.n + 1), (-2, 1)):
+        with pytest.raises(QueryError):
+            range_search(idx, sym_codes(t, "00"), lo, hi, 0)
 
 
 def test_range_search_pattern_longer_than_suffixes(demo_text, demo_index):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pstray.encoding import STATIC_BASE, prev
+from pstray.errors import QueryError
 from pstray.suffixes import PsaIndex, build_psa
 from pstray.tree import (build_tree, edge_symbol, first_edge_symbol,
                          node_label, validate_tree)
@@ -70,10 +71,14 @@ def test_edge_symbol_examples(demo_text, demo_index):
     kids = tree.children[tree.root]
     syms = [edge_symbol(tree, idx, u, 1) for u in kids]
     assert syms == sorted(syms)
-    with pytest.raises(ValueError):
+    with pytest.raises(QueryError):
         edge_symbol(tree, idx, child, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(QueryError):
         edge_symbol(tree, idx, child, tree.edge_length(child) + 1)
+    # the root has no entering edge, and ids outside the tree name no node
+    for node in (tree.root, -1, tree.size, tree.size + 5):
+        with pytest.raises(QueryError):
+            edge_symbol(tree, idx, node, 1)
 
 
 def test_leaf_labels_reproduce_suffix_encodings():
