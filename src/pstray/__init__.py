@@ -7,12 +7,12 @@ queries in time linear in the pattern plus a log of the alphabet size.
 """
 
 from .alphabet import (AlphabetSpec, PText, encode_pattern, ingest,
-                       parse_alphabet_spec, pattern_codes, rank)
+                       parse_alphabet_spec, pattern_codes)
 from .encoding import (STATIC_BASE, fpos, fpos_stream, p_match,
                        pfunction_from_fpos, prev, prev_char_in_window, spe)
 from .errors import (CapacityError, ChecksumError, ClassificationError,
                      ConstructionError, FormatError, InputError, PstrayError,
-                     QueryError, RankError, ValidationError)
+                     QueryError, ValidationError)
 from .suffixes import (PsaIndex, QueryStats, build_psa, range_search, report,
                        validate_psa)
 from .tray import (PSTrayIndex, TrayAnnotations, assemble, build_parrays,
@@ -22,7 +22,7 @@ from .tree import TrayTree, build_tree, edge_symbol
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetSpec", "PText", "ingest", "parse_alphabet_spec", "rank",
+    "AlphabetSpec", "PText", "ingest", "parse_alphabet_spec",
     "encode_pattern", "pattern_codes", "prev", "spe", "p_match",
     "prev_char_in_window", "fpos", "fpos_stream", "pfunction_from_fpos",
     "STATIC_BASE",
@@ -30,7 +30,7 @@ __all__ = [
     "validate_psa", "TrayTree", "build_tree", "edge_symbol",
     "TrayAnnotations", "PSTrayIndex", "classify_pnodes", "build_parrays",
     "build_tray", "assemble", "query",
-    "PstrayError", "InputError", "ClassificationError", "RankError",
+    "PstrayError", "InputError", "ClassificationError",
     "QueryError", "ConstructionError", "CapacityError", "FormatError",
     "ChecksumError", "ValidationError",
     "__version__",

@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import STATIC_BASE, prev_array
-from .errors import ClassificationError, InputError, QueryError, RankError
+from .encoding import STATIC_BASE, prev_array, sort_by_symbol
+from .errors import ClassificationError, InputError, QueryError
 
 SENTINEL_TOKEN = "$"
 
@@ -36,9 +36,9 @@ TOKEN_MODE = "tokens"
 class AlphabetSpec:
     """Declares which tokens are parameterized and how input is tokenized.
 
-    ``sigma_members=None`` means "every token not declared parameterized is
-    static". With an explicit static set, unclassifiable text tokens are an
-    error.
+    Both alphabets are sets of string tokens. ``sigma_members=None`` means
+    "every token not declared parameterized is static". With an explicit
+    static set, unclassifiable text tokens are an error.
     """
 
     pi_members: frozenset[str]
@@ -48,6 +48,14 @@ class AlphabetSpec:
     def __post_init__(self):
         if self.mode not in (BYTE_MODE, TOKEN_MODE):
             raise InputError(f"unknown input mode: {self.mode!r}")
+        # A str is no token set: membership in it tests for substrings.
+        sets = [self.pi_members]
+        if self.sigma_members is not None:
+            sets.append(self.sigma_members)
+        if not all(isinstance(s, (set, frozenset))
+                   and all(isinstance(tok, str) for tok in s) for s in sets):
+            raise InputError("pi_members and sigma_members must be sets of "
+                             "string tokens")
         if SENTINEL_TOKEN in self.pi_members:
             raise InputError("sentinel collision: '$' declared parameterized")
         if self.sigma_members is not None:
@@ -109,9 +117,12 @@ class PText:
     """An ingested text: internal symbols with the end marker appended.
 
     Made from its int64 ``symbol_array`` (built by ``ingest``, read by
-    ``index_io.load``) and immutable. Derived once: ``code_array``, the prev
-    codes, and the lists ``prev_codes`` and ``symbols`` for scalar loops
-    (position ``p`` is ``symbols[p-1]``; ``symbols[-1]`` is the sentinel).
+    ``index_io.load``) and immutable. Derived once: ``by_symbol``, the
+    0-based positions of the parameterized symbols sorted by symbol (symbol
+    x's, ascending, are ``by_symbol[symbol_cuts[x-1]:symbol_cuts[x]]``);
+    ``code_array``, the prev codes; and the lists ``prev_codes`` and
+    ``symbols`` for scalar loops (position ``p`` is ``symbols[p-1]``;
+    ``symbols[-1]`` is the sentinel).
     """
 
     symbol_array: np.ndarray
@@ -121,12 +132,18 @@ class PText:
     id2tok: dict[int, str]
     spec: AlphabetSpec
     symbols: list[int] = field(init=False, repr=False)
+    by_symbol: np.ndarray = field(init=False, repr=False)
+    symbol_cuts: list[int] = field(init=False, repr=False)
     code_array: np.ndarray = field(init=False, repr=False)
     prev_codes: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.symbols = self.symbol_array.tolist()
-        self.code_array = prev_array(self.symbol_array, self.pi)
+        symbols = self.symbol_array
+        self.symbols = symbols.tolist()
+        self.by_symbol = sort_by_symbol(symbols, self.pi)
+        self.symbol_cuts = np.bincount(symbols[self.by_symbol],
+                                       minlength=self.pi + 1).cumsum().tolist()
+        self.code_array = prev_array(symbols, self.by_symbol)
         self.prev_codes = self.code_array.tolist()
 
     @property
@@ -146,13 +163,23 @@ class PText:
 def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
     """Classify and remap raw input, append the end marker, return a PText.
 
-    Raises InputError for empty input or a sentinel collision, and
+    Raises InputError for empty input, a sentinel collision and input that
+    is neither a string nor an iterable of string tokens, and
     ClassificationError for a token outside both alphabets when the static
     set is explicit.
     """
-    tokens = spec.tokenize(raw)
+    try:
+        tokens = spec.tokenize(raw)
+    except TypeError:
+        raise InputError("a text is a string or a sequence of string tokens, "
+                         f"not {type(raw).__name__}") from None
     if not tokens:
         raise InputError("empty input")
+    # A str splits into strings; any other input is checked token by token.
+    if not isinstance(raw, str):
+        for tok in tokens:
+            if not isinstance(tok, str):
+                raise InputError(f"text token {tok!r} is not a string")
 
     pi_occ: set[str] = set()
     sigma_occ: set[str] = set()
@@ -181,19 +208,6 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
     symbols.append(sentinel)
     return PText(symbol_array=np.array(symbols, dtype=np.int64), pi=pi,
                  sigma=sigma, tok2id=tok2id, id2tok=id2tok, spec=spec)
-
-
-def rank(sym: int, text: PText) -> int:
-    """Lexicographic rank of an internal symbol in the occurring alphabet.
-
-    Ids are assigned so that the rank equals the id; this validates the
-    domain: canonical parameterized ids 1..pi (whether or not they occur as
-    given) and occurring static ids pi+1..pi+sigma.
-    """
-    if 1 <= sym <= text.pi + text.sigma:
-        return sym
-    raise RankError(f"symbol id {sym} outside canonical universe "
-                    f"1..{text.pi + text.sigma}")
 
 
 def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:

@@ -60,7 +60,7 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     index = index_io.load(args.index)
     pattern = _pattern_arg(args.pattern, index.text.spec.mode)
-    occ, stats = query(index, index.text, pattern)
+    occ, stats = query(index, pattern)
     for pos in occ:
         print(pos)
     if args.stats:
@@ -113,7 +113,7 @@ def cmd_bench(args) -> int:
     rows = []
     for pid, raw in enumerate(patterns):
         t0 = time.perf_counter()
-        occ, stats = query(index, text, raw)
+        occ, stats = query(index, raw)
         micros_tray = (time.perf_counter() - t0) * 1e6
 
         psa_stats = QueryStats()
@@ -182,7 +182,7 @@ def cmd_self_check(args) -> int:
     rng = random.Random(args.seed)
     for trial in range(args.trials):
         pattern = _random_pattern(rng, text)
-        occ, _ = query(index, text, pattern)
+        occ, _ = query(index, pattern)
         encoded = encode_pattern(text, pattern)
         expect = sorted(naive_ppm(text, encoded)) if encoded else []
         if occ != expect:

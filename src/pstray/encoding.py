@@ -47,15 +47,22 @@ def prev(w: Sequence[int], pi: int) -> list[int]:
     return out
 
 
-def prev_array(symbols: np.ndarray, pi: int) -> np.ndarray:
-    """``prev`` of a whole text's int64 symbols, by one stable sort of the
-    parameterized positions by symbol (radix, on a key as wide as ``pi``)."""
-    out = symbols + STATIC_BASE
+def sort_by_symbol(symbols: np.ndarray, pi: int) -> np.ndarray:
+    """0-based positions of a text's parameterized symbols (ids 1..pi),
+    sorted by symbol and ascending within one symbol: one stable radix sort
+    on a key as wide as ``pi``."""
     at = (symbols <= pi).nonzero()[0]
     key = symbols[at].astype(np.min_scalar_type(pi))
-    at = at[np.argsort(key, kind="stable")]
-    same = np.diff(symbols[at], prepend=0) == 0
-    out[at] = np.where(same, np.diff(at, prepend=0), 0)
+    return at[np.argsort(key, kind="stable")]
+
+
+def prev_array(symbols: np.ndarray, by_symbol: np.ndarray) -> np.ndarray:
+    """``prev`` of a whole text's int64 symbols, from its parameterized
+    positions in ``sort_by_symbol`` order: each distance is the difference
+    of two neighbours with one symbol."""
+    out = symbols + STATIC_BASE
+    same = np.diff(symbols[by_symbol], prepend=0) == 0
+    out[by_symbol] = np.where(same, np.diff(by_symbol, prepend=0), 0)
     return out
 
 
@@ -136,10 +143,9 @@ def fpos(text: PText, i: int) -> tuple[int, ...]:
     raise QueryError(f"suffix start {i} out of range")
 
 
-def pfunction_from_fpos(text: PText, i: int, limit: int,
-                        farr: Sequence[int]) -> dict[int, int]:
+def pfunction_from_fpos(limit: int, farr: Sequence[int]) -> dict[int, int]:
     """Renaming that carries the window ``T[i:i+limit-1]`` onto its
-    canonical form, derived from the suffix's f-array.
+    canonical form, derived from the f-array of the suffix ``T[i:]``.
 
     Orders the parameterized symbols first occurring within the window by
     their f-array offsets; the l-th maps to canonical id l. Symbols absent

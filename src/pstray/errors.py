@@ -13,10 +13,6 @@ class ClassificationError(InputError):
     """A token belongs to neither alphabet under an explicit static set."""
 
 
-class RankError(PstrayError):
-    """Symbol id outside the canonical universe of the text."""
-
-
 class QueryError(PstrayError):
     """Invalid query (e.g. empty pattern)."""
 

@@ -87,11 +87,6 @@ class PsaIndex:
     def n(self) -> int:
         return len(self.psa)
 
-    def lcp_between(self, a: int, b: int) -> int:
-        """LCP of the suffixes at 1-based ranks a < b: the least adjacent
-        LCP from rank a+1 to rank b, a min over b - a list entries."""
-        return min(self.lcps[a:b])
-
 
 def _last_corrections(code: np.ndarray) -> np.ndarray:
     """g[i]: the last 1-based offset at which the window of the suffix at
@@ -337,9 +332,11 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
     Classic two-pointer search: boundary LCPs ``l``/``r`` with the pattern
     are maintained so that a midpoint is either resolved purely from its
     LCP with the nearer-matching boundary (no symbol comparisons) or
-    compared starting where the longer boundary match left off.
+    compared starting where the longer boundary match left off. The LCP
+    of ranks a < b is the least adjacent LCP ``min(lcps[a:b])``.
     """
     starts = index.starts
+    lcps = index.lcps
     rel, l = compare_suffix(index, starts[lo - 1], pattern_prev, skip, stats)
     stats.psa_probes += 1
     if rel >= 0:
@@ -355,7 +352,7 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
         mid = (left + right) // 2
         stats.psa_probes += 1
         if l >= r:
-            h = index.lcp_between(left, mid)
+            h = min(lcps[left:mid])
             if h > l:
                 left = mid
             elif h < l:
@@ -368,7 +365,7 @@ def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):
                 else:
                     left, l = mid, t
         else:
-            h = index.lcp_between(mid, right)
+            h = min(lcps[mid:right])
             if h > r:
                 right = mid  # same relation as the right boundary
             elif h < r:
@@ -428,10 +425,13 @@ def range_search(index: PsaIndex, pattern_prev: list[int],
 
 def report(index: PsaIndex, match_range: tuple[int, int] | None) -> list[int]:
     """Suffix start positions of a match range, in suffix-array order: a
-    new list, one slice of ``starts``."""
+    new list, one slice of ``starts``. Raises QueryError for a range
+    reaching outside 1..n."""
     if match_range is None:
         return []
     j, k = match_range
+    if not (1 <= j and k <= index.n):
+        raise QueryError(f"range [{j},{k}] out of bounds")
     return index.starts[j - 1:k]
 
 

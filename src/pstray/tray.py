@@ -16,19 +16,17 @@ which keeps the search's logarithmic term independent of the text length.
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
 
-# query calls range_search, report, prev and spe through this module's
-# globals, and bench/tracing.py times them by swapping those names.
-from .alphabet import PText, pattern_codes, rank
-from .encoding import STATIC_BASE, pfunction_from_fpos, prev, spe
-from .errors import (ConstructionError, QueryError, RankError,
-                     ValidationError)
+# query calls range_search and report through this module's globals, and
+# bench/tracing.py times them by swapping those names.
+from .alphabet import PText, pattern_codes
+from .encoding import STATIC_BASE, pfunction_from_fpos
+from .errors import ConstructionError, ValidationError
 from .suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
                        range_search, report, validate_psa)
 from .tree import (NO_NODE, TrayTree, build_tree, first_edge_symbol,
@@ -99,18 +97,16 @@ def _canonical_ids(text: PText, reps: list[int],
     row's count of ids.
 
     Each symbol's first occurrence at or after every window start comes
-    from one ``searchsorted`` over that symbol's sorted positions; those
-    past the window's end are blanked, and ranking the rest of each row by
-    position numbers the window's symbols in order of first occurrence.
-    The table has one row per window and pi + 1 columns.
+    from one ``searchsorted`` over that symbol's positions, read from the
+    text's ``by_symbol`` order; those past the window's end are blanked,
+    and ranking the rest of each row by position numbers the window's
+    symbols in order of first occurrence. The table has one row per window
+    and pi + 1 columns.
     """
     pi = text.pi
-    starts = _array(reps)
+    starts = _array(reps) - 1  # 0-based, as by_symbol
     ends = starts + _array(depths)  # one past each window
-    symbols = text.symbol_array
-    where = (symbols <= pi).nonzero()[0]
-    by_symbol = where[np.argsort(symbols[where], kind="stable")] + 1
-    cuts = np.cumsum(np.bincount(symbols[where], minlength=pi + 1))
+    by_symbol, cuts = text.by_symbol, text.symbol_cuts
     none = np.iinfo(np.int64).max  # no occurrence at or after the start
     first = np.empty((len(reps), pi), dtype=np.int64)
     for x in range(1, pi + 1):
@@ -178,7 +174,11 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
 
 @dataclass(eq=False)
 class PSTrayIndex:
-    """The assembled index: text, sorted suffixes, tree and annotations."""
+    """The assembled index: text, sorted suffixes, tree and annotations.
+
+    ``query(pattern)`` is ``tray.query(self, pattern)``: a pattern is a
+    string or a sequence of string tokens.
+    """
 
     text: PText
     psa_index: PsaIndex
@@ -186,7 +186,7 @@ class PSTrayIndex:
     ann: TrayAnnotations
 
     def query(self, pattern) -> tuple[list[int], QueryStats]:
-        return query(self, self.text, pattern)
+        return query(self, pattern)
 
     def validate(self) -> None:
         validate_psa(self.psa_index, self.text, full=True)
@@ -213,42 +213,13 @@ def assemble(text: PText) -> PSTrayIndex:
     return build_tray(build_psa(text), text)
 
 
-def _pattern_codes(text: PText,
-                   pattern) -> tuple[list[int], list[int]] | None:
-    """prev codes and canonical ids of a raw or pre-encoded pattern; None
-    when it cannot occur in the text.
+def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
+    """All positions of ``idx.text`` whose window matches the pattern up to
+    renaming of parameterized symbols, plus instrumentation counters.
 
-    A string or a sequence of string tokens goes through the one-pass
-    ``pattern_codes``. A sequence of integers (Python or numpy) is taken as
-    pre-encoded ids: negative ids are pattern-only parameterized symbols,
-    as ``encode_pattern`` makes them, and every other id must have a rank
-    in the text's alphabet. Anything else raises QueryError.
-    """
-    if isinstance(pattern, str):
-        return pattern_codes(text, pattern)
-    try:
-        tokens = list(pattern)
-    except TypeError:
-        raise QueryError("a pattern is a string or a sequence, not "
-                         f"{type(pattern).__name__}") from None
-    if not tokens or not all(isinstance(c, numbers.Integral) for c in tokens):
-        return pattern_codes(text, tokens)
-    ids = [int(c) for c in tokens]
-    for c in ids:
-        if c >= 0:
-            try:
-                rank(c, text)
-            except RankError as exc:
-                raise QueryError(f"pre-encoded pattern: {exc}") from exc
-    return prev(ids, text.pi), spe(ids, text.pi)
-
-
-def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats]:
-    """All positions whose window matches the pattern up to renaming of
-    parameterized symbols, plus instrumentation counters.
-
-    ``pattern`` is raw input (string or token sequence) or a pre-encoded
-    id list; one pass over it gives its prev codes and canonical ids.
+    ``pattern`` is a string or a sequence of string tokens, as the text
+    was ingested; one pass over it (``pattern_codes``) gives its prev codes
+    and canonical ids, and anything else raises QueryError.
     Descends the tree through heavy nodes and finishes with a bounded
     suffix-array search as soon as the locus leaves the heavy part. A
     branching node dispatches in O(1) on the next canonical id, which
@@ -263,7 +234,7 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
     ascending.
     """
     stats = QueryStats()
-    codes = _pattern_codes(text, pattern)
+    codes = pattern_codes(idx.text, pattern)
     if codes is None:
         return [], stats
     pattern_prev, pattern_canon = codes
@@ -271,6 +242,7 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
     tree = idx.tree
     ann = idx.ann
     index = idx.psa_index
+    pi = idx.text.pi
     depth, lo, hi = tree.depth, tree.lo, tree.hi
     starts = index.starts
     rng = None
@@ -281,13 +253,13 @@ def query(idx: PSTrayIndex, text: PText, pattern) -> tuple[list[int], QueryStats
         if ann.is_branching[node]:
             nxt = pattern_prev[matched]
             if nxt >= STATIC_BASE:
-                rank_ = nxt - STATIC_BASE
+                rank = nxt - STATIC_BASE
             else:
-                rank_ = pattern_canon[matched]
-                if rank_ > text.pi:
+                rank = pattern_canon[matched]
+                if rank > pi:
                     break  # needs more distinct symbols than T has
             stats.parray_lookups += 1
-            child = ann.parray[node][rank_]
+            child = ann.parray[node][rank]
             if child == NO_NODE:
                 break
             if not ann.is_pnode[child]:
@@ -343,10 +315,9 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     if ann.threshold != threshold:
         raise ValidationError("stale threshold")
     n = text.n
-    occ: dict[int, list[int]] = {}
-    for p, c in enumerate(text.symbols, start=1):
-        if c <= text.pi:
-            occ.setdefault(c, []).append(p)
+    positions = (text.by_symbol + 1).tolist()
+    cuts = text.symbol_cuts
+    occ = [positions[cuts[x - 1]:cuts[x]] for x in range(1, text.pi + 1)]
     branching = 0
     for v in range(tree.size):
         lc = tree.leaf_count(v)
@@ -369,20 +340,18 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
 
 
 def _check_dispatch(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                    index: PsaIndex, v: int,
-                    occ: dict[int, list[int]]) -> None:
-    """Dispatch agreement at branching node ``v``; ``occ`` maps each
-    parameterized symbol to its ascending text positions."""
+                    index: PsaIndex, v: int, occ: list[list[int]]) -> None:
+    """Dispatch agreement at branching node ``v``; ``occ[x-1]`` holds
+    parameterized symbol x's ascending 1-based text positions."""
     arr = ann.parray.get(v)
     if arr is None or len(arr) != text.sigma + text.pi + 1:
         raise ValidationError(f"p-array missing or mis-sized at {v}")
     rep, depth = index.starts[tree.lo[v] - 1], tree.depth[v]
     farr = []
-    for x in range(1, text.pi + 1):
-        ps = occ.get(x, [])
+    for ps in occ:
         k = bisect_left(ps, rep)
         farr.append(ps[k] - rep + 1 if k < len(ps) else 0)
-    canon = pfunction_from_fpos(text, rep, depth, farr)
+    canon = pfunction_from_fpos(depth, farr)
     want = [NO_NODE] * len(arr)
     for u in tree.children[v]:
         sym = first_edge_symbol(tree, index, u)

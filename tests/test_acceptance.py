@@ -102,7 +102,7 @@ def random_suite():
             structural_violations += 1
         for _ in range(40):
             pattern = _random_suite_pattern(rng, text)
-            occ, stats = query(index, text, pattern)
+            occ, stats = query(index, pattern)
             enc = encode_pattern(text, pattern)
             expect = sorted(naive_ppm(text, enc)) if enc else []
             trials.append((
@@ -151,7 +151,7 @@ def test_criterion_1_golden_vectors(demo_text, demo_index):
     ppm_index = assemble(ppm_text)
     _validate_all(ppm_index)
     _validate_all(demo_index)
-    occ, _ = query(ppm_index, ppm_text, "yAzz")
+    occ, _ = query(ppm_index, "yAzz")
     assert occ == [3, 7]
 
     elapsed = time.monotonic() - t0
@@ -306,7 +306,7 @@ def test_criterion_6_query_cost_instrumentation(random_suite, demo_text,
             (demo_text, demo_index, "xAyy"),
             (demo_text, demo_index, "zz"),
             (demo_text, demo_index, "xAx")]:
-        _, stats = query(index, text, pattern)
+        _, stats = query(index, pattern)
         bound = (text.sigma + text.pi + 1) * max(text.sigma, text.pi)
         assert stats.max_range_searched < bound
     _passed(6, f"(bounds held on {len(trials)} instrumented queries)")
@@ -331,8 +331,7 @@ def test_criterion_7_serialization(tmp_path, demo_text, demo_index):
         assert p1.read_bytes() == p2.read_bytes(), "round trip not byte-exact"
         while battery < (i + 1) * 34:
             pattern = _random_suite_pattern(rng, text, max_m=20)
-            assert query(index, text, pattern)[0] == \
-                query(loaded, loaded.text, pattern)[0]
+            assert query(index, pattern)[0] == query(loaded, pattern)[0]
             battery += 1
     assert battery >= 100
     _passed(7, f"({battery} queries preserved across save/load)")

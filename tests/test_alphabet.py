@@ -3,10 +3,9 @@ import random
 import pytest
 
 from pstray.alphabet import (AlphabetSpec, encode_pattern,
-                             parse_alphabet_spec, pattern_codes, rank)
+                             parse_alphabet_spec, pattern_codes)
 from pstray.encoding import prev, spe
-from pstray.errors import (ClassificationError, InputError, QueryError,
-                           RankError)
+from pstray.errors import ClassificationError, InputError, QueryError
 
 from conftest import make_text
 
@@ -53,22 +52,47 @@ def test_ingest_errors():
         AlphabetSpec(pi_members=frozenset("x"), sigma_members=frozenset("x"))
 
 
+# Each of these failed outside PstrayError: int tokens built a text that
+# save could not write, mixed tokens broke the alphabet's sort, a list token
+# is unhashable and 5 is not iterable.
+@pytest.mark.parametrize("raw", [[1, 2, 1], [1, "a"], [["x"]], 5, b"xA"],
+                         ids=["int-tokens", "mixed-tokens", "unhashable-token",
+                              "not-iterable", "bytes"])
+def test_ingest_refuses_what_it_cannot_store(raw):
+    with pytest.raises(InputError):
+        make_text(raw, pi="xyz")
+
+
+# A str is not a token set: "xy" in "xyz" is a substring test.
+@pytest.mark.parametrize("members", [
+    dict(pi_members="xyz"), dict(pi_members=frozenset("x"), sigma_members="AB"),
+    dict(pi_members=frozenset(["x", 1])), dict(pi_members=frozenset("x"),
+                                               sigma_members=frozenset([b"A"])),
+    dict(pi_members=5), dict(pi_members=None),
+], ids=["pi-str", "sigma-str", "pi-int-member", "sigma-bytes-member",
+        "pi-not-a-set", "pi-none"])
+def test_alphabet_spec_refuses_non_string_sets(members):
+    with pytest.raises(InputError):
+        AlphabetSpec(mode="tokens", **members)
+
+
+# A symbol's id is its lexicographic rank in the occurring alphabet, every
+# parameterized symbol ranked below every static one: the dispatch arrays
+# are indexed by it.
 def test_rank_values(demo_text):
-    assert rank(1, demo_text) == 1                      # smallest parameterized
-    assert rank(demo_text.tok2id["A"], demo_text) == 4  # after all of x,y,z
-    assert rank(demo_text.sentinel, demo_text) == 5     # largest overall
-    with pytest.raises(RankError):
-        rank(0, demo_text)
-    with pytest.raises(RankError):
-        rank(6, demo_text)
+    t = demo_text
+    assert t.tok2id["x"] == 1               # smallest parameterized
+    assert t.tok2id["A"] == 4               # after all of x, y, z
+    assert t.sentinel == t.pi + t.sigma == 5  # largest overall
+    assert t.id2tok[5] == "$"
 
 
 def test_rank_is_monotone_bijection(demo_text):
     t = demo_text
     # parameterized tokens sort below statics, sentinel last
     ordered = sorted(t.tok2id, key=lambda tok: (not t.spec.is_parameterized(tok), tok))
-    ranks = [rank(t.tok2id[tok], t) for tok in ordered] + [rank(t.sentinel, t)]
-    assert ranks == list(range(1, t.pi + t.sigma + 1))
+    ids = [t.tok2id[tok] for tok in ordered] + [t.sentinel]
+    assert ids == list(range(1, t.pi + t.sigma + 1))
 
 
 def test_parse_alphabet_spec():

@@ -113,6 +113,6 @@ def test_annotations_match_definitions():
         assert len(table) == len(branching)
         for v, rep, row in zip(branching, reps, table):
             assert len(row) == t.pi + 1
-            fmap = pfunction_from_fpos(t, rep, tree.depth[v], fpos(t, rep))
+            fmap = pfunction_from_fpos(tree.depth[v], fpos(t, rep))
             assert {x: c for x, c in enumerate(row) if x and c} == fmap
             assert row[0] == len(fmap)

@@ -5,7 +5,7 @@ import pytest
 
 from pstray.encoding import (STATIC_BASE, fpos, fpos_stream, p_match,
                              pfunction_from_fpos, prev, prev_array,
-                             prev_char_in_window, spe)
+                             prev_char_in_window, sort_by_symbol, spe)
 from pstray.errors import QueryError
 from pstray.oracle import bijection_p_match, naive_spe
 
@@ -46,8 +46,15 @@ def test_prev_array_equals_prev_on_random_texts():
     for i in range(300):
         t = random_text(rng, max_n=200 if i < 20 else 60)
         want = prev(t.symbols, t.pi)
-        assert prev_array(t.symbol_array, t.pi).tolist() == want
+        order = sort_by_symbol(t.symbol_array, t.pi)
+        assert prev_array(t.symbol_array, order).tolist() == want
         assert t.code_array.tolist() == t.prev_codes == want
+        # the sort's order, kept: each symbol's positions, ascending
+        cuts = t.symbol_cuts
+        assert len(cuts) == t.pi + 1 and cuts[-1] == len(t.by_symbol)
+        for x in range(1, t.pi + 1):
+            want = [p for p, c in enumerate(t.symbols) if c == x]
+            assert t.by_symbol[cuts[x - 1]:cuts[x]].tolist() == want
 
 
 def test_prev_array_on_degenerate_texts():
@@ -78,6 +85,9 @@ def test_prev_array_on_both_sides_of_each_key_width(pi):
     t = wide_text(pi)
     assert t.pi == pi and t.symbols[-3] == pi
     assert t.prev_codes == prev(t.symbols, pi)
+    cuts = t.symbol_cuts
+    counts = [b - a for a, b in zip(cuts, cuts[1:])]
+    assert counts == [3] + [2] * (pi - 2) + [3]
 
 
 # ---------------------------------------------------------------- spe
@@ -219,20 +229,20 @@ def test_pfunction_on_prefix_in_canonical_order():
     t = make_text("xyxzyyxz", pi="xyz")
     farr = fpos(t, 1)
     # the text already starts x, y, ... so the renaming is the identity
-    assert pfunction_from_fpos(t, 1, 8, farr) == {1: 1, 2: 2, 3: 3}
+    assert pfunction_from_fpos(8, farr) == {1: 1, 2: 2, 3: 3}
 
 
 def test_pfunction_demo_window(demo_text):
     t = demo_text
     farr = fpos(t, 1)
-    got = pfunction_from_fpos(t, 1, 3, farr)  # window "zAx"
+    got = pfunction_from_fpos(3, farr)  # window "zAx"
     z, x, y = t.tok2id["z"], t.tok2id["x"], t.tok2id["y"]
     assert got == {z: 1, x: 2}
     assert y not in got
 
 
 def test_pfunction_empty_window(demo_text):
-    assert pfunction_from_fpos(demo_text, 1, 0, fpos(demo_text, 1)) == {}
+    assert pfunction_from_fpos(0, fpos(demo_text, 1)) == {}
 
 
 def test_pfunction_general_transport():
@@ -244,7 +254,7 @@ def test_pfunction_general_transport():
         t = random_text(rng, max_n=40)
         i = rng.randint(1, t.n)
         limit = rng.randint(0, t.n - i + 1)
-        fmap = pfunction_from_fpos(t, i, limit, fpos(t, i))
+        fmap = pfunction_from_fpos(limit, fpos(t, i))
         window = t.symbols[i - 1:i - 1 + limit]
         mapped = [fmap[c] if c <= t.pi else c for c in window]
         assert mapped == spe(window, t.pi)

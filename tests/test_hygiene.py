@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never reads
-or imports inside a function body, and every name a module exports in
-``__all__`` is bound in it."""
+or imports inside a function body, no function takes a parameter it never
+reads, and every name a module exports in ``__all__`` is bound in it."""
 
 import ast
 from pathlib import Path
@@ -144,6 +144,47 @@ def test_function_import_check_sees_what_it_should():
               "        if self:\n"
               "            from .x import y\n")
     assert function_imports(source) == ["f: sys", "g: d, e", "m: y"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function: parameter`` for every parameter that its function's body
+    never reads, skipping ``self``, ``cls`` and names starting with ``_``.
+    A read inside a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}: {p}" for p in params
+                  if p not in read and p not in ("self", "cls")
+                  and not p.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_check_sees_what_it_should():
+    source = ("def f(a, b, *c, d, e=1, **g):\n"
+              "    def h(i, j):\n"
+              "        return a + i\n"
+              "    return d, c\n"
+              "class K:\n"
+              "    def m(self, _n, o):\n"
+              "        o = 1\n"
+              "        return o\n"
+              "    @classmethod\n"
+              "    def p(cls, q):\n"
+              "        return [q for _ in cls]\n")
+    assert unread_parameters(source) == [
+        "f: b", "f: e", "f: g", "h: j"]
 
 
 def test_star_import_of_the_package_runs():

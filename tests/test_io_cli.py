@@ -45,8 +45,7 @@ def test_round_trip_preserves_queries(tmp_path):
         loaded = index_io.load(path)
         for _ in range(25):
             pat = random_pattern(rng, t)
-            assert query(index, t, pat)[0] == \
-                query(loaded, loaded.text, pat)[0]
+            assert query(index, pat)[0] == query(loaded, pat)[0]
 
 
 def test_build_and_load_make_no_python_prev_pass(tmp_path, monkeypatch):
@@ -383,7 +382,7 @@ def test_reserved_header_word_is_ignored(tmp_path, demo_index):
     body = bytes(data[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
     loaded = index_io.load(path)
-    assert query(loaded, loaded.text, "xAyy")[0] == [3, 8]
+    assert query(loaded, "xAyy")[0] == [3, 8]
     index_io.save(loaded, path)
     assert path.read_bytes() == default
 

@@ -223,6 +223,11 @@ def test_report_trivia(demo_index):
     idx = demo_index.psa_index
     assert report(idx, None) == []
     assert sorted(report(idx, (1, idx.n))) == list(range(1, idx.n + 1))
+    assert report(idx, (5, 4)) == []
+    # (0, 3) used to slice from the end and report nothing, (5, 100) to clip.
+    for bad in ((0, 3), (5, 100), (-2, 1), (1, idx.n + 1)):
+        with pytest.raises(QueryError):
+            report(idx, bad)
 
 
 def test_compare_suffix_matches_its_definition():

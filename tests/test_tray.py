@@ -168,29 +168,29 @@ def test_parrays_match_oracle_on_wide_and_static_alphabets():
 def test_query_worked_example():
     t = make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A")
     index = assemble(t)
-    occ, _ = query(index, t, "yAzz")
+    occ, _ = query(index, "yAzz")
     assert occ == [3, 7]
 
 
 def test_query_demo_descent(demo_text, demo_index):
-    occ, stats = query(demo_index, demo_text, "xAyy")
+    occ, stats = query(demo_index, "xAyy")
     assert occ == [3, 8]
     assert stats.parray_lookups == 2      # root -> "0" -> "0A0"
     assert stats.max_range_searched == 3  # the "0A0" block
 
 
 def test_query_longer_than_text(demo_text, demo_index):
-    occ, _ = query(demo_index, demo_text, "xy" * 10)
+    occ, _ = query(demo_index, "xy" * 10)
     assert occ == []
 
 
 def test_query_empty_pattern_rejected(demo_text, demo_index):
     with pytest.raises(QueryError):
-        query(demo_index, demo_text, "")
+        query(demo_index, "")
 
 
 def test_query_unknown_static(demo_text, demo_index):
-    occ, stats = query(demo_index, demo_text, "xQ")
+    occ, stats = query(demo_index, "xQ")
     assert occ == [] and stats.nodes_visited == 0
 
 
@@ -199,38 +199,6 @@ def _random_index(seed, n=3000):
     t = make_text("".join(rng.choice("uvwxyzABCDE") for _ in range(n)),
                   pi="uvwxyz")
     return t, assemble(t)
-
-
-def test_query_pre_encoded_out_of_range_id():
-    t, index = _random_index(41)
-    for bad in ([999], [0, 999], [1, t.pi + t.sigma + 1]):
-        with pytest.raises(QueryError):
-            index.query(bad)
-
-
-def test_query_pre_encoded_numpy_ints():
-    t, index = _random_index(42)
-    enc = encode_pattern(t, t.decode(range(200, 203)))
-    occ, _ = index.query(enc)
-    assert occ == sorted(naive_ppm(t, enc)) and len(occ) > 1
-    assert index.query([np.int64(c) for c in enc])[0] == occ
-    assert index.query(np.array(enc))[0] == occ
-
-
-def test_query_pre_encoded_matches_raw():
-    rng = random.Random(616)
-    for _ in range(30):
-        t = random_text(rng, max_n=200)
-        index = assemble(t)
-        for _ in range(20):
-            pat = random_pattern(rng, t)
-            enc = encode_pattern(t, pat)
-            if not enc:
-                continue
-            occ, stats = index.query(pat)
-            for ids in (enc, [np.int64(c) for c in enc], np.array(enc)):
-                got, got_stats = index.query(ids)
-                assert got == occ and got_stats == stats, (pat, ids)
 
 
 def test_query_one_symbol_on_a_run_reports_every_position():
@@ -244,11 +212,15 @@ def test_query_one_symbol_on_a_run_reports_every_position():
         assert occ == list(range(1, count + 1))
 
 
+# Integer ids are not patterns, whether in range or not: a pattern is a
+# string or a sequence of string tokens.
 @pytest.mark.parametrize("bad", [
     5, 3.0, np.int64(3), object(), None, [["x"]], ["x", ["y"]], ["x", 1.5],
-    ["x", 1],
+    ["x", 1], [1, 2, 1], [0, 999], np.array([1, 2, 1]),
+    [np.int64(1), np.int64(2)],
 ], ids=["int", "float", "numpy-int", "object", "none", "nested-list",
-        "list-in-tokens", "float-token", "token-and-id"])
+        "list-in-tokens", "float-token", "token-and-id", "int-ids",
+        "out-of-range-ids", "numpy-id-array", "numpy-id-list"])
 def test_query_malformed_pattern_raises_query_error(bad):
     t, index = _random_index(44, n=300)
     with pytest.raises(QueryError):
@@ -263,7 +235,7 @@ def test_query_vs_oracle_randomized():
         bound = (t.sigma + t.pi + 1) * max(t.sigma, t.pi)
         for _ in range(25):
             pat = random_pattern(rng, t)
-            occ, stats = query(index, t, pat)
+            occ, stats = query(index, pat)
             enc = encode_pattern(t, pat)
             expect = sorted(naive_ppm(t, enc)) if enc else []
             assert occ == expect, (t.decode(range(1, t.n)), pat)
@@ -311,8 +283,8 @@ def test_query_counters_are_pinned(demo_index):
 
 def test_query_is_pure(demo_text, demo_index):
     # stats are per-call; repeated queries agree
-    a, sa = query(demo_index, demo_text, "xAyy")
-    b, sb = query(demo_index, demo_text, "xAyy")
+    a, sa = query(demo_index, "xAyy")
+    b, sb = query(demo_index, "xAyy")
     assert a == b and sa.as_dict() == sb.as_dict()
 
 
@@ -321,7 +293,7 @@ def test_assemble_degenerate_and_validators():
         t = make_text(raw, pi=pi)
         index = assemble(t)
         index.validate()
-        occ, _ = query(index, t, raw)  # the whole text occurs exactly once
+        occ, _ = query(index, raw)  # the whole text occurs exactly once
         assert occ == [1]
 
 
