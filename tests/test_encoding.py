@@ -53,8 +53,8 @@ def test_prev_array_equals_prev_on_random_texts():
         cuts = t.symbol_cuts
         assert len(cuts) == t.pi + 1 and cuts[-1] == len(t.by_symbol)
         for x in range(1, t.pi + 1):
-            want = [p for p, c in enumerate(t.symbols) if c == x]
-            assert t.by_symbol[cuts[x - 1]:cuts[x]].tolist() == want
+            at = [p for p, c in enumerate(t.symbols) if c == x]
+            assert t.by_symbol[cuts[x - 1]:cuts[x]].tolist() == at
 
 
 def test_prev_array_on_degenerate_texts():

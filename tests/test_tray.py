@@ -172,24 +172,24 @@ def test_query_worked_example():
     assert occ == [3, 7]
 
 
-def test_query_demo_descent(demo_text, demo_index):
+def test_query_demo_descent(demo_index):
     occ, stats = query(demo_index, "xAyy")
     assert occ == [3, 8]
     assert stats.parray_lookups == 2      # root -> "0" -> "0A0"
     assert stats.max_range_searched == 3  # the "0A0" block
 
 
-def test_query_longer_than_text(demo_text, demo_index):
+def test_query_longer_than_text(demo_index):
     occ, _ = query(demo_index, "xy" * 10)
     assert occ == []
 
 
-def test_query_empty_pattern_rejected(demo_text, demo_index):
+def test_query_empty_pattern_rejected(demo_index):
     with pytest.raises(QueryError):
         query(demo_index, "")
 
 
-def test_query_unknown_static(demo_text, demo_index):
+def test_query_unknown_static(demo_index):
     occ, stats = query(demo_index, "xQ")
     assert occ == [] and stats.nodes_visited == 0
 
@@ -281,7 +281,7 @@ def test_query_counters_are_pinned(demo_index):
             count, counters), (name, pat)
 
 
-def test_query_is_pure(demo_text, demo_index):
+def test_query_is_pure(demo_index):
     # stats are per-call; repeated queries agree
     a, sa = query(demo_index, "xAyy")
     b, sb = query(demo_index, "xAyy")
