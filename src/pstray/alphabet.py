@@ -215,25 +215,20 @@ def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:
 
     Parameterized tokens unknown to the text get fresh negative ids (their
     identity only matters up to equality within the pattern). A static token
-    the text has never seen cannot match anywhere: returns None. Returns an
-    empty list for empty input (callers decide whether that is an error).
+    the text has never seen cannot match anywhere: returns None. The pattern
+    is checked by ``pattern_codes``, so this raises QueryError where it
+    does: for an empty pattern and for one that is neither a string nor a
+    sequence of string tokens.
     """
-    tokens = text.spec.tokenize(raw)
+    if pattern_codes(text, raw) is None:
+        return None
     out: list[int] = []
     fresh: dict[str, int] = {}
-    for tok in tokens:
-        if text.spec.is_parameterized(tok):
-            sym = text.tok2id.get(tok)
-            if sym is None:
-                sym = fresh.setdefault(tok, -len(fresh) - 1)
-            out.append(sym)
-        else:
-            if tok == SENTINEL_TOKEN:
-                return None
-            sym = text.tok2id.get(tok)
-            if sym is None:
-                return None
-            out.append(sym)
+    for tok in text.spec.tokenize(raw):
+        sym = text.tok2id.get(tok)
+        if sym is None:  # a parameterized token, as pattern_codes passed it
+            sym = fresh.setdefault(tok, -len(fresh) - 1)
+        out.append(sym)
     return out
 
 

@@ -119,7 +119,7 @@ def naive_parray(tree: TrayTree, text: PText, index, node: int) -> list[int]:
     start = index.starts[tree.lo[node] - 1]
     window = text.symbols[start - 1:start - 1 + depth]
     canon = spe(window, text.pi)
-    kids = tree.children[node]
+    kids = tree.children(node)
     kid_prefixes = []
     for u in kids:
         leaf_start = index.starts[tree.lo[u] - 1]

@@ -16,9 +16,7 @@ which keeps the search's logarithmic term independent of the text length.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -27,8 +25,8 @@ import numpy as np
 from .alphabet import PText, pattern_codes
 from .encoding import STATIC_BASE, pfunction_from_fpos
 from .errors import ConstructionError, ValidationError
-from .suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
-                       range_search, report, validate_psa)
+from .suffixes import (PsaIndex, QueryStats, _window_symbols, build_psa,
+                       compare_suffix, range_search, report, validate_psa)
 from .tree import (NO_NODE, TrayTree, build_tree, first_edge_symbol,
                    validate_tree)
 
@@ -40,13 +38,16 @@ __all__ = [
 
 @dataclass(eq=False)
 class TrayAnnotations:
-    """Per-node classification and dispatch data.
+    """Per-node classification and dispatch data, as the Python lists the
+    query loop indexes.
 
-    Parallel to the tree's node array: ``is_pnode``, ``is_branching`` and
-    ``heavy_child`` for every node (``heavy_child`` is -1 when absent).
-    Only branching nodes, the ones that dispatch, have a ``parray``, the
+    Parallel to the tree's node arrays: ``is_pnode``, ``is_branching`` and
+    ``heavy_child`` for every node (``heavy_child`` is -1 when absent),
+    each converted once from the numpy pass of ``classify_pnodes``. Only
+    branching nodes, the ones that dispatch, have a ``parray``, the
     dispatch array (index = rank, value = child id or -1, entry 0 unused),
-    kept in a dict keyed by node id.
+    kept in a dict keyed by node id; ``build_parrays`` makes the arrays as
+    the rows of one table.
     """
 
     threshold: int
@@ -57,11 +58,6 @@ class TrayAnnotations:
 
     def parray_cells(self) -> int:
         return sum(len(arr) - 1 for arr in self.parray.values())
-
-
-def _array(values) -> np.ndarray:
-    """int64 array of a list or dict view of Python ints."""
-    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 def classify_pnodes(tree: TrayTree, text: PText) -> TrayAnnotations:
@@ -76,10 +72,10 @@ def classify_pnodes(tree: TrayTree, text: PText) -> TrayAnnotations:
     """
     threshold = max(text.sigma, text.pi)
     size = tree.size
-    is_pnode = _array(tree.hi) - _array(tree.lo) + 1 >= threshold
+    is_pnode = tree.hi_array - tree.lo_array + 1 >= threshold
     heavy = is_pnode.nonzero()[0]
     heavy = heavy[heavy != tree.root]
-    up = _array(tree.parent)[heavy]
+    up = tree.parent[heavy]
     heavy_kids = np.bincount(up, minlength=size)
     only = heavy_kids[up] == 1
     heavy_child = np.full(size, NO_NODE, dtype=np.int64)
@@ -89,8 +85,8 @@ def classify_pnodes(tree: TrayTree, text: PText) -> TrayAnnotations:
                            heavy_child=heavy_child.tolist())
 
 
-def _canonical_ids(text: PText, reps: list[int],
-                   depths: list[int]) -> list[list[int]]:
+def _canonical_ids(text: PText, reps: np.ndarray,
+                   depths: np.ndarray) -> np.ndarray:
     """Canonical renamings of the windows ``T[i:i+depth]`` at ``reps``, as
     one table: row j, column x holds parameterized symbol x's canonical id
     in window j, or 0 when x does not occur there, and column 0 holds the
@@ -104,30 +100,29 @@ def _canonical_ids(text: PText, reps: list[int],
     and pi + 1 columns.
     """
     pi = text.pi
-    starts = _array(reps) - 1  # 0-based, as by_symbol
-    ends = starts + _array(depths)  # one past each window
+    starts = np.asarray(reps) - 1  # 0-based, as by_symbol
+    ends = starts + np.asarray(depths)  # one past each window
     by_symbol, cuts = text.by_symbol, text.symbol_cuts
     none = np.iinfo(np.int64).max  # no occurrence at or after the start
-    first = np.empty((len(reps), pi), dtype=np.int64)
+    first = np.empty((len(starts), pi), dtype=np.int64)
     for x in range(1, pi + 1):
         occ = by_symbol[cuts[x - 1]:cuts[x]]
         first[:, x - 1] = np.append(occ, none)[np.searchsorted(occ, starts)]
     inside = first < ends[:, None]
-    table = np.empty((len(reps), pi + 1), dtype=np.int64)
+    table = np.empty((len(starts), pi + 1), dtype=np.int64)
     table[:, 0] = inside.sum(axis=1)
     rank = np.argsort(np.argsort(first, axis=1), axis=1) + 1
     table[:, 1:] = np.where(inside, rank, 0)
-    return table.tolist()
+    return table
 
 
 def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
                   index: PsaIndex) -> TrayAnnotations:
     """Fill the dispatch array of every branching heavy node from the
     canonical renaming of its representative window, its leftmost leaf's
-    suffix ``starts[lo[v] - 1]`` (every suffix in the block shares the
-    node's label, so any would do). ``_canonical_ids`` computes the
-    renamings of all branching nodes as one table; no other node's is
-    ever read.
+    suffix ``psa[lo[v] - 1]`` (every suffix in the block shares the node's
+    label, so any would do). ``_canonical_ids`` computes the renamings of
+    all branching nodes as one table; no other node's is ever read.
 
     For a node of depth D with representative suffix i, a child whose edge
     starts with distance k > 0 continues the canonical form with the
@@ -135,41 +130,65 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
     at); the distance-0 child is the continuation for every canonical id
     not used inside the window; a static child sits at its own rank. A
     child's first edge symbol is symbol D+1 of its leftmost suffix, read
-    from the prev codes with the window adjustment inlined.
+    through the window adjustment.
+
+    One numpy pass over all branching nodes at once: their children are
+    gathered from the CSR arrays, each child is given its first rank and
+    its count of ranks, and every (node, rank) cell is written into one
+    table of ``sigma + pi + 1`` columns, one row per branching node, after
+    ``bincount`` has checked that no cell is claimed twice. The rows
+    become the dispatch lists. Errors name the lowest offending node.
     """
-    width = text.sigma + text.pi
+    width = text.sigma + text.pi + 1
     pi = text.pi
-    codes = index.codes
-    symbols = text.symbols
-    depth = tree.depth
-    lo = tree.lo
-    starts = index.starts
-    nodes = list(compress(range(tree.size), ann.is_branching))
-    reps = [starts[lo[v] - 1] for v in nodes]
-    table = _canonical_ids(text, reps, [depth[v] for v in nodes])
-    for v, rep, row in zip(nodes, reps, table):
-        d = depth[v]
-        par = [NO_NODE] * (width + 1)
-        for u in tree.children[v]:
-            sym = codes[starts[lo[u] - 1] + d - 1]
-            if sym >= STATIC_BASE:
-                ranks = (sym - STATIC_BASE,)
-            elif 0 < sym <= d:
-                x = symbols[rep + d - sym - 1]
-                if x > pi:
-                    raise ConstructionError(
-                        f"distance child at node {v} points at static "
-                        f"symbol {x}")
-                ranks = (row[x],)
-            else:  # a symbol not seen inside the window
-                ranks = range(row[0] + 1, pi + 1)
-            for k in ranks:
-                if par[k] != NO_NODE:
-                    raise ConstructionError(
-                        f"p-array collision at node {v}, rank {k}")
-                par[k] = u
-        ann.parray[v] = par
+    nodes = np.fromiter(ann.is_branching, dtype=bool,
+                        count=tree.size).nonzero()[0]
+    if not len(nodes):
+        return ann
+    psa = index.psa
+    depth = tree.depth_array[nodes]
+    reps = psa[tree.lo_array[nodes] - 1]
+    table = _canonical_ids(text, reps, depth)
+    # Per child c of a branching node: row[c] is its node's index in
+    # nodes, kids[c] its id and d[c] its node's depth.
+    cuts = tree.child_cuts
+    count = cuts[nodes + 1] - cuts[nodes]
+    row = np.repeat(np.arange(len(nodes)), count)
+    kids = tree.child_ids[_ranges(cuts[nodes], count)]
+    d = depth[row]
+    sym = _window_symbols(text.code_array, psa[tree.lo_array[kids] - 1] - 1,
+                          d + 1)
+    far = (sym == 0).nonzero()[0]  # a symbol not seen inside the window
+    near = ((sym > 0) & (sym < STATIC_BASE)).nonzero()[0]
+    x = text.symbol_array[reps[row[near]] + d[near] - sym[near] - 1]
+    wrong = (x > pi).nonzero()[0]
+    if len(wrong):
+        raise ConstructionError(
+            f"distance child at node {nodes[row[near[wrong[0]]]]} points at "
+            f"static symbol {x[wrong[0]]}")
+    # Child c takes spans[c] consecutive ranks from first[c].
+    first = sym - STATIC_BASE
+    first[near] = table[row[near], x]
+    first[far] = table[row[far], 0] + 1
+    spans = np.ones(len(kids), dtype=np.int64)
+    spans[far] = pi - table[row[far], 0]
+    cell = _ranges(row * width + first, spans)
+    twice = (np.bincount(cell) > 1).nonzero()[0]
+    if len(twice):
+        j, k = divmod(int(twice[0]), width)
+        raise ConstructionError(
+            f"p-array collision at node {nodes[j]}, rank {k}")
+    flat = np.full(len(nodes) * width, NO_NODE, dtype=np.int64)
+    flat[cell] = np.repeat(kids, spans)
+    ann.parray = dict(zip(nodes.tolist(),
+                          flat.reshape(len(nodes), width).tolist()))
     return ann
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``first[i] .. first[i] + count[i] - 1``, concatenated."""
+    return np.arange(count.sum()) + np.repeat(first - count.cumsum() + count,
+                                              count)
 
 
 @dataclass(eq=False)
@@ -303,57 +322,77 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     """Check classification flags, the counting bounds on branching nodes
     and dispatch cells, and that every dispatch array agrees with its node.
 
-    Agreement is recomputed from the definition, trusting none of the
-    stored annotations: the canonical renaming of the representative
-    window (the leftmost leaf's) comes from the text's symbol positions;
-    then each child sits at the rank its first edge symbol selects (a
-    static at its own rank, distance k at the canonical id of
-    ``T[rep+depth-k]``, distance 0 at every canonical id the window leaves
-    unused), every child appears and every other cell is empty.
+    The flags are recomputed in numpy passes over the tree's CSR children:
+    a node is heavy iff its block reaches the threshold, branching iff it
+    has two or more heavy children, and its heavy child is its only one.
+    Dispatch agreement is recomputed from the definition at each branching
+    node, trusting none of the stored annotations: the canonical renaming
+    of the representative window (the leftmost leaf's) comes from the f-array
+    of its suffix through ``pfunction_from_fpos``; then each child sits at
+    the rank its first edge symbol selects (a static at its own rank,
+    distance k at the canonical id of ``T[rep+depth-k]``, distance 0 at
+    every canonical id the window leaves unused), every child appears and
+    every other cell is empty.
     """
     threshold = max(text.sigma, text.pi)
     if ann.threshold != threshold:
         raise ValidationError("stale threshold")
-    n = text.n
-    positions = (text.by_symbol + 1).tolist()
-    cuts = text.symbol_cuts
-    occ = [positions[cuts[x - 1]:cuts[x]] for x in range(1, text.pi + 1)]
-    branching = 0
-    for v in range(tree.size):
-        lc = tree.leaf_count(v)
-        if ann.is_pnode[v] != (lc >= threshold):
-            raise ValidationError(f"p-node flag wrong at node {v}")
-        heavy_kids = [u for u in tree.children[v]
-                      if ann.is_pnode[u]] if ann.is_pnode[v] else []
-        if ann.is_branching[v] != (ann.is_pnode[v] and len(heavy_kids) >= 2):
-            raise ValidationError(f"branching flag wrong at node {v}")
-        want_heavy = heavy_kids[0] if len(heavy_kids) == 1 else NO_NODE
-        if ann.heavy_child[v] != want_heavy:
-            raise ValidationError(f"heavy child wrong at node {v}")
-        if ann.is_branching[v]:
-            branching += 1
-            _check_dispatch(tree, ann, text, index, v, occ)
-    if branching > n // threshold:
+    n, size = text.n, tree.size
+    if not (len(ann.is_pnode) == len(ann.is_branching)
+            == len(ann.heavy_child) == size):
+        raise ValidationError("annotations do not match the tree's size")
+    kids = tree.child_ids
+    owner = np.repeat(np.arange(size), np.diff(tree.child_cuts))
+    is_pnode = tree.hi_array - tree.lo_array + 1 >= threshold
+    heavy = is_pnode[kids] & is_pnode[owner]
+    heavy_kids = np.bincount(owner[heavy], minlength=size)
+    only = heavy & (heavy_kids[owner] == 1)
+    heavy_child = np.full(size, NO_NODE, dtype=np.int64)
+    heavy_child[owner[only]] = kids[only]
+    is_branching = heavy_kids >= 2
+    for name, got, want in (("p-node flag", ann.is_pnode, is_pnode),
+                            ("branching flag", ann.is_branching, is_branching),
+                            ("heavy child", ann.heavy_child, heavy_child)):
+        wrong = (np.fromiter(got, dtype=want.dtype, count=size)
+                 != want).nonzero()[0]
+        if len(wrong):
+            raise ValidationError(f"{name} wrong at node {wrong[0]}")
+    nodes = is_branching.nonzero()[0]
+    if len(nodes) > n // threshold:
         raise ValidationError("branching node count exceeds n/max(sigma,pi)")
+    if sorted(ann.parray) != nodes.tolist():
+        raise ValidationError("dispatch arrays are not those of the "
+                              "branching nodes")
     if ann.parray_cells() > 2 * n:
         raise ValidationError("p-array cells exceed 2n")
+    # f-arrays of the representative suffixes: symbol x's first offset in
+    # the suffix at rep, 1-based, or 0 when it does not occur there.
+    reps = index.psa[tree.lo_array[nodes] - 1]
+    farr = np.zeros((len(nodes), text.pi), dtype=np.int64)
+    at = text.symbol_cuts
+    for x in range(1, text.pi + 1):
+        occ = text.by_symbol[at[x - 1]:at[x]] + 1
+        k = np.searchsorted(occ, reps)
+        found = k < len(occ)
+        farr[found, x - 1] = occ[k[found]] - reps[found] + 1
+    kids, cuts = kids.tolist(), tree.child_cuts.tolist()
+    for v, rep, row in zip(nodes.tolist(), reps.tolist(), farr.tolist()):
+        _check_dispatch(tree, ann, text, index, v, kids[cuts[v]:cuts[v + 1]],
+                        rep, row)
 
 
 def _check_dispatch(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                    index: PsaIndex, v: int, occ: list[list[int]]) -> None:
-    """Dispatch agreement at branching node ``v``; ``occ[x-1]`` holds
-    parameterized symbol x's ascending 1-based text positions."""
-    arr = ann.parray.get(v)
-    if arr is None or len(arr) != text.sigma + text.pi + 1:
-        raise ValidationError(f"p-array missing or mis-sized at {v}")
-    rep, depth = index.starts[tree.lo[v] - 1], tree.depth[v]
-    farr = []
-    for ps in occ:
-        k = bisect_left(ps, rep)
-        farr.append(ps[k] - rep + 1 if k < len(ps) else 0)
+                    index: PsaIndex, v: int, kids: list[int], rep: int,
+                    farr: list[int]) -> None:
+    """Dispatch agreement at branching node ``v`` with children ``kids``,
+    whose leftmost leaf is the suffix at ``rep`` with f-array ``farr``."""
+    arr = ann.parray[v]
+    if len(arr) != text.sigma + text.pi + 1:
+        raise ValidationError(f"p-array mis-sized at {v}")
+    depth = tree.depth[v]
     canon = pfunction_from_fpos(depth, farr)
     want = [NO_NODE] * len(arr)
-    for u in tree.children[v]:
+    for u in kids:
         sym = first_edge_symbol(tree, index, u)
         if sym >= STATIC_BASE:
             ranks = [sym - STATIC_BASE]

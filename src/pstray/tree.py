@@ -35,30 +35,46 @@ NO_NODE = -1
 
 @dataclass(eq=False)
 class TrayTree:
-    """Node-array tree of the heavy nodes and their children. All per-node
-    data is parallel lists indexed by node id: node 0 is the root (ranks
-    1..n), the other heavy internal nodes follow in preorder, then the
-    light children and the leaves, grouped by parent. Only heavy internal
-    nodes list their children; a kept light node is a leaf block for the
-    suffix-array search. The tree keeps no suffix starts of its own.
+    """Node-array tree of the heavy nodes and their children, as int64
+    arrays indexed by node id: node 0 is the root (ranks 1..n), the other
+    heavy internal nodes follow in preorder, then the light children and
+    the leaves, grouped by parent. Only heavy internal nodes have children;
+    a kept light node is a leaf block for the suffix-array search. The tree
+    keeps no suffix starts of its own.
 
-    ``lo``/``hi`` are 1-based suffix-array ranks delimiting the node's leaf
-    block; ``depth`` is the string depth (encoded symbols from the root);
-    ``children`` lists child ids in lexicographic edge order (every node
-    without stored children shares one empty tuple).
+    ``lo_array``/``hi_array`` are 1-based suffix-array ranks delimiting the
+    node's leaf block; ``depth_array`` is the string depth (encoded symbols
+    from the root); ``parent`` is the parent id (-1 at the root). Children
+    are in CSR form: those of node v, in lexicographic edge order, are
+    ``child_ids[child_cuts[v]:child_cuts[v + 1]]``. Derived once: the lists
+    ``depth``, ``lo`` and ``hi`` that the query loop indexes.
     """
 
-    parent: list[int] = field(default_factory=list)
-    depth: list[int] = field(default_factory=list)
-    lo: list[int] = field(default_factory=list)
-    hi: list[int] = field(default_factory=list)
-    children: list[list[int] | tuple[int, ...]] = field(default_factory=list)
+    parent: np.ndarray
+    depth_array: np.ndarray
+    lo_array: np.ndarray
+    hi_array: np.ndarray
+    child_ids: np.ndarray
+    child_cuts: np.ndarray
+    depth: list[int] = field(init=False, repr=False)
+    lo: list[int] = field(init=False, repr=False)
+    hi: list[int] = field(init=False, repr=False)
 
     root: int = 0
+
+    def __post_init__(self):
+        self.depth = self.depth_array.tolist()
+        self.lo = self.lo_array.tolist()
+        self.hi = self.hi_array.tolist()
 
     @property
     def size(self) -> int:
         return len(self.parent)
+
+    def children(self, v: int) -> list[int]:
+        """Child ids of node v in edge order (empty for a light node)."""
+        cuts = self.child_cuts
+        return self.child_ids[cuts[v]:cuts[v + 1]].tolist()
 
     def is_leaf(self, v: int) -> bool:
         # A block of one rank below the root is that rank's suffix.
@@ -140,8 +156,10 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     right = n - _nearest_smaller(h[::-1])[::-1][1:n]
     cut = ((right - left) >= threshold).nonzero()[0]
     if not len(cut):
-        return TrayTree(parent=[NO_NODE], depth=[0], lo=[1], hi=[n],
-                        children=[()])
+        return TrayTree(parent=np.array([NO_NODE]), depth_array=np.array([0]),
+                        lo_array=np.array([1]), hi_array=np.array([n]),
+                        child_ids=np.empty(0, dtype=np.int64),
+                        child_cuts=np.zeros(2, dtype=np.int64))
     # Order the heavy nodes by (lo, -hi), a preorder that puts the root
     # first, and each node's boundaries by rank.
     key = left[cut] * (n + 1) + n - right[cut]
@@ -182,17 +200,13 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     parent = np.empty(heavy + len(light_lo), dtype=np.int64)
     parent[kid] = owner
     parent[0] = NO_NODE
-    kids = kid.tolist()
-    bounds = bounds.tolist()
-    children: list[list[int] | tuple[int, ...]] = [
-        kids[a:b] for a, b in zip(bounds, bounds[1:])]
-    children += [()] * len(light_lo)
     return TrayTree(
-        parent=parent.tolist(),
-        depth=np.concatenate((h[cut[heads]], light_depth)).tolist(),
-        lo=np.concatenate((node_lo, light_lo)).tolist(),
-        hi=np.concatenate((node_hi, light_hi)).tolist(),
-        children=children)
+        parent=parent,
+        depth_array=np.concatenate((h[cut[heads]], light_depth)),
+        lo_array=np.concatenate((node_lo, light_lo)),
+        hi_array=np.concatenate((node_hi, light_hi)),
+        child_ids=kid,
+        child_cuts=np.append(bounds, np.full(len(light_lo), bounds[-1])))
 
 
 def edge_symbol(tree: TrayTree, index: PsaIndex, node: int, offset: int) -> int:
@@ -241,18 +255,17 @@ def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
     threshold = max(text.sigma, text.pi)
     if not 1 <= size <= max(2 * n - 1, 1):
         raise ValidationError("node count outside 1..2n-1")
-    if len({len(tree.parent), len(tree.depth), len(tree.lo), len(tree.hi),
-            len(tree.children)}) != 1:
+    parent, depth = tree.parent, tree.depth_array
+    lo, hi = tree.lo_array, tree.hi_array
+    cuts, listed = tree.child_cuts, tree.child_ids
+    if len({len(parent), len(depth), len(lo), len(hi), len(cuts) - 1}) != 1:
         raise ValidationError("node arrays differ in length")
-    parent = np.array(tree.parent, dtype=np.int64)
-    depth = np.array(tree.depth, dtype=np.int64)
-    lo = np.array(tree.lo, dtype=np.int64)
-    hi = np.array(tree.hi, dtype=np.int64)
+    count = np.diff(cuts)
+    if cuts[0] != 0 or cuts[-1] != len(listed) or np.count_nonzero(count < 0):
+        raise ValidationError("child cuts do not slice the child ids")
     root = tree.root
     if (root, lo[0], hi[0], depth[0], parent[0]) != (0, 1, n, 0, NO_NODE):
         raise ValidationError("root is not node 0 over ranks 1..n at depth 0")
-    count = np.array([len(k) for k in tree.children], dtype=np.int64)
-    listed = np.array([u for k in tree.children for u in k], dtype=np.int64)
     owner = np.repeat(np.arange(size), count)
     if (np.count_nonzero(listed <= 0) or np.count_nonzero(listed >= size)
             or np.count_nonzero(np.bincount(listed, minlength=size)[1:] != 1)):
@@ -270,8 +283,7 @@ def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
         return
     # Children in order: the first starts at lo, each next one rank past
     # the last, and the last ends at hi.
-    group_start = np.cumsum(count) - count
-    heads = group_start[lists]
+    heads = cuts[:-1][lists]
     tails = heads + count[lists] - 1
     expect = np.empty(len(listed), dtype=np.int64)
     expect[1:] = hi[listed[:-1]] + 1

@@ -157,5 +157,5 @@ def tree_intervals(tree):
         return (tree.lo[v], tree.hi[v], tree.depth[v])
 
     return {node(v): (None if v == tree.root else node(tree.parent[v]),
-                      [node(u) for u in tree.children[v]])
+                      [node(u) for u in tree.children(v)])
             for v in range(tree.size)}

@@ -118,6 +118,19 @@ def test_encode_pattern(demo_text):
     assert encode_pattern(t, "$") is None
 
 
+@pytest.mark.parametrize(
+    "raw", [[["x"]], 5, [1, 2]],
+    ids=["unhashable-token", "not-iterable", "int-tokens"])
+def test_encode_pattern_refuses_malformed_patterns(raw):
+    # Each raised TypeError or, for int tokens, returned None ("occurs
+    # nowhere"); pattern_codes raises QueryError for all three.
+    t = make_text("xyAxyyAxBBz", pi="xyz")
+    with pytest.raises(QueryError):
+        pattern_codes(t, raw)
+    with pytest.raises(QueryError):
+        encode_pattern(t, raw)
+
+
 def test_encode_pattern_fresh_parameterized():
     t = make_text("zAxAyyxyAxxy", pi="wxyz", sigma="A")
     enc = encode_pattern(t, "wAzw")

@@ -192,3 +192,63 @@ def test_star_import_of_the_package_runs():
     exec("from pstray import *", namespace)
     import pstray
     assert set(pstray.__all__) <= set(namespace)
+
+
+# The tray's construction path runs as whole-array numpy passes, with no
+# per-node Python loop. The one loop allowed is ``_canonical_ids``'
+# searchsorted per parameterized symbol, pi rounds whatever the tree size.
+ARRAY_PASSES = {
+    "tree.py": {"build_tree": []},
+    "tray.py": {"classify_pnodes": [], "_canonical_ids": ["for x"],
+                "build_parrays": [], "_ranges": []},
+}
+
+
+def python_loops(source: str, names) -> dict[str, list[str]]:
+    """Per named top-level function of ``source``: its ``for`` and
+    ``while`` loops (``for <target>``, ``while``) and comprehensions (by
+    node type), nested functions included, in source order."""
+    kinds = {ast.ListComp: "listcomp", ast.SetComp: "setcomp",
+             ast.DictComp: "dictcomp", ast.GeneratorExp: "genexp",
+             ast.While: "while"}
+    found = {}
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in names):
+            continue
+        loops = []
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.For, ast.AsyncFor)):
+                kind = f"for {ast.unparse(sub.target)}"
+            elif type(sub) in kinds:
+                kind = kinds[type(sub)]
+            else:
+                continue
+            loops.append((sub.lineno, sub.col_offset, kind))
+        found[node.name] = [kind for *_, kind in sorted(loops)]
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_PASSES))
+def test_construction_has_no_per_node_loop(name):
+    want = ARRAY_PASSES[name]
+    assert python_loops((PACKAGE / name).read_text(), want) == want
+
+
+def test_loop_check_sees_what_it_should():
+    source = ("def f(xs):\n"
+              "    for a, b in xs:\n"
+              "        while a:\n"
+              "            a -= 1\n"
+              "    def g():\n"
+              "        return {k: v for k, v in xs}\n"
+              "    return [x for x in xs], sum(x for x in xs), \\\n"
+              "        {x for x in xs}\n"
+              "def h(xs):\n"
+              "    return xs.tolist()\n"
+              "def skipped(xs):\n"
+              "    for x in xs:\n"
+              "        pass\n")
+    assert python_loops(source, {"f", "h", "absent"}) == {
+        "f": ["for (a, b)", "while", "dictcomp", "listcomp", "genexp",
+              "setcomp"],
+        "h": []}

@@ -2,6 +2,7 @@ import hashlib
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from pstray import index_io
@@ -159,10 +160,10 @@ def test_load_rebuilds_what_assemble_builds(tmp_path):
         path = tmp_path / "x.idx"
         index_io.save(index, path)
         loaded = index_io.load(path)
-        for field in ("parent", "depth", "lo", "hi"):
-            assert getattr(loaded.tree, field) == getattr(index.tree, field)
-        assert [list(k) for k in loaded.tree.children] == \
-            [list(k) for k in index.tree.children]
+        for field in ("parent", "depth_array", "lo_array", "hi_array",
+                      "child_ids", "child_cuts"):
+            assert np.array_equal(getattr(loaded.tree, field),
+                                  getattr(index.tree, field))
         assert vars(loaded.ann) == vars(index.ann)
         assert loaded.psa_index.psa.tolist() == index.psa_index.psa.tolist()
         assert loaded.psa_index.plcp.tolist() == index.psa_index.plcp.tolist()

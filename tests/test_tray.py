@@ -158,9 +158,42 @@ def test_parrays_match_oracle_on_wide_and_static_alphabets():
         for v in nodes:
             assert ann.parray[v] == naive_parray(tree, t, idx, v)
         distance_children = [
-            u for v in nodes for u in tree.children[v]
+            u for v in nodes for u in tree.children(v)
             if 0 < first_edge_symbol(tree, idx, u) <= tree.depth[v]]
         assert bool(distance_children) == (t is wide)
+
+
+def test_parray_scatter_matches_oracle_on_edge_shapes():
+    """The one-table scatter of ``build_parrays`` against ``naive_parray``
+    at every branching node, and only those get a dispatch array, on the
+    shapes that stress it: runs of one symbol (threshold 1, every internal
+    node branching), pi > sigma, token texts with pi >= 256, and texts
+    with no branching node at all."""
+    rng = random.Random(1729)
+    runs = [make_text("x" * n, pi="x")
+            for n in (2, 3, 17, rng.randint(40, 90))]
+    wide_pi = [make_text("".join(rng.choice("uvwxyzA") for _ in range(n)),
+                         pi="uvwxyz")
+               for n in (90, 160, rng.randint(200, 400))]
+    idents = [f"v{k}" for k in range(270)]
+    tokens = make_text(_statements(rng, idents, 300), pi=idents, sigma=None,
+                       mode="tokens")
+    flat = [make_text("uvwxyz", pi="uvwxyz"), make_text("A", pi="", sigma="A"),
+            make_text("xy", pi="xy")]
+    assert tokens.pi >= 256
+    assert all(t.pi > t.sigma for t in wide_pi + [tokens])
+    for t in runs + wide_pi + [tokens] + flat:
+        psa_index = build_psa(t)
+        tree = build_tree(psa_index, t)
+        ann = build_parrays(tree, classify_pnodes(tree, t), t, psa_index)
+        nodes = [v for v in range(tree.size) if ann.is_branching[v]]
+        assert sorted(ann.parray) == nodes
+        for v in nodes:
+            assert ann.parray[v] == naive_parray(tree, t, psa_index, v)
+        if t in runs:
+            assert nodes == [v for v in range(tree.size)
+                             if tree.children(v)]
+        assert bool(nodes) == (t not in flat)
 
 
 # ------------------------------------------------------------ queries
@@ -312,11 +345,36 @@ def test_structural_bounds_randomized():
 def test_validate_annotations_catches_tampering(demo_text, demo_index):
     import copy
 
-    bad = copy.deepcopy(demo_index.ann)
-    bad.is_pnode[1] = not bad.is_pnode[1]
-    with pytest.raises(Exception):
-        validate_annotations(demo_index.tree, bad, demo_text,
-                             demo_index.psa_index)
+    from pstray.errors import ValidationError
+
+    labels = labelled(demo_index, demo_text)
+    plain, other = labels["00"], labels["0A0"]  # p-nodes that do not branch
+
+    def pnode_flipped(ann):
+        ann.is_pnode[1] = not ann.is_pnode[1]
+
+    def branching_added(ann):
+        ann.is_branching[plain] = True
+
+    def heavy_child_invented(ann):
+        ann.heavy_child[plain] = other
+
+    def dispatch_on_non_branching(ann):
+        ann.parray[plain] = list(ann.parray[demo_index.tree.root])
+
+    def flag_list_short(ann):
+        ann.is_pnode.pop()
+
+    for tamper, message in ((pnode_flipped, "p-node flag"),
+                            (branching_added, "branching flag"),
+                            (heavy_child_invented, "heavy child"),
+                            (dispatch_on_non_branching, "dispatch arrays"),
+                            (flag_list_short, "size")):
+        bad = copy.deepcopy(demo_index.ann)
+        tamper(bad)
+        with pytest.raises(ValidationError, match=message):
+            validate_annotations(demo_index.tree, bad, demo_text,
+                                 demo_index.psa_index)
 
 
 def test_validate_annotations_catches_forged_dispatch():

@@ -6,8 +6,8 @@ import pytest
 from pstray.encoding import STATIC_BASE, prev
 from pstray.errors import QueryError
 from pstray.suffixes import PsaIndex, build_psa
-from pstray.tree import (build_tree, edge_symbol, first_edge_symbol,
-                         node_label, validate_tree)
+from pstray.tree import (TrayTree, build_tree, edge_symbol,
+                         first_edge_symbol, node_label, validate_tree)
 
 from conftest import (kept_intervals, make_text, naive_intervals,
                       random_text, tree_intervals)
@@ -28,7 +28,7 @@ def label_map(index, tree, text):
 
 def test_demo_root_children(demo_text, demo_index):
     t, idx, tree = demo_text, demo_index.psa_index, demo_index.tree
-    kids = tree.children[tree.root]
+    kids = tree.children(tree.root)
     assert len(kids) == 3
     syms = [first_edge_symbol(tree, idx, u) for u in kids]
     assert syms == [0, STATIC_BASE + t.tok2id["A"], STATIC_BASE + t.sentinel]
@@ -52,7 +52,7 @@ def test_two_leaf_text():
     idx = build_psa(t)
     tree = build_tree(idx, t)
     assert tree.size == 3
-    assert [tree.is_leaf(u) for u in tree.children[tree.root]] == [True, True]
+    assert [tree.is_leaf(u) for u in tree.children(tree.root)] == [True, True]
     validate_tree(tree, idx, t)
 
 
@@ -68,7 +68,7 @@ def test_edge_symbol_examples(demo_text, demo_index):
             sym = edge_symbol(tree, idx, v, tree.edge_length(v))
             assert sym == STATIC_BASE + t.sentinel
     # the first symbol of each root child is its ordering key
-    kids = tree.children[tree.root]
+    kids = tree.children(tree.root)
     syms = [edge_symbol(tree, idx, u, 1) for u in kids]
     assert syms == sorted(syms)
     with pytest.raises(QueryError):
@@ -116,7 +116,7 @@ def test_structure_bounds():
         assert len(tree_intervals(tree)) == len(
             kept_intervals(naive_intervals(t), threshold))
         for v in range(tree.size):
-            kids = tree.children[v]
+            kids = tree.children(v)
             if tree.leaf_count(v) >= threshold and tree.lo[v] < tree.hi[v]:
                 assert [tree.lo[u] for u in kids] == \
                     [tree.lo[v]] + [tree.hi[u] + 1 for u in kids[:-1]]
@@ -128,9 +128,40 @@ def test_structure_bounds():
         validate_tree(tree, idx, t)
 
 
-def test_validate_tree_catches_tampering(demo_text, demo_index):
-    import copy
+def test_tree_lists_are_its_arrays():
+    """The lists the query loop indexes are the int64 arrays, converted
+    once; the children of a node are its CSR slice."""
+    rng = random.Random(515)
+    texts = [random_text(rng, max_n=200) for _ in range(6)]
+    texts += [make_text("x" * 30, pi="x"), make_text("uvwxyz", pi="uvwxyz")]
+    for t in texts:
+        tree = build_tree(build_psa(t), t)
+        for name in ("depth", "lo", "hi"):
+            array = getattr(tree, f"{name}_array")
+            assert array.dtype == np.int64
+            assert getattr(tree, name) == array.tolist()
+        assert tree.parent.dtype == tree.child_ids.dtype == np.int64
+        cuts = tree.child_cuts.tolist()
+        assert len(cuts) == tree.size + 1
+        assert [tree.children(v) for v in range(tree.size)] == [
+            tree.child_ids[a:b].tolist() for a, b in zip(cuts, cuts[1:])]
 
+
+def forged_tree(tree, tamper):
+    """A new TrayTree from copies of ``tree``'s arrays after ``tamper``
+    edits them: ``tamper(arrays, kids)`` gets the arrays by field name and
+    the child lists, which are packed back into CSR form."""
+    arrays = {f: getattr(tree, f).copy()
+              for f in ("parent", "depth_array", "lo_array", "hi_array")}
+    kids = [tree.children(v) for v in range(tree.size)]
+    tamper(arrays, kids)
+    return TrayTree(**arrays,
+                    child_ids=np.array([u for k in kids for u in k],
+                                       dtype=np.int64),
+                    child_cuts=np.cumsum([0] + [len(k) for k in kids]))
+
+
+def test_validate_tree_catches_tampering(demo_text, demo_index):
     from pstray.errors import ValidationError
 
     tree, idx, t = demo_index.tree, demo_index.psa_index, demo_text
@@ -139,47 +170,57 @@ def test_validate_tree_catches_tampering(demo_text, demo_index):
     light = labels["010"]  # ranks 4..5, below the threshold of 3
     leaf = labels["0$"]
 
-    def leaf_too_deep(tr):
-        tr.depth[leaf] += 1
+    def leaf_too_deep(a, kids):
+        a["depth_array"][leaf] += 1
 
-    def light_too_shallow(tr):
-        tr.depth[light] -= 1
+    def light_too_shallow(a, kids):
+        a["depth_array"][light] -= 1
 
-    def heavy_too_deep(tr):
-        tr.depth[heavy] += 1
+    def heavy_too_deep(a, kids):
+        a["depth_array"][heavy] += 1
 
-    def blocks_swapped(tr):  # two children trade ranks, not places
-        a, b = tr.children[heavy][:2]
-        tr.lo[a], tr.lo[b] = tr.lo[b], tr.lo[a]
-        tr.hi[a], tr.hi[b] = tr.hi[b], tr.hi[a]
+    def blocks_swapped(a, kids):  # two children trade ranks, not places
+        x, y = kids[heavy][:2]
+        for f in ("lo_array", "hi_array"):
+            a[f][[x, y]] = a[f][[y, x]]
 
-    def root_short(tr):
-        tr.hi[tr.root] = t.n - 1
+    def root_short(a, kids):
+        a["hi_array"][tree.root] = t.n - 1
 
-    def leaf_with_child(tr):
-        tr.children[leaf] = [light]
+    def leaf_with_child(a, kids):
+        kids[leaf] = [light]
 
-    def children_reversed(tr):
-        tr.children[heavy] = tr.children[heavy][::-1]
+    def children_reversed(a, kids):
+        kids[heavy] = kids[heavy][::-1]
 
-    def heavy_lists_nothing(tr):
-        tr.children[labels["0A0"]] = ()
+    def heavy_lists_nothing(a, kids):
+        kids[labels["0A0"]] = []
 
-    def child_listed_twice(tr):
-        tr.children[labels["A0"]] = tr.children[labels["A0"]] + [leaf]
+    def child_listed_twice(a, kids):
+        kids[labels["A0"]] = kids[labels["A0"]] + [leaf]
 
-    def parent_link_wrong(tr):
-        tr.parent[light] = tr.root
+    def parent_link_wrong(a, kids):
+        a["parent"][light] = tree.root
+
+    def arrays_of_two_lengths(a, kids):
+        a["depth_array"] = a["depth_array"][:-1]
 
     for tamper in (leaf_too_deep, light_too_shallow, heavy_too_deep,
                    blocks_swapped, root_short, leaf_with_child,
                    children_reversed, heavy_lists_nothing,
-                   child_listed_twice, parent_link_wrong):
-        bad = copy.deepcopy(tree)
-        tamper(bad)
+                   child_listed_twice, parent_link_wrong,
+                   arrays_of_two_lengths):
         with pytest.raises(ValidationError):
-            validate_tree(bad, idx, t)
+            validate_tree(forged_tree(tree, tamper), idx, t)
+    validate_tree(forged_tree(tree, lambda a, kids: None), idx, t)
     validate_tree(tree, idx, t)
+
+    # Cuts that do not slice the child ids: one past the end, or falling.
+    for cuts in (tree.child_cuts + 1, tree.child_cuts[::-1]):
+        bad = TrayTree(tree.parent, tree.depth_array, tree.lo_array,
+                       tree.hi_array, tree.child_ids, cuts)
+        with pytest.raises(ValidationError, match="child cuts"):
+            validate_tree(bad, idx, t)
 
     # A tree that agrees with its LCP array but not with the symbol order:
     # the root's blocks "0" (ranks 1..9) and "A0" (10..12) trade places.
