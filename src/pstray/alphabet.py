@@ -175,23 +175,23 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
                          f"not {type(raw).__name__}") from None
     if not tokens:
         raise InputError("empty input")
-    # A str splits into strings; any other input is checked token by token.
-    if not isinstance(raw, str):
-        for tok in tokens:
-            if not isinstance(tok, str):
-                raise InputError(f"text token {tok!r} is not a string")
-
-    pi_occ: set[str] = set()
-    sigma_occ: set[str] = set()
-    for tok in tokens:
-        if tok == SENTINEL_TOKEN:
-            raise InputError("sentinel collision: input contains '$'")
-        if spec.is_parameterized(tok):
-            pi_occ.add(tok)
-        elif spec.sigma_members is None or tok in spec.sigma_members:
-            sigma_occ.add(tok)
-        else:
-            raise ClassificationError(f"token {tok!r} is in neither alphabet")
+    # Classify the distinct tokens, not every token; an unhashable token
+    # fails set() and is named like any other non-string token.
+    try:
+        distinct = set(tokens)
+    except TypeError:
+        distinct = None
+    if distinct is None or not all(isinstance(tok, str) for tok in distinct):
+        bad = next(tok for tok in tokens if not isinstance(tok, str))
+        raise InputError(f"text token {bad!r} is not a string")
+    if SENTINEL_TOKEN in distinct:
+        raise InputError("sentinel collision: input contains '$'")
+    pi_occ = distinct & spec.pi_members
+    sigma_occ = distinct - pi_occ
+    if spec.sigma_members is not None and not sigma_occ <= spec.sigma_members:
+        stray = sigma_occ - spec.sigma_members
+        tok = next(tok for tok in tokens if tok in stray)
+        raise ClassificationError(f"token {tok!r} is in neither alphabet")
 
     pi = len(pi_occ)
     sigma = len(sigma_occ) + 1  # end marker counts as an occurring static
@@ -204,10 +204,10 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
     id2tok = {v: k for k, v in tok2id.items()}
     id2tok[sentinel] = SENTINEL_TOKEN
 
-    symbols = [tok2id[t] for t in tokens]
-    symbols.append(sentinel)
-    return PText(symbol_array=np.array(symbols, dtype=np.int64), pi=pi,
-                 sigma=sigma, tok2id=tok2id, id2tok=id2tok, spec=spec)
+    ids = np.fromiter(map(tok2id.__getitem__, tokens), np.int64,
+                      count=len(tokens))
+    return PText(symbol_array=np.append(ids, sentinel), pi=pi, sigma=sigma,
+                 tok2id=tok2id, id2tok=id2tok, spec=spec)
 
 
 def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:

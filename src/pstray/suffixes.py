@@ -3,14 +3,16 @@
 Suffix comparisons never materialize an encoded suffix: symbol ``d`` of the
 suffix starting at ``j`` is derived in O(1) from the whole-text prev codes
 (see ``encoding.prev_char_in_window``). The sort is a level-synchronous
-MSD bucketing over suffix start indices: each numpy round advances every
-unsorted group by one symbol at once, and the LCP of two neighbouring
-suffixes is the depth at which their group split. Past a suffix's last
-window correction its window reads the global prev codes, so a group whose
+MSD bucketing over suffix start indices: each numpy round packs the next k
+symbols of every unsorted suffix, as many as fit, under its group's rank
+into one int64 key and orders every group with one argsort. The LCP of
+two neighbouring suffixes is the depth at which their group split plus
+the leading symbols their keys share. Past a suffix's last window
+correction its window reads the global prev codes, so a group whose
 members are all past theirs is finished at once from the ordinary suffix
 order of the prev-code string (I et al., IWOCA 2009), with LCPs from an
 ordinary LCE. Runs, periodic text and exact renamed clones then take a
-few dozen rounds instead of max LCP + 1. What still costs max LCP + 1
+few rounds instead of max LCP / k. What still costs about max LCP / k
 rounds and O(n + sum of LCPs) element work is a text whose suffixes all
 keep a late correction, such as ``y x^n y``.
 
@@ -35,8 +37,9 @@ from .alphabet import PText
 from .encoding import STATIC_BASE
 from .errors import QueryError, ValidationError
 
-# Depth of build_psa's first readiness check; each later check doubles it.
-# Tests lower it so that groups finish early on small texts.
+# build_psa checks readiness at the first round start at or past this
+# depth, then past each doubling of it. Tests lower it so that groups
+# finish early on small texts.
 FIRST_CHECK = 32
 
 
@@ -147,45 +150,57 @@ def _lce(levels: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def build_psa(text: PText) -> PsaIndex:
     """Sort all suffix start positions by their prev-encoded suffixes.
 
-    Level-synchronous MSD sort: before round ``d``, every suffix not yet
-    alone in its group sits in one array, groups contiguous in rank order,
-    each group agreeing on its first d-1 encoded symbols. The round reads
-    symbol ``d`` of all of them in one gather. A group is constant between
-    the places where its symbol changes, so it is already ordered iff the
-    symbol rises at every change; only when some change falls does the
-    round pay one stable argsort of (group, symbol) over all groups at
-    once. Each change records the LCP d-1 at its rank, and a suffix left
-    alone in its group takes its final rank and leaves. The sentinel makes
-    all suffixes distinct, so no suffix is read past its end.
+    Level-synchronous MSD sort: before a round at depth ``d``, every suffix
+    not yet alone in its group sits in one array, groups contiguous in rank
+    order, each group agreeing on its first d-1 encoded symbols. The round
+    reads symbols d..d+k-1 of all of them, one gather per depth, and packs
+    them as k fields of b bits below the group rank into one int64 key;
+    one argsort of the keys orders every group at once. Suffixes with equal
+    keys share k more symbols and stay grouped, so the sort needs no
+    stability. A new boundary inside a group records the LCP d - 1 plus
+    the number of leading fields its two keys share, read from their XOR,
+    and a suffix left alone in its group takes its final rank and leaves.
 
-    At depths ``FIRST_CHECK``, twice that, and so on, one ``reduceat``
-    finds the groups whose members all have their last window correction
-    (``_last_corrections``) within the d-1 symbols they share. From there
-    on such a group reads the global codes, so one argsort by (group,
-    ordinary rank of position i + d - 1) finishes it, and its adjacent LCPs
-    are d - 1 plus an ordinary LCE (``_rank_levels``, ``_lce``). The rank
-    levels take O(n log n) time and words, built at the first ready group
-    and dropped on return. Texts with no late corrections, such as runs,
-    periodic text and exact renamed clones, finish within a few checks;
-    random text ends before the first. A text whose suffixes keep a late
-    correction, such as ``y x^n y``, still takes max LCP + 1 rounds and
-    O(n + sum of LCPs) element work. Deterministic.
+    A field holds a distance as itself and the static of rank s (0-based,
+    the sentinel last) as s - sigma masked to b bits, so every static sits
+    above every distance the field can show. b is the bit length of
+    d + k - 1 + sigma and k the most fields that fit beside the group
+    rank: both follow from the round, none is a parameter. A suffix read
+    past its end reads 0; by then its sentinel has already set it apart.
+
+    At the first round start at or past depth ``FIRST_CHECK``, twice that,
+    and so on, one ``reduceat`` finds the groups whose members all have
+    their last window correction (``_last_corrections``) within the d-1
+    symbols they share. From there on such a group reads the global codes,
+    so one argsort by (group, ordinary rank of position i + d - 1) finishes
+    it, and its adjacent LCPs are d - 1 plus an ordinary LCE
+    (``_rank_levels``, ``_lce``). The rank levels take O(n log n) time and
+    words, built at the first ready group and dropped on return. Texts with
+    no late corrections, such as runs, periodic text and exact renamed
+    clones, finish within a few checks; random text ends before the first.
+    A text whose suffixes keep a late correction, such as ``y x^n y``,
+    still takes about max LCP / k rounds and O(n + sum of LCPs) element
+    work. Deterministic.
     """
     n = text.n
+    sigma = text.sigma
     raw = text.code_array
     # Distances are below n; moving the static codes to just above them
-    # keeps the order and lets (group, symbol) share one int64 sort key.
+    # keeps the order for the readiness check and the ordinary-rank finish.
     code = np.where(raw >= STATIC_BASE, raw - STATIC_BASE + n, raw)
-    width = int(code.max(initial=0)) + 1
-    # sym[p] is the symbol at text position p read at the current depth d.
-    # A distance reaching past the window start is a first occurrence inside
+    # sym[p] is the field of text position p at the current depth. A
+    # distance reaching past the window start is a first occurrence inside
     # the window, so distance x reads as 0 until depth x + 1, when the
-    # positions holding x (by_code[code_start[x]:code_start[x + 1]]) get it
-    # back: O(n) updates over the whole sort instead of a pass per round.
-    sym = np.where(code < n, 0, code)
+    # positions holding it (by_code[cuts[x]:cuts[x + 1]]) get it back: O(n)
+    # updates over the whole sort instead of a pass per depth. Fields are
+    # at least 2 bits wide, so a round reads at most 31 symbols, and the
+    # padding past the sentinel reads 0.
+    sym = np.zeros(n + 31, dtype=np.int64)
+    symbols = text.symbol_array
+    sym[:n] = np.where(symbols > text.pi, symbols - text.pi - 1 - sigma, 0)
     by_code = np.argsort(code)
-    code_start = np.zeros(width + 1, dtype=np.int64)
-    np.cumsum(np.bincount(code, minlength=width), out=code_start[1:])
+    cuts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code[code < n], minlength=n), out=cuts[1:])
 
     psa = np.arange(1, n + 1, dtype=np.int64)  # set as suffixes leave
     plcp = np.zeros(n, dtype=np.int64)
@@ -198,8 +213,9 @@ def build_psa(text: PText) -> PsaIndex:
     g = levels = None
     d = 1
     while len(act) > 1:
-        if d == check:
-            check *= 2
+        if d >= check:
+            while check <= d:
+                check *= 2
             if g is None:
                 g = _last_corrections(code)
             m = len(act)
@@ -222,24 +238,40 @@ def build_psa(text: PText) -> PsaIndex:
                 act, slot = act[~done], slot[~done]
                 head = head[np.append(~done, True)]
                 inner = ~head[1:-1]
+                if not len(act):
+                    break
         m = len(act)
-        sym[by_code[code_start[d - 1]:code_start[d]]] = d - 1
-        key = sym[d - 1:][act]
-        step = key[1:] - key[:-1]
-        cut = step != 0
+        key = np.cumsum(head[:m]) - 1  # the group rank, fields go below it
+        free = 63 - int(key[-1]).bit_length()
+        k = 1
+        while (k + 1) * (d + k + sigma).bit_length() <= free:
+            k += 1
+        b = (d + k - 1 + sigma).bit_length()
+        mask = (1 << b) - 1
+        pos = act + (d - 1)  # text positions of the fields, shifted per field
+        field = np.empty(m, dtype=np.int64)
+        for x in range(d - 1, d + k - 1):
+            if x < n:  # distance x becomes readable at depth x + 1
+                sym[by_code[cuts[x]:cuts[x + 1]]] = x
+            np.take(sym, pos, out=field)
+            field &= mask
+            key <<= b
+            key |= field
+            pos += 1
+        order = np.argsort(key)
+        act = act[order]
+        key = key[order]
+        cut = key[1:] != key[:-1]
         cut &= inner
         change = cut.nonzero()[0]
         if len(change):
-            if step[change].min() < 0:
-                order = np.argsort(np.cumsum(head[:m]) * width + key,
-                                   kind="stable")
-                act = act[order]
-                key = key[order]
-                cut = key[1:] != key[:-1]
-                cut &= inner
-                change = cut.nonzero()[0]
+            # Two keys of one group share their first k - j fields iff
+            # their XOR is below 2**(j*b): count the bounds it stays under.
+            bounds = np.left_shift(1, b * np.arange(1, k, dtype=np.int64))
+            same = (k - 1) - np.searchsorted(
+                bounds, key[change] ^ key[change + 1], side="right")
             change += 1
-            plcp[slot[change]] = d - 1
+            plcp[slot[change]] = d - 1 + same
             head[change] = True
             lone = (head[:-1] & head[1:]).nonzero()[0]
             if len(lone):
@@ -249,7 +281,7 @@ def build_psa(text: PText) -> PsaIndex:
                 head = head[keep]
                 act, slot = act[keep[:m]], slot[keep[:m]]
             inner = ~head[1:-1]
-        d += 1
+        d += k
 
     return PsaIndex(psa=psa, plcp=plcp, codes=text.prev_codes)
 

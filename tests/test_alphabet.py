@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from pstray.alphabet import (AlphabetSpec, encode_pattern,
@@ -61,6 +62,48 @@ def test_ingest_errors():
 def test_ingest_refuses_what_it_cannot_store(raw):
     with pytest.raises(InputError):
         make_text(raw, pi="xyz")
+
+
+def test_ingest_names_the_first_stray_token():
+    # Classification runs over the distinct tokens; the message still
+    # names the first stray token in text order.
+    for raw, first in (("xAqBrzqs", "q"), ("xArqzAq", "r"), ("zyxwvA", "z")):
+        with pytest.raises(ClassificationError, match=f"'{first}'"):
+            make_text(raw, pi="x", sigma="AB")
+    with pytest.raises(ClassificationError, match="'S9'"):
+        make_text("p S1 S9 S0 S7 S8", pi=["p"], sigma=["S1"], mode="tokens")
+
+
+@pytest.mark.parametrize("raw, first", [
+    (["x", 1, ["y"]], "1"), (["x", "y", ["z"], 2], r"\['z'\]"),
+    (["x", 2.5, "y"], "2.5"), ([b"x", "y"], "b'x'")])
+def test_ingest_names_the_first_non_string_token(raw, first):
+    with pytest.raises(InputError, match=f"token {first} is not a string"):
+        make_text(raw, pi="xyz")
+
+
+def test_symbol_array_matches_a_per_token_reference():
+    rng = random.Random(4711)
+    cases = []
+    for _ in range(20):
+        params = rng.sample("uvwxyz", rng.randint(0, 4))
+        tokens = [rng.choice(params + list("ABCD"))
+                  for _ in range(rng.randint(1, 300))]
+        cases.append(("".join(tokens), tokens, "uvwxyz", "bytes"))
+        names = [f"id{k}" for k in range(rng.randint(0, 12))]
+        words = [rng.choice(names + ["if", "(", ")", "=", "+"])
+                 for _ in range(rng.randint(1, 300))]
+        cases.append((" ".join(words), words, names, "tokens"))
+    for raw, tokens, pi, mode in cases:
+        t = make_text(raw, pi=pi, mode=mode)
+        params = sorted({tok for tok in tokens if tok in pi})
+        statics = sorted({tok for tok in tokens if tok not in pi})
+        want = {tok: i for i, tok in enumerate(params + statics, start=1)}
+        assert t.tok2id == want
+        assert (t.pi, t.sigma) == (len(params), len(statics) + 1)
+        assert t.symbol_array.dtype == np.int64
+        assert t.symbol_array.tolist() == [want[tok] for tok in tokens] + [
+            len(want) + 1]
 
 
 # A str is not a token set: "xy" in "xyz" is a substring test.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -115,14 +116,63 @@ def fuzz_text(rng):
                       rng.choice((0.0, 0.0, 0.05)))
 
 
+def finish_path_fuzz(monkeypatch, first_check):
+    monkeypatch.setattr(sfx, "FIRST_CHECK", first_check)
+    rng = random.Random(909)
+    for _ in range(450):
+        check_against_oracle(fuzz_text(rng))
+
+
 def test_build_finish_path_fuzz(monkeypatch):
     # Checks at depths 1, 2, 4, ... finish groups (all of them, or some
     # while others keep splitting) on texts far too short for the real
     # schedule.
-    monkeypatch.setattr(sfx, "FIRST_CHECK", 1)
-    rng = random.Random(909)
-    for _ in range(450):
-        check_against_oracle(fuzz_text(rng))
+    finish_path_fuzz(monkeypatch, 1)
+
+
+@pytest.mark.parametrize("first_check", [3, 5])
+def test_build_finish_path_fuzz_between_round_starts(monkeypatch,
+                                                     first_check):
+    # A round reads several symbols, so no round starts at depth 3 or 5:
+    # each check fires at the first round start past its depth.
+    finish_path_fuzz(monkeypatch, first_check)
+
+
+@pytest.mark.parametrize("sigma", [7, 8, 9, 31, 32, 33])
+def test_build_where_the_field_width_flips(sigma):
+    # sigma counts the sentinel: 2**b - 1, 2**b and 2**b + 1 statics for
+    # b = 3 and 5, around the sizes at which the statics alone need one
+    # more bit of field. Renamed copies of one block keep groups alive for
+    # several rounds, and the deepest distances widen the field as the
+    # sort goes deeper.
+    rng = random.Random(sigma)
+    pis = [f"p{i}" for i in range(3)]
+    sgs = [f"S{i:02d}" for i in range(sigma - 1)]
+    block = [rng.choice(pis + sgs) for _ in range(30)]
+    raw = list(sgs)
+    rng.shuffle(raw)
+    for _ in range(4):
+        renaming = dict(zip(pis, rng.sample(pis, len(pis))))
+        raw += [renaming.get(tok, tok) for tok in block]
+        raw += rng.sample(pis + sgs, 3)
+    t = make_text(" ".join(raw), pi=pis, mode="tokens")
+    assert t.sigma == sigma
+    idx = check_against_oracle(t)
+    assert idx.plcp.max() >= 25
+
+
+def test_build_deepest_distance_meets_lowest_static():
+    # At depth D the first suffix reads distance D - 1, the deepest a
+    # field at that depth can show, and the second the lowest static; the
+    # symbols after them order the pair the other way. Over every D up to
+    # 40 the depth is the last field of some round, where a field one bit
+    # too narrow would read the two as equal.
+    for statics in range(2, 11):
+        high = "".join(chr(ord("A") + i) for i in range(2, statics))
+        for depth in range(2, 41):
+            fill = "B" * (depth - 2)
+            raw = "x" + fill + "x" + (high or "B") + "y" + fill + "AB" + high
+            check_against_oracle(make_text(raw, pi="xy"))
 
 
 def sort_code(t):
@@ -188,6 +238,47 @@ def test_build_long_repeats_without_oracle():
     assert (idx.plcp[1:] == n - 1 - np.arange(1, n)).all()
     t = make_text(("xyA" * 10_000)[:29_999], pi="xy")
     validate_psa(build_psa(t), t, full=False)
+
+
+def golden_texts():
+    """Seeded texts too long for the oracle: random bytes, exact renamed
+    clones, a run with a short tail and a text that keeps a late window
+    correction in every suffix."""
+    rng = random.Random(6060)
+    rand = "".join(rng.choice("uvwxyzABCDE") for _ in range(30_000))
+    tail = "".join(rng.choice("xyA") for _ in range(30))
+    return {
+        "random": make_text(rand, pi="uvwxyz"),
+        "clones": clone_text(rng, 50, 400, 0.0),
+        "run": make_text("x" * 12_000 + tail, pi="xy"),
+        "late": make_text("y" + "x" * 2000 + "y", pi="xy"),
+    }
+
+
+def psa_digest(idx):
+    data = idx.psa.astype("<i8").tobytes() + idx.plcp.astype("<i8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+# Recorded from the round-per-symbol sort this one replaced; psa and plcp
+# are a function of the text, so any correct sort reproduces them.
+GOLDEN_DIGESTS = {
+    "random":
+        "19a9457622860f100d32e899b0883859b9f2a7e48a4aff6730de3c032818c9a0",
+    "clones":
+        "2e7925c33873491cf10e434f1e763fd1f84a8cff9e49d2b200f0743e8f2b023d",
+    "run":
+        "b6a9410f1f437a6e4548ddfff539b0d219de530979fd5c9de217712afba202bd",
+    "late":
+        "0345e25ed850e2676f77e3df9e416da035704639e35f4fdf8d84daab7707545d",
+}
+
+
+def test_build_matches_golden_digests():
+    for name, t in golden_texts().items():
+        idx = build_psa(t)
+        validate_psa(idx, t, full=False)
+        assert psa_digest(idx) == GOLDEN_DIGESTS[name], name
 
 
 def test_range_search_demo_ranges(demo_text, demo_index):
