@@ -8,8 +8,7 @@ queries in time linear in the pattern plus a log of the alphabet size.
 
 from .alphabet import (AlphabetSpec, PText, encode_pattern, ingest,
                        parse_alphabet_spec, pattern_codes)
-from .encoding import (STATIC_BASE, fpos, fpos_stream, p_match,
-                       pfunction_from_fpos, prev, prev_char_in_window, spe)
+from .encoding import STATIC_BASE, pfunction_from_fpos, prev, spe
 from .errors import (CapacityError, ChecksumError, ClassificationError,
                      ConstructionError, FormatError, InputError, PstrayError,
                      QueryError, ValidationError)
@@ -17,17 +16,16 @@ from .suffixes import (PsaIndex, QueryStats, build_psa, range_search, report,
                        validate_psa)
 from .tray import (PSTrayIndex, TrayAnnotations, assemble, build_parrays,
                    build_tray, classify_pnodes, query)
-from .tree import TrayTree, build_tree, edge_symbol
+from .tree import TrayTree, build_tree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetSpec", "PText", "ingest", "parse_alphabet_spec",
-    "encode_pattern", "pattern_codes", "prev", "spe", "p_match",
-    "prev_char_in_window", "fpos", "fpos_stream", "pfunction_from_fpos",
+    "encode_pattern", "pattern_codes", "prev", "spe", "pfunction_from_fpos",
     "STATIC_BASE",
     "PsaIndex", "QueryStats", "build_psa", "range_search", "report",
-    "validate_psa", "TrayTree", "build_tree", "edge_symbol",
+    "validate_psa", "TrayTree", "build_tree",
     "TrayAnnotations", "PSTrayIndex", "classify_pnodes", "build_parrays",
     "build_tray", "assemble", "query",
     "PstrayError", "InputError", "ClassificationError",

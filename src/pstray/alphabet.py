@@ -117,21 +117,22 @@ class PText:
     """An ingested text: internal symbols with the end marker appended.
 
     Made from its int64 ``symbol_array`` (built by ``ingest``, read by
-    ``index_io.load``) and immutable. Derived once: ``by_symbol``, the
-    0-based positions of the parameterized symbols sorted by symbol (symbol
-    x's, ascending, are ``by_symbol[symbol_cuts[x-1]:symbol_cuts[x]]``);
-    ``code_array``, the prev codes; and the lists ``prev_codes`` and
-    ``symbols`` for scalar loops (position ``p`` is ``symbols[p-1]``;
-    ``symbols[-1]`` is the sentinel).
+    ``index_io.load``; position ``p`` is ``symbol_array[p-1]`` and the last
+    entry is the sentinel) and the token ids ``tok2id``, and immutable.
+    Derived once: ``id2tok``, the inverse of ``tok2id`` with ``$`` at the
+    sentinel; ``by_symbol``, the 0-based positions of the parameterized
+    symbols sorted by symbol (symbol x's, ascending, are
+    ``by_symbol[symbol_cuts[x-1]:symbol_cuts[x]]``); ``code_array``, the
+    prev codes; and their list ``prev_codes``, which the query's suffix
+    comparisons index.
     """
 
     symbol_array: np.ndarray
     pi: int
     sigma: int
     tok2id: dict[str, int]
-    id2tok: dict[int, str]
     spec: AlphabetSpec
-    symbols: list[int] = field(init=False, repr=False)
+    id2tok: dict[int, str] = field(init=False, repr=False)
     by_symbol: np.ndarray = field(init=False, repr=False)
     symbol_cuts: list[int] = field(init=False, repr=False)
     code_array: np.ndarray = field(init=False, repr=False)
@@ -139,7 +140,8 @@ class PText:
 
     def __post_init__(self):
         symbols = self.symbol_array
-        self.symbols = symbols.tolist()
+        self.id2tok = {v: k for k, v in self.tok2id.items()}
+        self.id2tok[self.sentinel] = SENTINEL_TOKEN
         self.by_symbol = sort_by_symbol(symbols, self.pi)
         self.symbol_cuts = np.bincount(symbols[self.by_symbol],
                                        minlength=self.pi + 1).cumsum().tolist()
@@ -148,7 +150,7 @@ class PText:
 
     @property
     def n(self) -> int:
-        return len(self.symbols)
+        return len(self.symbol_array)
 
     @property
     def sentinel(self) -> int:
@@ -157,7 +159,8 @@ class PText:
     def decode(self, positions: Iterable[int]) -> str:
         """External tokens of the given 1-based positions (debugging aid)."""
         sep = " " if self.spec.mode == TOKEN_MODE else ""
-        return sep.join(self.id2tok[self.symbols[p - 1]] for p in positions)
+        symbols = self.symbol_array
+        return sep.join(self.id2tok[symbols[p - 1]] for p in positions)
 
 
 def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
@@ -200,14 +203,10 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
         tok2id[tok] = i
     for i, tok in enumerate(sorted(sigma_occ), start=pi + 1):
         tok2id[tok] = i
-    sentinel = pi + sigma
-    id2tok = {v: k for k, v in tok2id.items()}
-    id2tok[sentinel] = SENTINEL_TOKEN
-
     ids = np.fromiter(map(tok2id.__getitem__, tokens), np.int64,
                       count=len(tokens))
-    return PText(symbol_array=np.append(ids, sentinel), pi=pi, sigma=sigma,
-                 tok2id=tok2id, id2tok=id2tok, spec=spec)
+    return PText(symbol_array=np.append(ids, pi + sigma), pi=pi, sigma=sigma,
+                 tok2id=tok2id, spec=spec)
 
 
 def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:

@@ -43,17 +43,23 @@ def _pattern_arg(raw: str, mode: str) -> str:
     return raw
 
 
-def cmd_build(args) -> int:
-    text = _load_text(args)
-    index = assemble(text)
-    index_io.save(index, args.out)
-    ann = index.ann
+def _structure(index) -> dict[str, int]:
+    """The structural counts that ``build`` and ``stats`` print, in order.
+    The tree keeps the heavy nodes and their children; the light ones are
+    where a descent hands over to the suffix-array search."""
+    text, tree, ann = index.text, index.tree, index.ann
     pnodes = sum(ann.is_pnode)
-    branching = sum(ann.is_branching)
-    print(f"n={text.n} pi={text.pi} sigma={text.sigma} "
-          f"nodes={index.tree.size} pnodes={pnodes} "
-          f"light_targets={index.tree.size - pnodes} "
-          f"branching_pnodes={branching} parray_cells={ann.parray_cells()}")
+    return {"n": text.n, "pi": text.pi, "sigma": text.sigma,
+            "nodes": tree.size, "pnodes": pnodes,
+            "light_targets": tree.size - pnodes,
+            "branching_pnodes": sum(ann.is_branching),
+            "parray_cells": ann.parray_cells()}
+
+
+def cmd_build(args) -> int:
+    index = assemble(_load_text(args))
+    index_io.save(index, args.out)
+    print(" ".join(f"{key}={val}" for key, val in _structure(index).items()))
     return 0
 
 
@@ -78,29 +84,18 @@ def cmd_query(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    """The counts of ``build``, one per line, each bounded one followed by
+    its bound and its margin below it."""
     index = index_io.load(args.index)
-    text = index.text
-    tree = index.tree
-    ann = index.ann
-    n = text.n
-    threshold = ann.threshold
-    branching = sum(ann.is_branching)
-    cells = ann.parray_cells()
-    print(f"n={n}")
-    print(f"pi={text.pi}")
-    print(f"sigma={text.sigma}")
-    pnodes = sum(ann.is_pnode)
-    # The tree keeps the heavy nodes and their children; the light ones
-    # are where a descent hands over to the suffix-array search.
-    print(f"nodes={tree.size}")
-    print(f"pnodes={pnodes}")
-    print(f"light_targets={tree.size - pnodes}")
-    print(f"branching_pnodes={branching}")
-    print(f"branching_bound={n // threshold}")
-    print(f"branching_margin={n // threshold - branching}")
-    print(f"parray_cells={cells}")
-    print(f"parray_cells_bound={2 * n}")
-    print(f"parray_cells_margin={2 * n - cells}")
+    counts = _structure(index)
+    n, cells = counts["n"], counts.pop("parray_cells")
+    bound = n // index.ann.threshold
+    counts.update(branching_bound=bound,
+                  branching_margin=bound - counts["branching_pnodes"],
+                  parray_cells=cells, parray_cells_bound=2 * n,
+                  parray_cells_margin=2 * n - cells)
+    for key, val in counts.items():
+        print(f"{key}={val}")
     return 0
 
 
@@ -159,7 +154,8 @@ def _random_pattern(rng: random.Random, text) -> str | list[str]:
     if rng.random() < 0.5 and n > 2:
         m = rng.randint(1, min(12, n - 1))
         start = rng.randint(1, n - m)
-        window = [text.id2tok[text.symbols[p - 1]] for p in range(start, start + m)]
+        window = [text.id2tok[c] for c in
+                  text.symbol_array[start - 1:start - 1 + m].tolist()]
         if pi_toks:
             shuffled = pi_toks[:]
             rng.shuffle(shuffled)

@@ -1,4 +1,7 @@
-"""prev encoding, canonical renaming, and first-occurrence machinery.
+"""prev encoding and canonical renaming, of one sequence and of a whole
+text, the O(1) window adjustment of a text's prev codes, and the renaming
+of a window read off its suffix's f-array. The f-arrays themselves and the
+p-match test are references in ``oracle``.
 
 Every symbol of an encoded string is either a *distance* (a parameterized
 symbol rewritten as the distance to its previous occurrence, 0 at the first
@@ -13,14 +16,11 @@ ids are offset by ``STATIC_BASE``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import QueryError
-
-if TYPE_CHECKING:
-    from .alphabet import PText
 
 # Distances are bounded by the text/pattern length; anything this large is
 # a static symbol id plus the base.
@@ -89,12 +89,6 @@ def spe(w: Sequence[int], pi: int) -> list[int]:
     return out
 
 
-def p_match(x: Sequence[int], y: Sequence[int], pi: int) -> bool:
-    """True iff the two sequences match up to renaming of parameterized
-    symbols (equal length and equal prev encodings)."""
-    return len(x) == len(y) and prev(x, pi) == prev(y, pi)
-
-
 def prev_char_in_window(global_prev: Sequence[int], j: int, d: int) -> int:
     """Symbol ``d`` of the prev encoding of the suffix starting at ``j``.
 
@@ -109,38 +103,6 @@ def prev_char_in_window(global_prev: Sequence[int], j: int, d: int) -> int:
     if b < STATIC_BASE and b >= d:
         return 0
     return b
-
-
-def fpos_stream(text: PText,
-                positions: set[int] | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Walk suffixes right to left, yielding per-suffix f-arrays.
-
-    The f-array of suffix ``T[i:]`` maps each canonical parameterized id
-    (index ``x-1``) to the 1-based offset of the first occurrence of ``x``
-    in the suffix, 0 if absent. One global table of absolute first
-    occurrences is maintained in O(1) per step; the length-pi copy is made
-    only for yielded steps. ``positions`` restricts which steps are
-    materialized (all of them when None).
-    """
-    n = text.n
-    pi = text.pi
-    symbols = text.symbols
-    first_abs = [0] * (pi + 1)  # first_abs[x] = smallest seen position of x
-    for i in range(n, 0, -1):
-        c = symbols[i - 1]
-        if c <= pi:
-            first_abs[c] = i
-        if positions is None or i in positions:
-            yield i, tuple(first_abs[x] - i + 1 if first_abs[x] else 0
-                           for x in range(1, pi + 1))
-
-
-def fpos(text: PText, i: int) -> tuple[int, ...]:
-    """f-array of the single suffix ``T[i:]``; QueryError unless
-    1 <= i <= n."""
-    for _, farr in fpos_stream(text, positions={i}):
-        return farr
-    raise QueryError(f"suffix start {i} out of range")
 
 
 def pfunction_from_fpos(limit: int, farr: Sequence[int]) -> dict[int, int]:

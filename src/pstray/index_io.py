@@ -208,14 +208,12 @@ def load(path: str | Path) -> PSTrayIndex:
         if declared != ("parameterized" if sym <= pi else "static"):
             raise FormatError(f"alphabet section: token {tok!r} has id {sym} "
                               f"but is declared {declared}")
-    id2tok = {v: k for k, v in tok2id.items()}
-    id2tok[pi + sigma] = "$"
 
     symbols = _words(payloads[SEC_TEXT], n)
     if n == 0 or symbols.min() < 1 or symbols.max() > pi + sigma:
         raise FormatError(f"text symbols outside 1..{pi + sigma}")
     text = PText(symbol_array=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
-                 id2tok=id2tok, spec=spec)
+                 spec=spec)
     psa_index = PsaIndex(psa=_words(payloads[SEC_PSA], n),
                          plcp=_words(payloads[SEC_PLCP], n),
                          codes=text.prev_codes)

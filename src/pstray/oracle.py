@@ -1,19 +1,21 @@
 """Brute-force reference implementations.
 
 These are definitional transcriptions used to generate expected values and
-to cross-check the optimized paths in tests and `self-check`. They share no
-code with the indexed paths: suffixes are materialized, renamings are
-enumerated, matches are rescanned per position.
+to cross-check the optimized paths in tests and `self-check`, beside the
+definitional helpers the index never calls: the per-suffix f-arrays and
+the p-match test. They share no code with the indexed paths: suffixes are
+materialized, renamings are enumerated, matches are rescanned per
+position.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .alphabet import PText
 from .encoding import STATIC_BASE, prev, spe
-from .errors import CapacityError
+from .errors import CapacityError, QueryError
 from .tree import NO_NODE, TrayTree
 
 MAX_ORACLE_DISTINCT = 8
@@ -24,7 +26,7 @@ def naive_ppm(text: PText, pattern: Sequence[int]) -> list[int]:
     """Every 1-based position whose window p-matches the pattern, by
     re-deriving the window's prev encoding from scratch (early exit on the
     first differing symbol)."""
-    symbols = text.symbols
+    symbols = text.symbol_array.tolist()
     pi = text.pi
     n = text.n
     pp = prev(pattern, pi)
@@ -69,6 +71,12 @@ def naive_spe(w: Sequence[int], pi: int) -> list[int]:
     return best if best is not None else list(w)
 
 
+def p_match(x: Sequence[int], y: Sequence[int], pi: int) -> bool:
+    """True iff the two sequences match up to renaming of parameterized
+    symbols (equal length and equal prev encodings)."""
+    return len(x) == len(y) and prev(x, pi) == prev(y, pi)
+
+
 def bijection_p_match(x: Sequence[int], y: Sequence[int], pi: int) -> bool:
     """Direct test: is there a renaming bijection of parameterized symbols,
     identity on statics, carrying ``x`` onto ``y``?"""
@@ -89,13 +97,45 @@ def bijection_p_match(x: Sequence[int], y: Sequence[int], pi: int) -> bool:
     return True
 
 
+def fpos_stream(text: PText,
+                positions: set[int] | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Walk suffixes right to left, yielding per-suffix f-arrays.
+
+    The f-array of suffix ``T[i:]`` maps each canonical parameterized id
+    (index ``x-1``) to the 1-based offset of the first occurrence of ``x``
+    in the suffix, 0 if absent. One global table of absolute first
+    occurrences is maintained in O(1) per step; the length-pi copy is made
+    only for yielded steps. ``positions`` restricts which steps are
+    materialized (all of them when None).
+    """
+    pi = text.pi
+    symbols = text.symbol_array.tolist()
+    first_abs = [0] * (pi + 1)  # first_abs[x] = smallest seen position of x
+    for i in range(text.n, 0, -1):
+        c = symbols[i - 1]
+        if c <= pi:
+            first_abs[c] = i
+        if positions is None or i in positions:
+            yield i, tuple(first_abs[x] - i + 1 if first_abs[x] else 0
+                           for x in range(1, pi + 1))
+
+
+def fpos(text: PText, i: int) -> tuple[int, ...]:
+    """f-array of the single suffix ``T[i:]``; QueryError unless
+    1 <= i <= n."""
+    for _, farr in fpos_stream(text, positions={i}):
+        return farr
+    raise QueryError(f"suffix start {i} out of range")
+
+
 def naive_psa(text: PText) -> tuple[list[int], list[int]]:
     """Sorted suffix order and adjacent LCPs by materializing every
     prev-encoded suffix."""
     n = text.n
     if n > MAX_ORACLE_TEXT:
         raise CapacityError(f"text length {n} exceeds oracle capacity")
-    encoded = [tuple(prev(text.symbols[i - 1:], text.pi)) for i in range(1, n + 1)]
+    symbols = text.symbol_array.tolist()
+    encoded = [tuple(prev(symbols[i - 1:], text.pi)) for i in range(1, n + 1)]
     order = sorted(range(1, n + 1), key=lambda i: encoded[i - 1])
     plcp = [0]
     for a, b in zip(order, order[1:]):
@@ -117,13 +157,14 @@ def naive_parray(tree: TrayTree, text: PText, index, node: int) -> list[int]:
     """
     depth = tree.depth[node]
     start = index.starts[tree.lo[node] - 1]
-    window = text.symbols[start - 1:start - 1 + depth]
+    symbols = text.symbol_array.tolist()
+    window = symbols[start - 1:start - 1 + depth]
     canon = spe(window, text.pi)
     kids = tree.children(node)
     kid_prefixes = []
     for u in kids:
         leaf_start = index.starts[tree.lo[u] - 1]
-        enc = prev(text.symbols[leaf_start - 1:], text.pi)
+        enc = prev(symbols[leaf_start - 1:], text.pi)
         kid_prefixes.append((u, enc[:depth + 1]))
     width = text.sigma + text.pi
     out = [NO_NODE] * (width + 1)

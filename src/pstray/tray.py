@@ -27,8 +27,7 @@ from .encoding import STATIC_BASE, pfunction_from_fpos
 from .errors import ConstructionError, ValidationError
 from .suffixes import (PsaIndex, QueryStats, _window_symbols, build_psa,
                        compare_suffix, range_search, report, validate_psa)
-from .tree import (NO_NODE, TrayTree, build_tree, first_edge_symbol,
-                   validate_tree)
+from .tree import NO_NODE, TrayTree, build_tree, edge_symbol, validate_tree
 
 __all__ = [
     "TrayAnnotations", "QueryStats", "PSTrayIndex", "classify_pnodes",
@@ -393,11 +392,11 @@ def _check_dispatch(tree: TrayTree, ann: TrayAnnotations, text: PText,
     canon = pfunction_from_fpos(depth, farr)
     want = [NO_NODE] * len(arr)
     for u in kids:
-        sym = first_edge_symbol(tree, index, u)
+        sym = edge_symbol(tree, index, u, 1)
         if sym >= STATIC_BASE:
             ranks = [sym - STATIC_BASE]
         elif sym > 0:
-            ranks = [canon.get(text.symbols[rep + depth - sym - 1])]
+            ranks = [canon.get(text.symbol_array[rep + depth - sym - 1])]
         else:
             ranks = list(range(len(canon) + 1, text.pi + 1))
         if not ranks or None in ranks:

@@ -76,16 +76,6 @@ class TrayTree:
         cuts = self.child_cuts
         return self.child_ids[cuts[v]:cuts[v + 1]].tolist()
 
-    def is_leaf(self, v: int) -> bool:
-        # A block of one rank below the root is that rank's suffix.
-        return v != self.root and self.lo[v] == self.hi[v]
-
-    def leaf_count(self, v: int) -> int:
-        return self.hi[v] - self.lo[v] + 1
-
-    def edge_length(self, v: int) -> int:
-        return self.depth[v] - self.depth[self.parent[v]]
-
 
 def _nearest_smaller(h: np.ndarray) -> np.ndarray:
     """``out[i]``: the largest j < i with ``h[j] < h[i]``, for
@@ -219,21 +209,11 @@ def edge_symbol(tree: TrayTree, index: PsaIndex, node: int, offset: int) -> int:
     if not 0 < node < tree.size:
         raise QueryError(f"node {node} has no entering edge in a tree of "
                          f"{tree.size} nodes")
-    if not 1 <= offset <= tree.edge_length(node):
+    above = tree.depth[tree.parent[node]]
+    if not 1 <= offset <= tree.depth[node] - above:
         raise QueryError(f"edge offset {offset} out of range for node {node}")
     start = index.starts[tree.lo[node] - 1]
-    return prev_char_in_window(index.codes, start, tree.depth[tree.parent[node]] + offset)
-
-
-def first_edge_symbol(tree: TrayTree, index: PsaIndex, node: int) -> int:
-    return edge_symbol(tree, index, node, 1)
-
-
-def node_label(tree: TrayTree, index: PsaIndex, node: int) -> tuple[int, ...]:
-    """Full root-to-node label as encoded symbol codes (test/debug helper)."""
-    start = index.starts[tree.lo[node] - 1]
-    return tuple(prev_char_in_window(index.codes, start, d)
-                 for d in range(1, tree.depth[node] + 1))
+    return prev_char_in_window(index.codes, start, above + offset)
 
 
 def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:

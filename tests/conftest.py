@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pstray.alphabet import AlphabetSpec, ingest
-from pstray.encoding import STATIC_BASE
+from pstray.encoding import STATIC_BASE, prev_char_in_window
 from pstray.tray import assemble
 
 # The running example used throughout: pi = {x,y,z}, sigma = {A} (+ '$').
@@ -55,7 +55,8 @@ def random_pattern(rng: random.Random, text, max_m=14):
     if rng.random() < 0.5 and text.n > 2:
         m = rng.randint(1, min(max_m, text.n - 1))
         start = rng.randint(1, text.n - m)
-        window = [text.id2tok[c] for c in text.symbols[start - 1:start - 1 + m]]
+        window = [text.id2tok[c] for c in
+                  text.symbol_array[start - 1:start - 1 + m].tolist()]
         shuffled = pi_toks[:]
         rng.shuffle(shuffled)
         renaming = dict(zip(pi_toks, shuffled))
@@ -72,6 +73,29 @@ def demo_text():
 @pytest.fixture(scope="session")
 def demo_index(demo_text):
     return assemble(demo_text)
+
+
+# ------------------------------------------------ tree helpers
+
+def is_leaf(tree, v):
+    """A block of one rank below the root is that rank's suffix."""
+    return v != tree.root and tree.lo[v] == tree.hi[v]
+
+
+def leaf_count(tree, v):
+    return tree.hi[v] - tree.lo[v] + 1
+
+
+def edge_length(tree, v):
+    return tree.depth[v] - tree.depth[tree.parent[v]]
+
+
+def node_label(tree, index, v):
+    """Full root-to-node label of node v as encoded symbol codes, read
+    through its leftmost suffix."""
+    start = index.starts[tree.lo[v] - 1]
+    return tuple(prev_char_in_window(index.codes, start, d)
+                 for d in range(1, tree.depth[v] + 1))
 
 
 # ------------------------------------------------ LCP-interval references

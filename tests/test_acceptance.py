@@ -15,13 +15,10 @@ import pytest
 
 from pstray import index_io
 from pstray.alphabet import AlphabetSpec, encode_pattern, ingest
-from pstray.encoding import (STATIC_BASE, fpos_stream, p_match, prev,
-                             prev_char_in_window, spe)
-from pstray.oracle import (bijection_p_match, naive_parray, naive_ppm,
-                           naive_spe)
-from pstray.suffixes import validate_psa
-from pstray.tray import assemble, query, validate_annotations
-from pstray.tree import validate_tree
+from pstray.encoding import STATIC_BASE, prev, prev_char_in_window, spe
+from pstray.oracle import (bijection_p_match, fpos_stream, naive_parray,
+                           naive_ppm, naive_spe, p_match)
+from pstray.tray import assemble, query
 
 from conftest import DEMO_PLCP, DEMO_PSA, make_text
 from test_tree import label_map
@@ -32,12 +29,6 @@ SIGMA_POOL = list("BCD")
 
 def _passed(criterion, detail=""):
     print(f"ACCEPTANCE {criterion}: PASS {detail}".rstrip())
-
-
-def _validate_all(index):
-    validate_psa(index.psa_index, index.text, full=True)
-    validate_tree(index.tree, index.psa_index, index.text)
-    validate_annotations(index.tree, index.ann, index.text, index.psa_index)
 
 
 def _random_instance(rng):
@@ -68,7 +59,8 @@ def _random_suite_pattern(rng, text, max_m=50):
     if rng.random() < 0.5 and text.n > 2:
         m = rng.randint(1, min(max_m, text.n - 1))
         start = rng.randint(1, text.n - m)
-        window = [text.id2tok[c] for c in text.symbols[start - 1:start - 1 + m]]
+        window = [text.id2tok[c] for c in
+                  text.symbol_array[start - 1:start - 1 + m].tolist()]
         shuffled = pi_toks[:]
         rng.shuffle(shuffled)
         renaming = dict(zip(pi_toks, shuffled))
@@ -91,7 +83,7 @@ def random_suite():
         text = _random_instance(rng)
         index = assemble(text)
         try:
-            _validate_all(index)
+            index.validate()
         except Exception:
             structural_violations += 1
         thr = max(text.sigma, text.pi)
@@ -149,8 +141,8 @@ def test_criterion_1_golden_vectors(demo_text, demo_index):
 
     ppm_text = make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A")
     ppm_index = assemble(ppm_text)
-    _validate_all(ppm_index)
-    _validate_all(demo_index)
+    ppm_index.validate()
+    demo_index.validate()
     occ, _ = query(ppm_index, "yAzz")
     assert occ == [3, 7]
 
@@ -175,7 +167,7 @@ def test_criterion_2_oracle_equivalence(random_suite):
 
 def test_criterion_3_structural_bounds(random_suite, demo_text, demo_index):
     assert random_suite["violations"] == 0
-    _validate_all(demo_index)
+    demo_index.validate()
     thr = max(demo_text.sigma, demo_text.pi)
     assert sum(demo_index.ann.is_branching) <= demo_text.n // thr
     assert demo_index.ann.parray_cells() <= 2 * demo_text.n
@@ -281,7 +273,7 @@ def test_criterion_5_encoding_laws():
         streamed = dict(fpos_stream(text))
         codes = text.prev_codes
         for i in range(1, text.n + 1):
-            suffix = text.symbols[i - 1:]
+            suffix = text.symbol_array[i - 1:].tolist()
             expect = tuple(suffix.index(x) + 1 if x in suffix else 0
                            for x in range(1, text.pi + 1))
             assert streamed[i] == expect

@@ -16,7 +16,7 @@ def test_ingest_demo_text():
     assert (t.n, t.pi, t.sigma) == (13, 3, 2)
     # dense ids in lexicographic token order, sentinel last
     assert [t.tok2id[c] for c in "xyzA"] == [1, 2, 3, 4]
-    assert t.symbols[-1] == t.sentinel == 5
+    assert t.symbol_array[-1] == t.sentinel == 5
 
 
 def test_ingest_static_only():
@@ -26,7 +26,7 @@ def test_ingest_static_only():
 
 def test_ingest_token_mode():
     t = make_text("x x y", pi="xy", mode="tokens")
-    assert t.symbols == [1, 1, 2, 3]
+    assert t.symbol_array.tolist() == [1, 1, 2, 3]
     assert t.n == 4
 
 

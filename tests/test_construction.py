@@ -6,7 +6,8 @@ import random
 import numpy as np
 
 from pstray.alphabet import AlphabetSpec, PText
-from pstray.encoding import fpos, pfunction_from_fpos
+from pstray.encoding import pfunction_from_fpos
+from pstray.oracle import fpos
 from pstray.suffixes import build_psa
 from pstray.tray import _canonical_ids, assemble, validate_annotations
 from pstray.tree import _nearest_smaller, build_tree, validate_tree
@@ -55,8 +56,7 @@ def test_build_tree_matches_interval_definition():
 def test_build_tree_of_one_suffix():
     # The end marker alone: the root holds the one rank and lists nothing.
     t = PText(symbol_array=np.array([1], dtype=np.int64), pi=0, sigma=1,
-              tok2id={}, id2tok={1: "$"},
-              spec=AlphabetSpec(pi_members=frozenset()))
+              tok2id={}, spec=AlphabetSpec(pi_members=frozenset()))
     idx = build_psa(t)
     tree = build_tree(idx, t)
     validate_tree(tree, idx, t)

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from pstray.encoding import (STATIC_BASE, fpos, fpos_stream, p_match,
-                             pfunction_from_fpos, prev, prev_array,
-                             prev_char_in_window, sort_by_symbol, spe)
+from pstray.encoding import (STATIC_BASE, pfunction_from_fpos, prev,
+                             prev_array, prev_char_in_window, sort_by_symbol,
+                             spe)
 from pstray.errors import QueryError
-from pstray.oracle import bijection_p_match, naive_spe
+from pstray.oracle import (bijection_p_match, fpos, fpos_stream, naive_spe,
+                           p_match)
 
 from conftest import make_text, random_text, sym_codes
 
@@ -27,7 +28,7 @@ def test_prev_worked_example():
 
 def test_prev_of_demo_suffix(demo_text):
     t = demo_text
-    got = prev(t.symbols, t.pi)
+    got = prev(t.symbol_array.tolist(), t.pi)
     # spelled out: 0 A 0 A 0 1 4 2 A 3 1 4 $
     assert got == sym_codes(t, "0A0A0142A314$")
 
@@ -45,7 +46,7 @@ def test_prev_array_equals_prev_on_random_texts():
     rng = random.Random(2718)
     for i in range(300):
         t = random_text(rng, max_n=200 if i < 20 else 60)
-        want = prev(t.symbols, t.pi)
+        want = prev(t.symbol_array.tolist(), t.pi)
         order = sort_by_symbol(t.symbol_array, t.pi)
         assert prev_array(t.symbol_array, order).tolist() == want
         assert t.code_array.tolist() == t.prev_codes == want
@@ -53,7 +54,7 @@ def test_prev_array_equals_prev_on_random_texts():
         cuts = t.symbol_cuts
         assert len(cuts) == t.pi + 1 and cuts[-1] == len(t.by_symbol)
         for x in range(1, t.pi + 1):
-            at = [p for p, c in enumerate(t.symbols) if c == x]
+            at = [p for p, c in enumerate(t.symbol_array.tolist()) if c == x]
             assert t.by_symbol[cuts[x - 1]:cuts[x]].tolist() == at
 
 
@@ -63,7 +64,7 @@ def test_prev_array_on_degenerate_texts():
              make_text("x" * 50, pi="x"), make_text("x" * 50 + "A", pi="x")]
     assert [t.pi for t in texts] == [0, 0, 0, 1, 1, 1]
     for t in texts:
-        assert t.prev_codes == prev(t.symbols, t.pi)
+        assert t.prev_codes == prev(t.symbol_array.tolist(), t.pi)
 
 
 def wide_text(pi):
@@ -83,8 +84,8 @@ def test_prev_array_on_both_sides_of_each_key_width(pi):
     """The sort key narrows to 8, 16 or 32 bits by pi; a key one width too
     narrow would merge ids 1 and 257 (or 65537)."""
     t = wide_text(pi)
-    assert t.pi == pi and t.symbols[-3] == pi
-    assert t.prev_codes == prev(t.symbols, pi)
+    assert t.pi == pi and t.symbol_array[-3] == pi
+    assert t.prev_codes == prev(t.symbol_array.tolist(), pi)
     cuts = t.symbol_cuts
     counts = [b - a for a, b in zip(cuts, cuts[1:])]
     assert counts == [3] + [2] * (pi - 2) + [3]
@@ -99,10 +100,10 @@ def test_spe_worked_example():
 
 def test_spe_of_demo_text(demo_text):
     t = demo_text
-    got = spe(t.symbols, t.pi)
+    got = spe(t.symbol_array.tolist(), t.pi)
     assert got == enc(t, "xAyAzzyzAyyz") + [t.sentinel]
     # agree with the enumeration oracle
-    assert got == naive_spe(t.symbols, t.pi)
+    assert got == naive_spe(t.symbol_array.tolist(), t.pi)
 
 
 def test_spe_all_static():
@@ -177,7 +178,7 @@ def test_window_symbols_match_materialized_suffixes():
         t = random_text(rng, max_n=200 if i < 5 else 60)
         codes = t.prev_codes
         for j in range(1, t.n + 1):
-            suffix_prev = prev(t.symbols[j - 1:], t.pi)
+            suffix_prev = prev(t.symbol_array[j - 1:].tolist(), t.pi)
             for d in range(1, t.n - j + 2):
                 assert prev_char_in_window(codes, j, d) == suffix_prev[d - 1]
 
@@ -208,7 +209,7 @@ def test_fpos_stream_matches_recomputation():
         t = random_text(rng, max_n=200 if i < 5 else 60)
         streamed = dict(fpos_stream(t))
         for i in range(1, t.n + 1):
-            suffix = t.symbols[i - 1:]
+            suffix = t.symbol_array[i - 1:].tolist()
             expect = []
             for x in range(1, t.pi + 1):
                 expect.append(suffix.index(x) + 1 if x in suffix else 0)
@@ -220,7 +221,7 @@ def test_fpos_entries_point_at_their_symbol(demo_text):
     for i, farr in fpos_stream(t):
         for x, pos in enumerate(farr, start=1):
             if pos:
-                assert t.symbols[i + pos - 2] == x
+                assert t.symbol_array[i + pos - 2] == x
 
 
 # ---------------------------------------------------------------- p-function
@@ -255,6 +256,6 @@ def test_pfunction_general_transport():
         i = rng.randint(1, t.n)
         limit = rng.randint(0, t.n - i + 1)
         fmap = pfunction_from_fpos(limit, fpos(t, i))
-        window = t.symbols[i - 1:i - 1 + limit]
+        window = t.symbol_array[i - 1:i - 1 + limit].tolist()
         mapped = [fmap[c] if c <= t.pi else c for c in window]
         assert mapped == spe(window, t.pi)

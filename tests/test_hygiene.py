@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never reads
 or imports inside a function body, no function takes a parameter it never
-reads, and every name a module exports in ``__all__`` is bound in it."""
+reads, no function or method outside the references is left that no
+package code reads, and every name a module exports in ``__all__`` is
+bound in it."""
 
 import ast
 from pathlib import Path
@@ -185,6 +187,80 @@ def test_unread_parameter_check_sees_what_it_should():
               "        return [q for _ in cls]\n")
     assert unread_parameters(source) == [
         "f: b", "f: e", "f: g", "h: j"]
+
+
+def unread_functions(sources: dict[str, str], exempt) -> list[str]:
+    """``file: qualified name`` for every function and method defined in
+    ``sources`` (file name -> source) whose name no code in any of them
+    reads, as a variable or as an attribute, outside that function's own
+    body. Dunder names and the names in ``exempt`` are skipped. Reads are
+    matched by name alone, so a read of a method's name anywhere counts."""
+    reads = []  # (file, name, line)
+    defs = []  # (file, qualified name, name, first line, last line)
+    for path, source in sources.items():
+        module = ast.parse(source)
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.id, node.lineno))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                reads.append((path, node.attr, node.lineno))
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs.append((path, prefix + child.name, child.name,
+                                 child.lineno, child.end_lineno))
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(module, "")
+    return [f"{path}: {qualname}" for path, qualname, name, first, last in defs
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in exempt
+            and not any(read == name and not (where == path
+                                              and first <= line <= last)
+                        for where, read, line in reads)]
+
+
+def test_every_function_is_read():
+    """Each function or method of the package is read by package code, or
+    is exported in ``pstray.__all__``; the brute-force references in
+    ``oracle.py`` serve the tests and ``self-check`` and are exempt."""
+    import pstray
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert [f for f in unread_functions(sources, set(pstray.__all__))
+            if not f.startswith("oracle.py: ")] == []
+
+
+def test_unread_function_check_sees_what_it_should():
+    sources = {
+        "a.py": ("def used(x):\n"
+                 "    return used(x - 1) if x else helper()\n"
+                 "def helper():\n"
+                 "    def inner():\n"
+                 "        return 1\n"
+                 "    return 0\n"
+                 "def recursive(x):\n"
+                 "    return recursive(x)\n"
+                 "def public():\n"
+                 "    return 2\n"),
+        "b.py": ("from a import used\n"
+                 "class K:\n"
+                 "    def __init__(self):\n"
+                 "        self.m = 1\n"
+                 "    def read(self):\n"
+                 "        return self.m\n"
+                 "    def dead(self):\n"
+                 "        return self.dead\n"
+                 "print(K().read(), used(3))\n"),
+    }
+    assert unread_functions(sources, {"public"}) == [
+        "a.py: helper.inner", "a.py: recursive", "b.py: K.dead"]
 
 
 def test_star_import_of_the_package_runs():

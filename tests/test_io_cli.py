@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,13 +69,33 @@ def test_build_and_load_make_no_python_prev_pass(tmp_path, monkeypatch):
         index_io.save(assemble(t), path)
         loaded = index_io.load(path)
         lt = loaded.text
-        assert lt.symbols == t.symbols and lt.prev_codes == t.prev_codes
+        assert lt.prev_codes == t.prev_codes
         assert (lt.code_array == t.code_array).all()
         assert (lt.symbol_array == t.symbol_array).all()
         for _ in range(20):
             pat = random_pattern(rng, t)
             want = sorted(naive_ppm(t, encode_pattern(t, pat)))
             assert loaded.query(pat)[0] == want
+
+
+@pytest.mark.parametrize("mode", ["bytes", "tokens"])
+def test_load_gives_the_ingested_alphabet_maps(tmp_path, mode):
+    """A loaded text derives the same token maps as the ingested one:
+    ``tok2id`` read from the file, and ``id2tok`` its inverse with ``$`` at
+    the sentinel id pi + sigma, so both decode positions alike."""
+    raw = "zAxAyyxyAxxy" if mode == "bytes" else "if x then y else x fi"
+    pi = "xyz" if mode == "bytes" else ["x", "y"]
+    t = make_text(raw, pi=pi, mode=mode)
+    path = tmp_path / "x.idx"
+    index_io.save(assemble(t), path)
+    lt = index_io.load(path).text
+    assert lt.tok2id == t.tok2id
+    assert lt.id2tok == t.id2tok
+    assert lt.id2tok[lt.pi + lt.sigma] == "$"
+    everywhere = range(1, t.n + 1)
+    assert lt.decode(everywhere) == t.decode(everywhere)
+    assert t.decode(everywhere) == (raw + "$" if mode == "bytes"
+                                    else raw + " $")
 
 
 def test_truncated_file(tmp_path, demo_index):
@@ -514,3 +538,29 @@ def test_cli_token_mode(tmp_path, capsys):
     assert main(["query", "--index", str(idx),
                  "--pattern", "v2 print v1"]) == 0
     assert capsys.readouterr().out == "1\n4\n"
+
+
+def test_module_entry_point_runs_the_readme_example(tmp_path):
+    """``python -m pstray`` runs the README's worked example: ``build`` then
+    ``query --pattern yAzz`` prints 3 and 7 and exits 0, and a query on a
+    missing index exits 2."""
+    (tmp_path / "text.txt").write_text("xyzAxxxAyyzAzx")
+    (tmp_path / "alpha.txt").write_text("pi: x y z\nsigma: A\nmode: bytes\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def pstray(*args):
+        return subprocess.run([sys.executable, "-m", "pstray", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    built = pstray("build", "--text", "text.txt", "--alphabet", "alpha.txt",
+                   "--out", "text.idx")
+    assert built.returncode == 0, built.stderr
+    found = pstray("query", "--index", "text.idx", "--pattern", "yAzz")
+    assert found.returncode == 0, found.stderr
+    assert found.stdout == "3\n7\n"
+    missing = pstray("query", "--index", "missing.idx", "--pattern", "yAzz")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error:")

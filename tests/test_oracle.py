@@ -13,7 +13,7 @@ def test_naive_ppm_worked_example():
 
 
 def test_naive_ppm_pattern_equals_text(demo_text):
-    assert naive_ppm(demo_text, demo_text.symbols) == [1]
+    assert naive_ppm(demo_text, demo_text.symbol_array.tolist()) == [1]
 
 
 def test_naive_ppm_demo(demo_text):

@@ -330,7 +330,7 @@ def test_compare_suffix_matches_its_definition():
         idx = build_psa(t)
         for _ in range(60):
             j = rng.randint(1, t.n)
-            label = prev(t.symbols[j - 1:], t.pi)
+            label = prev(t.symbol_array[j - 1:].tolist(), t.pi)
             # Follow the suffix for a while, then go astray (or past its end).
             m = rng.randint(1, len(label) + 3)
             follow = label[:rng.randint(0, m)]
@@ -368,7 +368,8 @@ def check_subranges(t, idx):
     two symbols past the node's depth. range_search trusts its caller on
     the first ``skip`` symbols, so the check first asserts that every
     suffix in the range shares them."""
-    labels = [prev(t.symbols[start - 1:], t.pi) for start in idx.starts]
+    labels = [prev(t.symbol_array[start - 1:].tolist(), t.pi)
+              for start in idx.starts]
     for lo, hi, d in naive_intervals(t):
         label = labels[lo - 1]
         for extra in range(0, 3):

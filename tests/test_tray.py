@@ -11,9 +11,10 @@ from pstray.oracle import naive_parray, naive_ppm
 from pstray.suffixes import build_psa
 from pstray.tray import (_canonical_ids, assemble, build_parrays,
                          classify_pnodes, query, validate_annotations)
-from pstray.tree import NO_NODE, build_tree, first_edge_symbol
+from pstray.tree import NO_NODE, build_tree, edge_symbol
 
-from conftest import make_text, random_pattern, random_text
+from conftest import (is_leaf, leaf_count, make_text, random_pattern,
+                      random_text)
 from test_tree import label_map
 
 
@@ -49,7 +50,7 @@ def test_small_text_only_root_can_be_pnode():
     ann = classify_pnodes(tree, t)
     assert ann.is_pnode[tree.root]
     assert all(not ann.is_pnode[v] for v in range(1, tree.size)
-               if tree.leaf_count(v) < ann.threshold)
+               if leaf_count(tree, v) < ann.threshold)
 
 
 # ------------------------------------------------------------ p-arrays
@@ -66,7 +67,7 @@ def test_demo_parray_at_branching_node(demo_text, demo_index):
     assert par[z] == labels["00"]
     assert par[a] == labels["0A0"]
     assert par[t.sentinel] == labels["0$"]
-    assert tree.is_leaf(par[t.sentinel])
+    assert is_leaf(tree, par[t.sentinel])
 
 
 def test_demo_parray_at_root(demo_text, demo_index):
@@ -97,7 +98,7 @@ def test_nonbranching_relation_testable_via_oracle(demo_text, demo_index):
     assert arr[t.tok2id["y"]] == labels["0A014"]
     assert arr[t.tok2id["x"]] == NO_NODE  # prev(xAxx)=0A02 extends no child
     leaf = arr[t.tok2id["A"]]  # prev(xAyA)=0A0A prefixes only the rank-8 leaf
-    assert tree.is_leaf(leaf) and tree.lo[leaf] == 8
+    assert is_leaf(tree, leaf) and tree.lo[leaf] == 8
 
 
 def test_parray_pipeline_vs_oracle_randomized():
@@ -123,7 +124,7 @@ def test_pfunction_reconstructs_canonical_window():
         depths = [tree.depth[v] for v in nodes]
         table = _canonical_ids(t, reps, depths)
         for i, depth, row in zip(reps, depths, table):
-            window = t.symbols[i - 1:i - 1 + depth]
+            window = t.symbol_array[i - 1:i - 1 + depth].tolist()
             mapped = [row[c] if c <= t.pi else c for c in window]
             assert mapped == spe(window, t.pi)
 
@@ -159,7 +160,7 @@ def test_parrays_match_oracle_on_wide_and_static_alphabets():
             assert ann.parray[v] == naive_parray(tree, t, idx, v)
         distance_children = [
             u for v in nodes for u in tree.children(v)
-            if 0 < first_edge_symbol(tree, idx, u) <= tree.depth[v]]
+            if 0 < edge_symbol(tree, idx, u, 1) <= tree.depth[v]]
         assert bool(distance_children) == (t is wide)
 
 

@@ -6,11 +6,11 @@ import pytest
 from pstray.encoding import STATIC_BASE, prev
 from pstray.errors import QueryError
 from pstray.suffixes import PsaIndex, build_psa
-from pstray.tree import (TrayTree, build_tree, edge_symbol,
-                         first_edge_symbol, node_label, validate_tree)
+from pstray.tree import TrayTree, build_tree, edge_symbol, validate_tree
 
-from conftest import (kept_intervals, make_text, naive_intervals,
-                      random_text, tree_intervals)
+from conftest import (edge_length, is_leaf, kept_intervals, leaf_count,
+                      make_text, naive_intervals, node_label, random_text,
+                      tree_intervals)
 
 
 def label_map(index, tree, text):
@@ -30,7 +30,7 @@ def test_demo_root_children(demo_text, demo_index):
     t, idx, tree = demo_text, demo_index.psa_index, demo_index.tree
     kids = tree.children(tree.root)
     assert len(kids) == 3
-    syms = [first_edge_symbol(tree, idx, u) for u in kids]
+    syms = [edge_symbol(tree, idx, u, 1) for u in kids]
     assert syms == [0, STATIC_BASE + t.tok2id["A"], STATIC_BASE + t.sentinel]
     ranges = [(tree.lo[u], tree.hi[u]) for u in kids]
     assert ranges == [(1, 9), (10, 12), (13, 13)]
@@ -52,7 +52,7 @@ def test_two_leaf_text():
     idx = build_psa(t)
     tree = build_tree(idx, t)
     assert tree.size == 3
-    assert [tree.is_leaf(u) for u in tree.children(tree.root)] == [True, True]
+    assert [is_leaf(tree, u) for u in tree.children(tree.root)] == [True, True]
     validate_tree(tree, idx, t)
 
 
@@ -64,8 +64,8 @@ def test_edge_symbol_examples(demo_text, demo_index):
     assert edge_symbol(tree, idx, child, 1) == 1
     # every leaf edge ends with the sentinel
     for v in range(tree.size):
-        if tree.is_leaf(v):
-            sym = edge_symbol(tree, idx, v, tree.edge_length(v))
+        if is_leaf(tree, v):
+            sym = edge_symbol(tree, idx, v, edge_length(tree, v))
             assert sym == STATIC_BASE + t.sentinel
     # the first symbol of each root child is its ordering key
     kids = tree.children(tree.root)
@@ -74,7 +74,7 @@ def test_edge_symbol_examples(demo_text, demo_index):
     with pytest.raises(QueryError):
         edge_symbol(tree, idx, child, 0)
     with pytest.raises(QueryError):
-        edge_symbol(tree, idx, child, tree.edge_length(child) + 1)
+        edge_symbol(tree, idx, child, edge_length(tree, child) + 1)
     # the root has no entering edge, and ids outside the tree name no node
     for node in (tree.root, -1, tree.size, tree.size + 5):
         with pytest.raises(QueryError):
@@ -93,12 +93,13 @@ def test_leaf_labels_reproduce_suffix_encodings():
         validate_tree(tree, idx, t)
         assert tree_intervals(tree) == kept_intervals(
             naive_intervals(t), max(t.sigma, t.pi))
-        encoded = [prev(t.symbols[start - 1:], t.pi) for start in idx.starts]
+        encoded = [prev(t.symbol_array[start - 1:].tolist(), t.pi)
+                   for start in idx.starts]
         for v in range(tree.size):
             label = list(node_label(tree, idx, v))
             assert all(e[:tree.depth[v]] == label
                        for e in encoded[tree.lo[v] - 1:tree.hi[v]])
-            if tree.is_leaf(v):
+            if is_leaf(tree, v):
                 assert label == encoded[tree.lo[v] - 1]
 
 
@@ -117,13 +118,13 @@ def test_structure_bounds():
             kept_intervals(naive_intervals(t), threshold))
         for v in range(tree.size):
             kids = tree.children(v)
-            if tree.leaf_count(v) >= threshold and tree.lo[v] < tree.hi[v]:
+            if leaf_count(tree, v) >= threshold and tree.lo[v] < tree.hi[v]:
                 assert [tree.lo[u] for u in kids] == \
                     [tree.lo[v]] + [tree.hi[u] + 1 for u in kids[:-1]]
                 assert tree.hi[kids[-1]] == tree.hi[v]
             else:
                 assert not kids
-            assert tree.is_leaf(v) == (v != tree.root
+            assert is_leaf(tree, v) == (v != tree.root
                                        and tree.lo[v] == tree.hi[v])
         validate_tree(tree, idx, t)
 
