@@ -19,7 +19,7 @@ and any input or alphabet declaration containing it is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,12 +155,6 @@ class PText:
     @property
     def sentinel(self) -> int:
         return self.pi + self.sigma
-
-    def decode(self, positions: Iterable[int]) -> str:
-        """External tokens of the given 1-based positions (debugging aid)."""
-        sep = " " if self.spec.mode == TOKEN_MODE else ""
-        symbols = self.symbol_array
-        return sep.join(self.id2tok[symbols[p - 1]] for p in positions)
 
 
 def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:

@@ -85,15 +85,18 @@ def cmd_query(args) -> int:
 
 def cmd_stats(args) -> int:
     """The counts of ``build``, one per line, each bounded one followed by
-    its bound and its margin below it."""
+    its bound and its margin below it, then the index file's size."""
     index = index_io.load(args.index)
     counts = _structure(index)
     n, cells = counts["n"], counts.pop("parray_cells")
     bound = n // index.ann.threshold
+    file_bytes = Path(args.index).stat().st_size
     counts.update(branching_bound=bound,
                   branching_margin=bound - counts["branching_pnodes"],
                   parray_cells=cells, parray_cells_bound=2 * n,
-                  parray_cells_margin=2 * n - cells)
+                  parray_cells_margin=2 * n - cells,
+                  file_bytes=file_bytes,
+                  bytes_per_symbol=f"{file_bytes / n:.3f}")
     for key, val in counts.items():
         print(f"{key}={val}")
     return 0

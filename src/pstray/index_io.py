@@ -1,28 +1,33 @@
 """Versioned binary on-disk format for assembled indexes.
 
-Layout (version 2): an 8-byte magic, a header of six words (version, a
-reserved word, n, pi, sigma, mode), then length-prefixed sections
-(alphabet, text, suffix array, LCP), each framed as ``(section_id u64,
-payload_len u64, payload)``. All integers are little-endian u64. A
-SHA-256 digest of everything before it closes the file.
+Layout (version 3): an 8-byte magic, a header of five u64 words (version,
+n, pi, sigma, mode), then length-prefixed sections (alphabet, text, suffix
+array, LCP), each framed as ``(section_id u64, payload_len u64,
+payload)``. A SHA-256 digest of everything before it closes the file. All
+integers are little-endian and unsigned.
+
+The header bounds every value of the three n-word sections, so each takes
+the narrowest width that holds its bound, with no field to say so: the
+text the smallest of 1, 2, 4 or 8 bytes that holds pi + sigma (the
+sentinel's id), the suffix and LCP arrays 4 bytes while n < 2**32 and 8
+beyond. The alphabet section and the frames stay u64. On the benchmark
+corpora (pi + sigma below 256) that is about 9 bytes per symbol.
 
 The file holds no tree and no annotations. ``load`` verifies magic,
 version and digest, the mode word (0 bytes, 1 tokens) and the framing:
-each of the four section ids exactly once and no other, the text, suffix
-and LCP sections exactly n words each, and the alphabet section read to
-its end. It checks that the declared parameterized and static token sets
-agree with the token ids (ids 1..pi parameterized, the rest static),
-checks the text's symbols and the suffix and LCP arrays in O(n)
-(``validate_psa(full=False)``: a permutation, every LCP below both suffix
-lengths, each adjacent pair in order one symbol past its LCP), and then
-rebuilds the tree and annotations through ``tray.build_tray``, the same
-code ``assemble`` runs after the sort. So no dispatch cell or tree link is
-ever read from disk; any check that fails during load is reported as a
-``FormatError``. Version-1 files, which stored node records and dispatch
-arrays, are refused.
-
-The reserved word once flagged an optional range-minimum table. ``save``
-writes 1, as every default build did, and ``load`` ignores it.
+each of the four section ids exactly once and no other, the alphabet
+section read to its end, and the text, suffix and LCP sections exactly n
+words of their width each. It checks that the declared parameterized and
+static token sets agree with the token ids (ids 1..pi parameterized, the
+rest static), checks the text's symbols and the suffix and LCP arrays in
+O(n) (``validate_psa(full=False)``: a permutation, every LCP below both
+suffix lengths, each adjacent pair in order one symbol past its LCP), and
+then rebuilds the tree and annotations through ``tray.build_tray``, the
+same code ``assemble`` runs after the sort. So no dispatch cell or tree
+link is ever read from disk; any check that fails during load is reported
+as a ``FormatError``. Files of versions 1 (node records and dispatch
+arrays) and 2 (u64 words and a reserved header word) are refused with a
+message naming the version.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ from .suffixes import PsaIndex
 from .tray import PSTrayIndex, build_tray
 
 MAGIC = b"PSTRAY01"
-VERSION = 2
-RESERVED = 1  # header word 2; ignored on load
+VERSION = 3
 
 SEC_ALPHABET = 1
 SEC_TEXT = 2
@@ -58,6 +62,15 @@ def _u64(*values: int) -> bytes:
     return struct.pack(f"<{len(values)}Q", *values)
 
 
+def _widths(n: int, pi: int, sigma: int) -> dict[int, int]:
+    """Bytes per word of the text, suffix and LCP sections, as the header
+    bounds them: text ids run to pi + sigma, suffix starts to n and LCPs
+    below it."""
+    text = next((w for w in (1, 2, 4) if pi + sigma < 1 << 8 * w), 8)
+    position = 4 if n < 1 << 32 else 8
+    return {SEC_TEXT: text, SEC_PSA: position, SEC_PLCP: position}
+
+
 def _tokens_blob(tokens: list[str]) -> bytes:
     parts = [_u64(len(tokens))]
     for tok in tokens:
@@ -68,7 +81,7 @@ def _tokens_blob(tokens: list[str]) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
+    def __init__(self, data: memoryview, offset: int = 0):
         self.data = data
         self.pos = offset
 
@@ -87,7 +100,7 @@ class _Reader:
         self.pos = end
         return vals
 
-    def raw(self, count: int) -> bytes:
+    def raw(self, count: int) -> memoryview:
         end = self.pos + count
         if end > len(self.data):
             raise FormatError("unexpected end of file")
@@ -98,7 +111,7 @@ class _Reader:
     def string(self) -> str:
         """A length-prefixed UTF-8 string."""
         try:
-            return self.raw(self.u64()).decode("utf-8")
+            return str(self.raw(self.u64()), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"bad token in alphabet section: {exc}") from exc
 
@@ -113,8 +126,6 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
     psa_index = index.psa_index
     n = text.n
 
-    sections: list[tuple[int, bytes]] = []
-
     occurring = sorted(text.tok2id.items(), key=lambda kv: kv[1])
     alpha = [_u64(len(occurring))]
     for tok, sym in occurring:
@@ -127,38 +138,41 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
     else:
         alpha.append(_u64(1))
         alpha.append(_tokens_blob(sorted(text.spec.sigma_members)))
-    sections.append((SEC_ALPHABET, b"".join(alpha)))
-
-    sections.append((SEC_TEXT, text.symbol_array.astype("<u8").tobytes()))
-    sections.append((SEC_PSA, psa_index.psa.astype("<u8").tobytes()))
-    sections.append((SEC_PLCP, psa_index.plcp.astype("<u8").tobytes()))
+    alphabet = b"".join(alpha)
 
     mode_flag = 0 if text.spec.mode == BYTE_MODE else 1
-    blob = bytearray()
-    blob += MAGIC
-    blob += _u64(VERSION, RESERVED, n, text.pi, text.sigma, mode_flag)
-    for sec_id, payload in sections:
-        blob += _u64(sec_id, len(payload))
-        blob += payload
-    blob += hashlib.sha256(blob).digest()
-    Path(path).write_bytes(bytes(blob))
+    parts = [MAGIC, _u64(VERSION, n, text.pi, text.sigma, mode_flag),
+             _u64(SEC_ALPHABET, len(alphabet)), alphabet]
+    widths = _widths(n, text.pi, text.sigma)
+    for sec_id, array in ((SEC_TEXT, text.symbol_array),
+                          (SEC_PSA, psa_index.psa),
+                          (SEC_PLCP, psa_index.plcp)):
+        words = array.astype(f"<u{widths[sec_id]}")
+        parts += (_u64(sec_id, words.nbytes), words)
+    digest = hashlib.sha256()
+    with Path(path).open("wb") as out:
+        for part in parts:
+            digest.update(part)
+            out.write(part)
+        out.write(digest.digest())
 
 
 def load(path: str | Path) -> PSTrayIndex:
     """Read and checksum an index file, check its header and framing, its
     token classes against the ids and its suffix and LCP arrays in O(n),
     and rebuild the tree and annotations from them."""
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())
     if len(data) < len(MAGIC) + 32:
         raise ChecksumError("file too short")
     if data[:len(MAGIC)] != MAGIC:
-        raise FormatError(f"bad magic {data[:len(MAGIC)]!r}, want {MAGIC!r}")
+        raise FormatError(f"bad magic {bytes(data[:len(MAGIC)])!r}, "
+                          f"want {MAGIC!r}")
     body, digest = data[:-32], data[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise ChecksumError("checksum mismatch (truncated or corrupt file)")
 
     r = _Reader(body, len(MAGIC))
-    version, _reserved, n, pi, sigma, mode_flag = r.u64s(6)
+    version, n, pi, sigma, mode_flag = r.u64s(5)
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}, "
                           f"want {VERSION}")
@@ -166,21 +180,18 @@ def load(path: str | Path) -> PSTrayIndex:
     if mode_flag not in (0, 1):
         raise FormatError(f"unknown mode word {mode_flag}")
 
-    payloads: dict[int, _Reader] = {}
+    payloads: dict[int, memoryview] = {}
     while r.pos < len(body):
         sec_id, length = r.u64(), r.u64()
         if sec_id not in _SECTION_NAMES or sec_id in payloads:
             raise FormatError(f"section id {sec_id} unknown or repeated")
-        if sec_id != SEC_ALPHABET and length != 8 * n:
-            raise FormatError(f"{_SECTION_NAMES[sec_id]} section holds "
-                              f"{length} bytes, want {8 * n}")
-        payloads[sec_id] = _Reader(r.raw(length))
+        payloads[sec_id] = r.raw(length)
     missing = set(_SECTION_NAMES) - set(payloads)
     if missing:
         names = ", ".join(_SECTION_NAMES[s] for s in sorted(missing))
         raise FormatError(f"missing sections: {names}")
 
-    sec = payloads[SEC_ALPHABET]
+    sec = _Reader(payloads[SEC_ALPHABET])
     tok2id: dict[str, int] = {}
     for _ in range(sec.u64()):
         sym = sec.u64()
@@ -209,13 +220,24 @@ def load(path: str | Path) -> PSTrayIndex:
             raise FormatError(f"alphabet section: token {tok!r} has id {sym} "
                               f"but is declared {declared}")
 
-    symbols = _words(payloads[SEC_TEXT], n)
+    # The header's pi and sigma now agree with the alphabet, so the widths
+    # they give can be trusted.
+    words: dict[int, np.ndarray] = {}
+    for sec_id, width in _widths(n, pi, sigma).items():
+        payload = payloads[sec_id]
+        if len(payload) != width * n:
+            raise FormatError(f"{_SECTION_NAMES[sec_id]} section holds "
+                              f"{len(payload)} bytes, want {width * n}")
+        # Huge u64 values turn negative, which every range check rejects.
+        words[sec_id] = np.frombuffer(payload, dtype=f"<u{width}").astype(
+            np.int64)
+
+    symbols = words[SEC_TEXT]
     if n == 0 or symbols.min() < 1 or symbols.max() > pi + sigma:
         raise FormatError(f"text symbols outside 1..{pi + sigma}")
     text = PText(symbol_array=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
                  spec=spec)
-    psa_index = PsaIndex(psa=_words(payloads[SEC_PSA], n),
-                         plcp=_words(payloads[SEC_PLCP], n),
+    psa_index = PsaIndex(psa=words[SEC_PSA], plcp=words[SEC_PLCP],
                          codes=text.prev_codes)
     # Resolved per call, so a wrapper installed on suffixes.validate_psa
     # (such as a tracing span) sees it.
@@ -226,9 +248,3 @@ def load(path: str | Path) -> PSTrayIndex:
         return build_tray(psa_index, text)
     except (ValidationError, ConstructionError) as exc:
         raise FormatError(f"loaded index fails validation: {exc}") from exc
-
-
-def _words(sec: _Reader, count: int) -> np.ndarray:
-    """``count`` u64 words of a section as int64 (huge values turn
-    negative, which every range check rejects)."""
-    return np.frombuffer(sec.raw(8 * count), dtype="<u8").astype(np.int64)

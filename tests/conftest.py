@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pstray.alphabet import AlphabetSpec, ingest
+from pstray.alphabet import TOKEN_MODE, AlphabetSpec, ingest
 from pstray.encoding import STATIC_BASE, prev_char_in_window
 from pstray.tray import assemble
 
@@ -18,6 +18,13 @@ def make_text(raw, pi="xyz", sigma=None, mode="bytes"):
                         sigma_members=None if sigma is None else frozenset(sigma),
                         mode=mode)
     return ingest(raw, spec)
+
+
+def decode(text, positions):
+    """External tokens of the given 1-based positions of a text."""
+    sep = " " if text.spec.mode == TOKEN_MODE else ""
+    symbols = text.symbol_array
+    return sep.join(text.id2tok[symbols[p - 1]] for p in positions)
 
 
 def sym_codes(text, pretty):

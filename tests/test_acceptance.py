@@ -14,13 +14,15 @@ import time
 import pytest
 
 from pstray import index_io
-from pstray.alphabet import AlphabetSpec, encode_pattern, ingest
+from pstray.alphabet import (AlphabetSpec, encode_pattern, ingest,
+                             pattern_codes)
 from pstray.encoding import STATIC_BASE, prev, prev_char_in_window, spe
 from pstray.oracle import (bijection_p_match, fpos_stream, naive_parray,
                            naive_ppm, naive_spe, p_match)
+from pstray.suffixes import QueryStats, plain_range_search, report
 from pstray.tray import assemble, query
 
-from conftest import DEMO_PLCP, DEMO_PSA, make_text
+from conftest import DEMO_PLCP, DEMO_PSA, decode, make_text
 from test_tree import label_map
 
 PI_POOL = list("uvwxyz")
@@ -186,7 +188,7 @@ def test_criterion_4_parray_pipeline_vs_oracle():
             if index.ann.is_branching[v]:
                 expect = naive_parray(index.tree, text, index.psa_index, v)
                 assert index.ann.parray[v] == expect, \
-                    (text.decode(range(1, text.n)), v)
+                    (decode(text, range(1, text.n)), v)
                 checked += 1
 
     # exhaustive enumeration over a small alphabet
@@ -302,6 +304,53 @@ def test_criterion_6_query_cost_instrumentation(random_suite, demo_text,
         bound = (text.sigma + text.pi + 1) * max(text.sigma, text.pi)
         assert stats.max_range_searched < bound
     _passed(6, f"(bounds held on {len(trials)} instrumented queries)")
+
+
+def test_query_counters_do_not_grow_with_n():
+    """The paper's O(m + log(sigma + pi) + occ) query, in exact counters.
+    Over one alphabet (pi = 6, sigma = 6 with the end marker) at n = 2k,
+    20k and 200k, every query searches a range shorter than
+    (sigma + pi + 1) * max(sigma, pi) and so probes the suffix array at
+    most 2 + ceil(log2) of that many times, at every n; two plain binary
+    searches over [1, n] probe more as log2 n grows."""
+    rng = random.Random(0x5CA1E)
+    pis, statics = "uvwxyz", "ABCDE"
+    plain_means = []
+    for n in (2_000, 20_000, 200_000):
+        raw = "".join(rng.choice(pis + statics) for _ in range(n - 1))
+        text = make_text(raw, pi=pis)
+        assert (text.n, text.pi, text.sigma) == (n, 6, 6)
+        index = assemble(text)
+        range_bound = (text.sigma + text.pi + 1) * max(text.sigma, text.pi)
+        probe_bound = 2 + math.ceil(math.log2(range_bound))
+        probes, ranges, plain = [], [], []
+        for _ in range(300):
+            m = rng.randint(5, 24)
+            if rng.random() < 0.5:  # a window, renamed
+                start = rng.randint(1, n - m)
+                renamed = "".join(rng.sample(pis, len(pis)))
+                pattern = decode(text, range(start, start + m)).translate(
+                    str.maketrans(pis, renamed))
+            else:
+                pattern = "".join(rng.choice(pis + statics)
+                                  for _ in range(m))
+            occ, stats = query(index, pattern)
+            probes.append(stats.psa_probes)
+            ranges.append(stats.max_range_searched)
+            plain_stats = QueryStats()
+            found = plain_range_search(index.psa_index,
+                                       pattern_codes(text, pattern)[0],
+                                       1, n, 0, plain_stats)
+            assert sorted(report(index.psa_index, found)) == occ
+            plain.append(plain_stats.psa_probes)
+        for counts, bound in ((ranges, range_bound - 1),
+                              (probes, probe_bound)):
+            assert max(counts) <= bound
+            assert sum(counts) / len(counts) <= bound
+        plain_means.append(sum(plain) / len(plain))
+        assert plain_means[-1] >= math.floor(math.log2(n))
+    assert plain_means == sorted(set(plain_means))
+    assert plain_means[-1] > probe_bound
 
 
 # -------------------------------------------------------------- criterion 7

@@ -8,7 +8,7 @@ from pstray.alphabet import (AlphabetSpec, encode_pattern,
 from pstray.encoding import prev, spe
 from pstray.errors import ClassificationError, InputError, QueryError
 
-from conftest import make_text
+from conftest import decode, make_text
 
 
 def test_ingest_demo_text():
@@ -37,7 +37,7 @@ def test_ingest_counts_occurring_symbols_only():
 
 def test_ingest_round_trip():
     t = make_text("zAxAyyxyAxxy", pi="xyz", sigma="A")
-    assert t.decode(range(1, t.n)) == "zAxAyyxyAxxy"
+    assert decode(t, range(1, t.n)) == "zAxAyyxyAxxy"
 
 
 def test_ingest_errors():

@@ -18,7 +18,7 @@ from pstray.oracle import naive_ppm
 from pstray.suffixes import PsaIndex, validate_psa
 from pstray.tray import assemble, query
 
-from conftest import make_text, random_pattern, random_text
+from conftest import decode, make_text, random_pattern, random_text
 
 
 def write_inputs(tmp_path, raw="xyzAxxxAyyzAzx", pi="x y z", sigma="A",
@@ -93,8 +93,8 @@ def test_load_gives_the_ingested_alphabet_maps(tmp_path, mode):
     assert lt.id2tok == t.id2tok
     assert lt.id2tok[lt.pi + lt.sigma] == "$"
     everywhere = range(1, t.n + 1)
-    assert lt.decode(everywhere) == t.decode(everywhere)
-    assert t.decode(everywhere) == (raw + "$" if mode == "bytes"
+    assert decode(lt, everywhere) == decode(t, everywhere)
+    assert decode(t, everywhere) == (raw + "$" if mode == "bytes"
                                     else raw + " $")
 
 
@@ -107,14 +107,25 @@ def test_truncated_file(tmp_path, demo_index):
         index_io.load(path)
 
 
+HEADER = 8 + 5 * 8  # the magic and five header words
+WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by width in bytes
+
+
 def sections(data):
     """Section id -> (payload offset, payload length) of an index file."""
-    out, pos = {}, 8 + 6 * 8  # magic and header
+    out, pos = {}, HEADER
     while pos < len(data) - 32:
         sec_id, length = struct.unpack_from("<2Q", data, pos)
         out[sec_id] = (pos + 16, length)
         pos += 16 + length
     return out
+
+
+def word_width(data, sec_id):
+    """Bytes per word of an n-word section: its length over the header's
+    n, the second header word."""
+    (n,) = struct.unpack_from("<Q", data, 16)
+    return sections(data)[sec_id][1] // n
 
 
 def rewrite(path, data):
@@ -151,9 +162,9 @@ def test_corrupt_section_fails_validation(tmp_path, demo_index):
     index_io.save(demo_index, path)
     data = bytearray(path.read_bytes())
     # duplicate a suffix-array entry (valid checksum, invalid permutation)
-    off = data.find(struct.pack("<3Q", 6, 7, 11))  # start of the psa payload
+    off = data.find(struct.pack("<3I", 6, 7, 11))  # start of the psa payload
     assert off > 0
-    struct.pack_into("<Q", data, off, 7)
+    struct.pack_into("<I", data, off, 7)
     body = bytes(data[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(FormatError, match="validation"):
@@ -171,8 +182,10 @@ def test_file_holds_only_text_psa_and_plcp(tmp_path):
     assert sorted(secs) == [index_io.SEC_ALPHABET, index_io.SEC_TEXT,
                             index_io.SEC_PSA, index_io.SEC_PLCP]
     _, alphabet_len = secs[index_io.SEC_ALPHABET]
-    framing = 8 + 6 * 8 + 4 * 16 + 32  # magic, header, frames, digest
-    assert len(data) <= 24 * t.n + alphabet_len + framing
+    framing = HEADER + 4 * 16 + 32  # magic, header, frames, digest
+    # pi + sigma = 10 ids fit a byte; psa and plcp take 4 bytes each.
+    assert word_width(data, index_io.SEC_TEXT) == 1
+    assert len(data) == (1 + 8) * t.n + alphabet_len + framing
 
 
 def test_load_rebuilds_what_assemble_builds(tmp_path):
@@ -194,15 +207,18 @@ def test_load_rebuilds_what_assemble_builds(tmp_path):
 
 
 def _forge(tmp_path, index, sec_id, change):
-    """Save ``index``, let ``change`` edit the words of one section in
-    place, re-checksum, and return the path."""
+    """Save ``index``, let ``change`` edit the words of one n-word section
+    in place, repack them in the section's width, re-checksum, and return
+    the path."""
     path = tmp_path / "x.idx"
     index_io.save(index, path)
     data = bytearray(path.read_bytes())
     off, length = sections(data)[sec_id]
-    words = list(struct.unpack_from(f"<{length // 8}Q", data, off))
+    width = word_width(data, sec_id)
+    layout = f"<{length // width}{WORD[width]}"
+    words = list(struct.unpack_from(layout, data, off))
     change(words)
-    struct.pack_into(f"<{length // 8}Q", data, off, *words)
+    struct.pack_into(layout, data, off, *words)
     rewrite(path, data)
     return path
 
@@ -247,17 +263,75 @@ def test_forgery_caught_by_the_rebuild_is_a_format_error(tmp_path):
 
 
 def test_forged_text_symbols_are_refused(tmp_path, demo_text, demo_index):
-    for bad in (0, demo_text.pi + demo_text.sigma + 1, 2**64 - 1):
+    # pi + sigma = 5, so the text is stored in bytes.
+    for bad in (0, demo_text.pi + demo_text.sigma + 1, 2**8 - 1):
         path = _forge(tmp_path, demo_index, index_io.SEC_TEXT,
                       lambda words: words.__setitem__(3, bad))
         with pytest.raises(FormatError, match="text symbols"):
             index_io.load(path)
 
 
+def wide_token_text(ids, rng):
+    """A token-mode text whose ids run to ``ids`` = pi + sigma: 10
+    parameterized tokens and ``ids - 11`` statics (the sentinel takes the
+    last id), each once, shuffled among 2 * ids random draws of them."""
+    params = [f"p{i}" for i in range(10)]
+    statics = [f"s{i}" for i in range(ids - 11)]
+    tokens = params + statics
+    tokens += [rng.choice(params + statics) for _ in range(2 * ids)]
+    rng.shuffle(tokens)
+    return make_text(" ".join(tokens), pi=params, mode="tokens")
+
+
+@pytest.mark.parametrize("ids, width", [(255, 1), (256, 2)])
+def test_text_width_boundary(tmp_path, ids, width):
+    """pi + sigma = 255 is the largest that keeps the text in bytes; one
+    more id takes 2-byte words. Both round-trip byte-exactly, answer like
+    the oracle, and refuse a text word outside 1..pi + sigma."""
+    rng = random.Random(ids)
+    t = wide_token_text(ids, rng)
+    assert t.pi + t.sigma == ids
+    index = assemble(t)
+    p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
+    index_io.save(index, p1)
+    data = p1.read_bytes()
+    assert word_width(data, index_io.SEC_TEXT) == width
+    loaded = index_io.load(p1)
+    index_io.save(loaded, p2)
+    assert p2.read_bytes() == data
+    for _ in range(30):
+        start = rng.randint(1, t.n - 6)
+        pat = decode(t, range(start, start + rng.randint(1, 5))).split()
+        if rng.random() < 0.5:
+            pat[rng.randrange(len(pat))] = rng.choice(sorted(t.tok2id))
+        want = sorted(naive_ppm(t, encode_pattern(t, pat)))
+        assert loaded.query(pat)[0] == want
+    # At width 1 every nonzero byte is an id, so 0 is the only word outside.
+    for bad in (0, ids + 1) if width > 1 else (0,):
+        path = _forge(tmp_path, index, index_io.SEC_TEXT,
+                      lambda words: words.__setitem__(5, bad))
+        with pytest.raises(FormatError, match="text symbols"):
+            index_io.load(path)
+
+
+def test_widths_follow_the_header_bounds():
+    """The text takes the narrowest of 1, 2, 4 or 8 bytes that holds pi +
+    sigma; psa and plcp take 4 bytes below n = 2**32 and 8 from there.
+    Checked on the helper, as no test can build an index that long."""
+    widths = index_io._widths
+    text, psa, plcp = index_io.SEC_TEXT, index_io.SEC_PSA, index_io.SEC_PLCP
+    assert widths(2**32 - 1, 6, 6) == {text: 1, psa: 4, plcp: 4}
+    assert widths(2**32, 6, 6) == {text: 1, psa: 8, plcp: 8}
+    for ids, width in ((2, 1), (255, 1), (256, 2), (2**16 - 1, 2),
+                       (2**16, 4), (2**32 - 1, 4), (2**32, 8),
+                       (2**64 - 1, 8)):
+        assert widths(100, 1, ids - 1)[text] == width, ids
+
+
 def test_header_alphabet_mismatch_is_refused(tmp_path, demo_index):
     path = tmp_path / "x.idx"
     index_io.save(demo_index, path)
-    for word, value in ((3, 0), (4, 2**40)):  # pi, sigma
+    for word, value in ((2, 0), (3, 2**40)):  # pi, sigma
         data = bytearray(path.read_bytes())
         struct.pack_into("<Q", data, 8 + 8 * word, value)
         forged = tmp_path / "forged.idx"
@@ -326,7 +400,7 @@ def _reframe(tmp_path, index, change):
     path = tmp_path / "x.idx"
     index_io.save(index, path)
     data = path.read_bytes()
-    head = data[:8 + 6 * 8]
+    head = data[:HEADER]
     frames = [(sec_id, data[off:off + length])
               for sec_id, (off, length) in sections(data).items()]
     head, frames = change(head, frames)
@@ -344,9 +418,9 @@ def _grow(sec_id, extra):
 
 @pytest.mark.parametrize("change, message", [
     # mode word 7 loaded as token mode, and "Az" then matched nothing
-    (lambda head, frames: (head[:48] + struct.pack("<Q", 7) + head[56:],
+    (lambda head, frames: (head[:40] + struct.pack("<Q", 7) + head[48:],
                            frames), "mode word 7"),
-    (_grow(index_io.SEC_TEXT, struct.pack("<Q", 1)), "text section holds"),
+    (_grow(index_io.SEC_TEXT, bytes([1])), "text section holds"),
     (lambda head, frames: (head, frames + [(9, struct.pack("<Q", 0))]),
      "section id 9"),
     (lambda head, frames: (head, frames + [frames[1]]),  # the text again
@@ -370,6 +444,11 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
     t = make_text("".join(rng.choice("xyzAB") for _ in range(60)), pi="xyz")
     index = assemble(t)
     n = t.n
+    plain = tmp_path / "plain.idx"
+    index_io.save(index, plain)
+    widths = {sec_id: word_width(plain.read_bytes(), sec_id)
+              for sec_id in (index_io.SEC_PSA, index_io.SEC_PLCP)}
+    assert widths == {index_io.SEC_PSA: 4, index_io.SEC_PLCP: 4}
     outcomes = {"loaded": 0, "refused": 0}
     for _ in range(300):
         sec_id = rng.choice((index_io.SEC_PSA, index_io.SEC_PLCP))
@@ -378,7 +457,7 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
             for _ in range(rng.randint(1, 3)):
                 j = rng.randrange(len(words))
                 words[j] = rng.choice((
-                    rng.getrandbits(64), rng.randint(0, n + 1),
+                    rng.getrandbits(8 * widths[sec_id]), rng.randint(0, n + 1),
                     words[rng.randrange(len(words))],
                     max(words[j] - 1, 0), words[j] + 1))
 
@@ -398,18 +477,30 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
     assert outcomes["refused"] > 0 and outcomes["loaded"] > 0
 
 
-def test_reserved_header_word_is_ignored(tmp_path, demo_index):
+def as_version_2(data):
+    """The version-2 file of the index a version-3 file holds: a sixth
+    header word (reserved, written as 1) after the version, and every
+    section in u64 words."""
+    version, n, pi, sigma, mode = struct.unpack_from("<5Q", data, 8)
+    assert version == 3
+    body = data[:8] + struct.pack("<6Q", 2, 1, n, pi, sigma, mode)
+    for sec_id, (off, length) in sections(data).items():
+        payload = data[off:off + length]
+        if sec_id != index_io.SEC_ALPHABET:
+            width = word_width(data, sec_id)
+            words = struct.unpack_from(f"<{n}{WORD[width]}", payload)
+            payload = struct.pack(f"<{n}Q", *words)
+        body += struct.pack("<2Q", sec_id, len(payload)) + payload
+    return body + hashlib.sha256(body).digest()
+
+
+def test_version_2_file_is_refused(tmp_path, demo_index):
     path = tmp_path / "x.idx"
     index_io.save(demo_index, path)
-    default = path.read_bytes()
-    data = bytearray(default)
-    struct.pack_into("<Q", data, 16, 0)  # the word after the version
-    body = bytes(data[:-32])
-    path.write_bytes(body + hashlib.sha256(body).digest())
-    loaded = index_io.load(path)
-    assert query(loaded, "xAyy")[0] == [3, 8]
-    index_io.save(loaded, path)
-    assert path.read_bytes() == default
+    old = tmp_path / "v2.idx"
+    old.write_bytes(as_version_2(path.read_bytes()))
+    with pytest.raises(FormatError, match="version 2"):
+        index_io.load(old)
 
 
 # ------------------------------------------------------------------- CLI
@@ -469,6 +560,13 @@ def test_cli_stats_report(tmp_path, capsys):
     assert "branching_pnodes=2" in out
     assert "branching_bound=4" in out  # 13 // max(2, 3)
     assert "parray_cells=10" in out
+    # The file: 13 one-byte text words and 13 four-byte psa and plcp words,
+    # 136 bytes of alphabet, the magic, five header words, four frames and
+    # the digest.
+    size = idx.stat().st_size
+    assert size == 13 * 9 + 136 + 8 + 5 * 8 + 4 * 16 + 32
+    assert f"file_bytes={size}" in out
+    assert f"bytes_per_symbol={size / 13:.3f}" in out
 
 
 def test_cli_bench_csv(tmp_path, capsys):

@@ -13,7 +13,7 @@ from pstray.tray import (_canonical_ids, assemble, build_parrays,
                          classify_pnodes, query, validate_annotations)
 from pstray.tree import NO_NODE, build_tree, edge_symbol
 
-from conftest import (is_leaf, leaf_count, make_text, random_pattern,
+from conftest import (decode, is_leaf, leaf_count, make_text, random_pattern,
                       random_text)
 from test_tree import label_map
 
@@ -272,7 +272,7 @@ def test_query_vs_oracle_randomized():
             occ, stats = query(index, pat)
             enc = encode_pattern(t, pat)
             expect = sorted(naive_ppm(t, enc)) if enc else []
-            assert occ == expect, (t.decode(range(1, t.n)), pat)
+            assert occ == expect, (decode(t, range(1, t.n)), pat)
             assert stats.max_range_searched < bound
             if enc:
                 envelope = 4 * (len(enc) + math.log2(t.n)) + len(occ)

@@ -105,17 +105,25 @@ def test_leaf_labels_reproduce_suffix_encodings():
 
 def test_structure_bounds():
     """At most 2n - 1 nodes, and exactly the kept nodes of the definition:
-    the heavy ones list children that tile their block, and the others
-    list none."""
+    the heavy ones list children that tile their block, the others list
+    none, and the one-rank nodes are the definition's kept leaves, each as
+    deep as its suffix is long."""
     rng = random.Random(13)
     for _ in range(25):
         t = random_text(rng, max_n=150)
         idx = build_psa(t)
         tree = build_tree(idx, t)
         threshold = max(t.sigma, t.pi)
+        kept = kept_intervals(naive_intervals(t), threshold)
         assert tree.size <= 2 * t.n - 1
-        assert len(tree_intervals(tree)) == len(
-            kept_intervals(naive_intervals(t), threshold))
+        assert len(tree_intervals(tree)) == len(kept)
+        leaves = [v for v in range(tree.size) if is_leaf(tree, v)]
+        kept_leaves = [v for v, (up, _) in kept.items()
+                       if up is not None and v[0] == v[1]]
+        assert sorted((tree.lo[v], tree.hi[v], tree.depth[v])
+                      for v in leaves) == sorted(kept_leaves)
+        for v in leaves:
+            assert tree.depth[v] == t.n + 1 - idx.starts[tree.lo[v] - 1]
         for v in range(tree.size):
             kids = tree.children(v)
             if leaf_count(tree, v) >= threshold and tree.lo[v] < tree.hi[v]:
@@ -124,8 +132,6 @@ def test_structure_bounds():
                 assert tree.hi[kids[-1]] == tree.hi[v]
             else:
                 assert not kids
-            assert is_leaf(tree, v) == (v != tree.root
-                                       and tree.lo[v] == tree.hi[v])
         validate_tree(tree, idx, t)
 
 
