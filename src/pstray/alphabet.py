@@ -157,6 +157,33 @@ class PText:
         return self.pi + self.sigma
 
 
+def token_ids(tokens: Sequence[str], distinct: set[str] | frozenset[str],
+              spec: AlphabetSpec) -> tuple[int, int, dict[str, int]]:
+    """The id rule, from the distinct tokens of a text: ``(pi, sigma,
+    tok2id)``. Parameterized tokens take ids 1..pi and static ones the ids
+    after them, each class in sorted order; the end marker, counted in
+    sigma, takes the last id pi + sigma. ``ingest`` and ``index_io.load``
+    both assign ids here.
+
+    Raises InputError when ``$`` is among the tokens, and
+    ClassificationError for a token outside an explicit static set, naming
+    the first such token in ``tokens``.
+    """
+    if SENTINEL_TOKEN in distinct:
+        raise InputError("sentinel collision: input contains '$'")
+    pi_occ = distinct & spec.pi_members
+    sigma_occ = distinct - pi_occ
+    if spec.sigma_members is not None and not sigma_occ <= spec.sigma_members:
+        stray = sigma_occ - spec.sigma_members
+        tok = next(tok for tok in tokens if tok in stray)
+        raise ClassificationError(f"token {tok!r} is in neither alphabet")
+    pi = len(pi_occ)
+    tok2id = {tok: i for i, tok in enumerate(sorted(pi_occ), start=1)}
+    tok2id.update((tok, i) for i, tok in
+                  enumerate(sorted(sigma_occ), start=pi + 1))
+    return pi, len(sigma_occ) + 1, tok2id
+
+
 def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
     """Classify and remap raw input, append the end marker, return a PText.
 
@@ -181,22 +208,7 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
     if distinct is None or not all(isinstance(tok, str) for tok in distinct):
         bad = next(tok for tok in tokens if not isinstance(tok, str))
         raise InputError(f"text token {bad!r} is not a string")
-    if SENTINEL_TOKEN in distinct:
-        raise InputError("sentinel collision: input contains '$'")
-    pi_occ = distinct & spec.pi_members
-    sigma_occ = distinct - pi_occ
-    if spec.sigma_members is not None and not sigma_occ <= spec.sigma_members:
-        stray = sigma_occ - spec.sigma_members
-        tok = next(tok for tok in tokens if tok in stray)
-        raise ClassificationError(f"token {tok!r} is in neither alphabet")
-
-    pi = len(pi_occ)
-    sigma = len(sigma_occ) + 1  # end marker counts as an occurring static
-    tok2id: dict[str, int] = {}
-    for i, tok in enumerate(sorted(pi_occ), start=1):
-        tok2id[tok] = i
-    for i, tok in enumerate(sorted(sigma_occ), start=pi + 1):
-        tok2id[tok] = i
+    pi, sigma, tok2id = token_ids(tokens, distinct, spec)
     ids = np.fromiter(map(tok2id.__getitem__, tokens), np.int64,
                       count=len(tokens))
     return PText(symbol_array=np.append(ids, pi + sigma), pi=pi, sigma=sigma,

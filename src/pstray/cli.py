@@ -19,21 +19,31 @@ from pathlib import Path
 from . import index_io
 from .alphabet import (encode_pattern, ingest, parse_alphabet_spec,
                        pattern_codes)
-from .errors import PstrayError
+from .errors import InputError, PstrayError
 from .oracle import naive_ppm
 from .suffixes import QueryStats, plain_range_search, report
 from .tray import assemble, query
 
 
+def _read(path: str) -> str:
+    """The content of a UTF-8 input file; InputError naming the file when
+    it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
 def _read_text_file(path: str, mode: str) -> str:
-    content = Path(path).read_text(encoding="utf-8")
+    content = _read(path)
     if mode == "bytes" and content.endswith("\n"):
         content = content[:-1]  # trailing newline is an artifact, not a symbol
     return content
 
 
 def _load_text(args):
-    spec = parse_alphabet_spec(Path(args.alphabet).read_text(encoding="utf-8"))
+    spec = parse_alphabet_spec(_read(args.alphabet))
     return ingest(_read_text_file(args.text, spec.mode), spec)
 
 
@@ -105,9 +115,7 @@ def cmd_stats(args) -> int:
 def cmd_bench(args) -> int:
     index = index_io.load(args.index)
     text = index.text
-    patterns = [line for line in
-                Path(args.patterns).read_text(encoding="utf-8").splitlines()
-                if line]
+    patterns = [line for line in _read(args.patterns).splitlines() if line]
     rows = []
     for pid, raw in enumerate(patterns):
         t0 = time.perf_counter()
@@ -128,7 +136,8 @@ def cmd_bench(args) -> int:
             print(f"bench mismatch on pattern {pid}", file=sys.stderr)
             return 1
         rows.append({
-            "pattern_id": pid, "m": len(pattern_prev), "occ": len(occ),
+            "pattern_id": pid, "m": len(text.spec.tokenize(raw)),
+            "occ": len(occ),
             "comparisons_tray": stats.symbol_comparisons,
             "comparisons_psa": psa_stats.symbol_comparisons,
             "max_range": stats.max_range_searched,

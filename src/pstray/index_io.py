@@ -1,33 +1,37 @@
 """Versioned binary on-disk format for assembled indexes.
 
-Layout (version 3): an 8-byte magic, a header of five u64 words (version,
-n, pi, sigma, mode), then length-prefixed sections (alphabet, text, suffix
-array, LCP), each framed as ``(section_id u64, payload_len u64,
-payload)``. A SHA-256 digest of everything before it closes the file. All
-integers are little-endian and unsigned.
+Layout (version 4), all integers little-endian and unsigned:
 
-The header bounds every value of the three n-word sections, so each takes
-the narrowest width that holds its bound, with no field to say so: the
-text the smallest of 1, 2, 4 or 8 bytes that holds pi + sigma (the
-sentinel's id), the suffix and LCP arrays 4 bytes while n < 2**32 and 8
-beyond. The alphabet section and the frames stay u64. On the benchmark
-corpora (pi + sigma below 256) that is about 9 bytes per symbol.
+* the 8-byte magic, then three u64 words: version, n and mode (0 bytes,
+  1 tokens);
+* the alphabet: the declared parameterized tokens, a u64 flag and, when
+  it is 1, the declared static tokens, then the tokens that occur in the
+  text. Each list is a u64 count of sorted, u64-length-prefixed UTF-8
+  strings;
+* the text, suffix array and LCP array, n words each, back to back;
+* a SHA-256 digest of everything before it.
+
+The file holds only what ``load`` cannot derive. The token ids, pi and
+sigma follow from the occurring tokens and the declared sets by
+``alphabet.token_ids``, the rule ``ingest`` uses, and they bound every
+word, so each array takes the narrowest width that holds its bound, with
+no field to say so: the text the smallest of 1, 2, 4 or 8 bytes that
+holds pi + sigma (the sentinel's id), the suffix and LCP arrays 4 bytes
+while n < 2**32 and 8 beyond. On the benchmark corpora (pi + sigma below
+256) that is about 9 bytes per symbol.
 
 The file holds no tree and no annotations. ``load`` verifies magic,
-version and digest, the mode word (0 bytes, 1 tokens) and the framing:
-each of the four section ids exactly once and no other, the alphabet
-section read to its end, and the text, suffix and LCP sections exactly n
-words of their width each. It checks that the declared parameterized and
-static token sets agree with the token ids (ids 1..pi parameterized, the
-rest static), checks the text's symbols and the suffix and LCP arrays in
-O(n) (``validate_psa(full=False)``: a permutation, every LCP below both
-suffix lengths, each adjacent pair in order one symbol past its LCP), and
-then rebuilds the tree and annotations through ``tray.build_tray``, the
-same code ``assemble`` runs after the sort. So no dispatch cell or tree
-link is ever read from disk; any check that fails during load is reported
-as a ``FormatError``. Files of versions 1 (node records and dispatch
-arrays) and 2 (u64 words and a reserved header word) are refused with a
-message naming the version.
+digest, version and mode word, parses the alphabet (no token listed
+twice, none refused by the id rule) and takes exactly n words of each
+width after it. It checks the text's symbols and the suffix and LCP
+arrays in O(n) (``validate_psa(full=False)``: a permutation, every LCP
+below both suffix lengths, each adjacent pair in order one symbol past
+its LCP), and then rebuilds the tree and annotations through
+``tray.build_tray``, the same code ``assemble`` runs after the sort. So
+no id, dispatch cell or tree link is ever read from disk; any check that
+fails during load is reported as a ``FormatError``. Files of versions 1
+(node records and dispatch arrays), 2 (u64 words) and 3 (stored ids and
+section frames) are refused with a message naming the version.
 """
 
 from __future__ import annotations
@@ -38,42 +42,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import BYTE_MODE, TOKEN_MODE, AlphabetSpec, PText
+from .alphabet import BYTE_MODE, TOKEN_MODE, AlphabetSpec, PText, token_ids
 from .errors import (ChecksumError, ConstructionError, FormatError,
                      InputError, ValidationError)
 from .suffixes import PsaIndex
 from .tray import PSTrayIndex, build_tray
 
 MAGIC = b"PSTRAY01"
-VERSION = 3
-
-SEC_ALPHABET = 1
-SEC_TEXT = 2
-SEC_PSA = 3
-SEC_PLCP = 4
-
-_SECTION_NAMES = {
-    SEC_ALPHABET: "alphabet", SEC_TEXT: "text", SEC_PSA: "psa",
-    SEC_PLCP: "plcp",
-}
+VERSION = 4
 
 
 def _u64(*values: int) -> bytes:
     return struct.pack(f"<{len(values)}Q", *values)
 
 
-def _widths(n: int, pi: int, sigma: int) -> dict[int, int]:
-    """Bytes per word of the text, suffix and LCP sections, as the header
-    bounds them: text ids run to pi + sigma, suffix starts to n and LCPs
-    below it."""
+def _widths(n: int, pi: int, sigma: int) -> tuple[int, int, int]:
+    """Bytes per word of the text, suffix and LCP arrays, as n, pi and
+    sigma bound them: text ids run to pi + sigma, suffix starts to n and
+    LCPs below it."""
     text = next((w for w in (1, 2, 4) if pi + sigma < 1 << 8 * w), 8)
     position = 4 if n < 1 << 32 else 8
-    return {SEC_TEXT: text, SEC_PSA: position, SEC_PLCP: position}
+    return text, position, position
 
 
-def _tokens_blob(tokens: list[str]) -> bytes:
+def _tokens_blob(tokens) -> bytes:
     parts = [_u64(len(tokens))]
-    for tok in tokens:
+    for tok in sorted(tokens):
         raw = tok.encode("utf-8")
         parts.append(_u64(len(raw)))
         parts.append(raw)
@@ -81,7 +75,7 @@ def _tokens_blob(tokens: list[str]) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: memoryview, offset: int = 0):
+    def __init__(self, data: memoryview, offset: int):
         self.data = data
         self.pos = offset
 
@@ -91,14 +85,6 @@ class _Reader:
         (v,) = struct.unpack_from("<Q", self.data, self.pos)
         self.pos += 8
         return v
-
-    def u64s(self, count: int) -> list[int]:
-        end = self.pos + 8 * count
-        if end > len(self.data):
-            raise FormatError("unexpected end of file")
-        vals = list(struct.unpack_from(f"<{count}Q", self.data, self.pos))
-        self.pos = end
-        return vals
 
     def raw(self, count: int) -> memoryview:
         end = self.pos + count
@@ -113,42 +99,32 @@ class _Reader:
         try:
             return str(self.raw(self.u64()), "utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError(f"bad token in alphabet section: {exc}") from exc
+            raise FormatError(f"bad token in alphabet: {exc}") from exc
 
-    def tokens(self) -> list[str]:
-        count = self.u64()
-        return [self.string() for _ in range(count)]
+    def tokens(self) -> frozenset[str]:
+        """A counted list of strings, each listed once."""
+        listed = [self.string() for _ in range(self.u64())]
+        tokens = frozenset(listed)
+        if len(tokens) != len(listed):
+            raise FormatError("alphabet: a token is listed twice")
+        return tokens
 
 
 def save(index: PSTrayIndex, path: str | Path) -> None:
     """Serialize an assembled index; the file round-trips byte-exactly."""
     text = index.text
-    psa_index = index.psa_index
+    spec = text.spec
     n = text.n
-
-    occurring = sorted(text.tok2id.items(), key=lambda kv: kv[1])
-    alpha = [_u64(len(occurring))]
-    for tok, sym in occurring:
-        raw = tok.encode("utf-8")
-        alpha.append(_u64(sym, len(raw)))
-        alpha.append(raw)
-    alpha.append(_tokens_blob(sorted(text.spec.pi_members)))
-    if text.spec.sigma_members is None:
-        alpha.append(_u64(0))
+    parts = [MAGIC, _u64(VERSION, n, 0 if spec.mode == BYTE_MODE else 1),
+             _tokens_blob(spec.pi_members)]
+    if spec.sigma_members is None:
+        parts.append(_u64(0))
     else:
-        alpha.append(_u64(1))
-        alpha.append(_tokens_blob(sorted(text.spec.sigma_members)))
-    alphabet = b"".join(alpha)
-
-    mode_flag = 0 if text.spec.mode == BYTE_MODE else 1
-    parts = [MAGIC, _u64(VERSION, n, text.pi, text.sigma, mode_flag),
-             _u64(SEC_ALPHABET, len(alphabet)), alphabet]
-    widths = _widths(n, text.pi, text.sigma)
-    for sec_id, array in ((SEC_TEXT, text.symbol_array),
-                          (SEC_PSA, psa_index.psa),
-                          (SEC_PLCP, psa_index.plcp)):
-        words = array.astype(f"<u{widths[sec_id]}")
-        parts += (_u64(sec_id, words.nbytes), words)
+        parts += (_u64(1), _tokens_blob(spec.sigma_members))
+    parts.append(_tokens_blob(text.tok2id))
+    arrays = (text.symbol_array, index.psa_index.psa, index.psa_index.plcp)
+    for array, width in zip(arrays, _widths(n, text.pi, text.sigma)):
+        parts.append(array.astype(f"<u{width}"))
     digest = hashlib.sha256()
     with Path(path).open("wb") as out:
         for part in parts:
@@ -158,9 +134,9 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> PSTrayIndex:
-    """Read and checksum an index file, check its header and framing, its
-    token classes against the ids and its suffix and LCP arrays in O(n),
-    and rebuild the tree and annotations from them."""
+    """Read and checksum an index file, derive its token ids by the rule
+    ``ingest`` uses, check its suffix and LCP arrays in O(n), and rebuild
+    the tree and annotations from them."""
     data = memoryview(Path(path).read_bytes())
     if len(data) < len(MAGIC) + 32:
         raise ChecksumError("file too short")
@@ -172,73 +148,39 @@ def load(path: str | Path) -> PSTrayIndex:
         raise ChecksumError("checksum mismatch (truncated or corrupt file)")
 
     r = _Reader(body, len(MAGIC))
-    version, n, pi, sigma, mode_flag = r.u64s(5)
+    version = r.u64()
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}, "
                           f"want {VERSION}")
-
+    n, mode_flag = r.u64(), r.u64()
     if mode_flag not in (0, 1):
         raise FormatError(f"unknown mode word {mode_flag}")
 
-    payloads: dict[int, memoryview] = {}
-    while r.pos < len(body):
-        sec_id, length = r.u64(), r.u64()
-        if sec_id not in _SECTION_NAMES or sec_id in payloads:
-            raise FormatError(f"section id {sec_id} unknown or repeated")
-        payloads[sec_id] = r.raw(length)
-    missing = set(_SECTION_NAMES) - set(payloads)
-    if missing:
-        names = ", ".join(_SECTION_NAMES[s] for s in sorted(missing))
-        raise FormatError(f"missing sections: {names}")
-
-    sec = _Reader(payloads[SEC_ALPHABET])
-    tok2id: dict[str, int] = {}
-    for _ in range(sec.u64()):
-        sym = sec.u64()
-        tok2id[sec.string()] = sym
-    pi_members = frozenset(sec.tokens())
-    sigma_members = frozenset(sec.tokens()) if sec.u64() else None
-    if sec.pos != len(sec.data):
-        raise FormatError("alphabet section: bytes after the last token")
+    pi_members = r.tokens()
+    sigma_members = r.tokens() if r.u64() else None
+    occurring = r.tokens()
     try:
         spec = AlphabetSpec(pi_members=pi_members,
                             sigma_members=sigma_members,
                             mode=TOKEN_MODE if mode_flag else BYTE_MODE)
+        pi, sigma, tok2id = token_ids(sorted(occurring), occurring, spec)
     except InputError as exc:
-        raise FormatError(f"alphabet section: {exc}") from exc
-    # Ids 1..pi+sigma-1 name the tokens; the sentinel takes pi+sigma.
-    if (len(tok2id) != pi + sigma - 1
-            or sorted(tok2id.values()) != list(range(1, pi + sigma))):
-        raise FormatError("alphabet section does not match pi and sigma")
-    # Queries classify pattern tokens by the declared sets, so those must
-    # agree with the ids: 1..pi parameterized, the rest static.
-    for tok, sym in tok2id.items():
-        declared = ("parameterized" if tok in pi_members
-                    else "static" if sigma_members is None
-                    or tok in sigma_members else "in neither alphabet")
-        if declared != ("parameterized" if sym <= pi else "static"):
-            raise FormatError(f"alphabet section: token {tok!r} has id {sym} "
-                              f"but is declared {declared}")
+        raise FormatError(f"alphabet: {exc}") from exc
 
-    # The header's pi and sigma now agree with the alphabet, so the widths
-    # they give can be trusted.
-    words: dict[int, np.ndarray] = {}
-    for sec_id, width in _widths(n, pi, sigma).items():
-        payload = payloads[sec_id]
-        if len(payload) != width * n:
-            raise FormatError(f"{_SECTION_NAMES[sec_id]} section holds "
-                              f"{len(payload)} bytes, want {width * n}")
-        # Huge u64 values turn negative, which every range check rejects.
-        words[sec_id] = np.frombuffer(payload, dtype=f"<u{width}").astype(
-            np.int64)
+    widths = _widths(n, pi, sigma)
+    if len(body) - r.pos != n * sum(widths):
+        raise FormatError(f"{len(body) - r.pos} bytes after the alphabet, "
+                          f"want {n * sum(widths)}")
+    # Huge u64 values turn negative, which every range check rejects.
+    symbols, psa, plcp = (
+        np.frombuffer(r.raw(n * width), dtype=f"<u{width}").astype(np.int64)
+        for width in widths)
 
-    symbols = words[SEC_TEXT]
     if n == 0 or symbols.min() < 1 or symbols.max() > pi + sigma:
         raise FormatError(f"text symbols outside 1..{pi + sigma}")
     text = PText(symbol_array=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
                  spec=spec)
-    psa_index = PsaIndex(psa=words[SEC_PSA], plcp=words[SEC_PLCP],
-                         codes=text.prev_codes)
+    psa_index = PsaIndex(psa=psa, plcp=plcp, codes=text.prev_codes)
     # Resolved per call, so a wrapper installed on suffixes.validate_psa
     # (such as a tracing span) sees it.
     from .suffixes import validate_psa

@@ -7,6 +7,7 @@ bound in it."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pstray"
@@ -189,12 +190,28 @@ def test_unread_parameter_check_sees_what_it_should():
         "f: b", "f: e", "f: g", "h: j"]
 
 
-def unread_functions(sources: dict[str, str], exempt) -> list[str]:
+# Attribute names of the builtin and numpy types the package handles. Reads
+# are matched by name alone, so a read of ``x.decode`` cannot tell a
+# package method from ``bytes.decode``: a method with one of these names is
+# reported unless ``SHADOWED_READS`` lists it.
+SHADOWED = frozenset().union(*(dir(t) for t in (
+    str, bytes, list, dict, set, memoryview, np.ndarray)))
+
+# Package methods named like one of those attributes, each with the package
+# line (``file: stripped line``) that reads it as the method.
+SHADOWED_READS = {
+    "size": 'cli.py: "nodes": tree.size, "pnodes": pnodes,',  # TrayTree.size
+}
+
+
+def unread_functions(sources: dict[str, str], exempt,
+                     allowed) -> list[str]:
     """``file: qualified name`` for every function and method defined in
     ``sources`` (file name -> source) whose name no code in any of them
     reads, as a variable or as an attribute, outside that function's own
-    body. Dunder names and the names in ``exempt`` are skipped. Reads are
-    matched by name alone, so a read of a method's name anywhere counts."""
+    body, or whose name is in ``SHADOWED`` and not in ``allowed``. Dunder
+    names and the names in ``exempt`` are skipped. Reads are matched by
+    name alone, so a read of a method's name anywhere counts."""
     reads = []  # (file, name, line)
     defs = []  # (file, qualified name, name, first line, last line)
     for path, source in sources.items():
@@ -221,9 +238,10 @@ def unread_functions(sources: dict[str, str], exempt) -> list[str]:
     return [f"{path}: {qualname}" for path, qualname, name, first, last in defs
             if not (name.startswith("__") and name.endswith("__"))
             and name not in exempt
-            and not any(read == name and not (where == path
-                                              and first <= line <= last)
-                        for where, read, line in reads)]
+            and (name in SHADOWED and name not in allowed
+                 or not any(read == name and not (where == path
+                                                  and first <= line <= last)
+                            for where, read, line in reads))]
 
 
 def test_every_function_is_read():
@@ -233,8 +251,20 @@ def test_every_function_is_read():
     import pstray
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert [f for f in unread_functions(sources, set(pstray.__all__))
+    assert [f for f in unread_functions(sources, set(pstray.__all__),
+                                        set(SHADOWED_READS))
             if not f.startswith("oracle.py: ")] == []
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWED_READS))
+def test_shadowed_reads_are_where_listed(name):
+    """Each allowed shadowed name is an attribute of a builtin or numpy
+    type, and its listed package line reads it as an attribute."""
+    where, line = SHADOWED_READS[name].split(": ", 1)
+    source = (PACKAGE / where).read_text()
+    assert name in SHADOWED
+    assert line in (row.strip() for row in source.splitlines())
+    assert f".{name}" in line
 
 
 def test_unread_function_check_sees_what_it_should():
@@ -258,9 +288,16 @@ def test_unread_function_check_sees_what_it_should():
                  "    def dead(self):\n"
                  "        return self.dead\n"
                  "print(K().read(), used(3))\n"),
+        "c.py": ("class D:\n"
+                 "    def decode(self):\n"
+                 "        return 1\n"
+                 "    def copy(self):\n"
+                 "        return 2\n"
+                 "print(b''.decode(), D().copy())\n"),
     }
-    assert unread_functions(sources, {"public"}) == [
-        "a.py: helper.inner", "a.py: recursive", "b.py: K.dead"]
+    assert unread_functions(sources, {"public"}, {"copy"}) == [
+        "a.py: helper.inner", "a.py: recursive", "b.py: K.dead",
+        "c.py: D.decode"]
 
 
 def test_star_import_of_the_package_runs():

@@ -81,7 +81,7 @@ def test_build_and_load_make_no_python_prev_pass(tmp_path, monkeypatch):
 @pytest.mark.parametrize("mode", ["bytes", "tokens"])
 def test_load_gives_the_ingested_alphabet_maps(tmp_path, mode):
     """A loaded text derives the same token maps as the ingested one:
-    ``tok2id`` read from the file, and ``id2tok`` its inverse with ``$`` at
+    ``tok2id`` derived by the id rule ``ingest`` uses, and ``id2tok`` its inverse with ``$`` at
     the sentinel id pi + sigma, so both decode positions alike."""
     raw = "zAxAyyxyAxxy" if mode == "bytes" else "if x then y else x fi"
     pi = "xyz" if mode == "bytes" else ["x", "y"]
@@ -107,31 +107,90 @@ def test_truncated_file(tmp_path, demo_index):
         index_io.load(path)
 
 
-HEADER = 8 + 5 * 8  # the magic and five header words
+PARTS = ("magic", "header", "pi", "sigma", "occurring", "text", "psa",
+         "plcp")
 WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by width in bytes
 
 
-def sections(data):
-    """Section id -> (payload offset, payload length) of an index file."""
-    out, pos = {}, HEADER
-    while pos < len(data) - 32:
-        sec_id, length = struct.unpack_from("<2Q", data, pos)
-        out[sec_id] = (pos + 16, length)
-        pos += 16 + length
-    return out
+def tokens_blob(tokens):
+    """A token list as ``save`` writes it: a u64 count, then each token
+    u64-length-prefixed."""
+    raws = [tok.encode() for tok in tokens]
+    return struct.pack("<Q", len(raws)) + b"".join(
+        struct.pack("<Q", len(raw)) + raw for raw in raws)
 
 
-def word_width(data, sec_id):
-    """Bytes per word of an n-word section: its length over the header's
-    n, the second header word."""
+def layout(data):
+    """An index file split into the parts named in ``PARTS``, in order,
+    each the bytes ``save`` wrote for it; the digest is left off. The
+    ``sigma`` part is the flag word and, when it is 1, the static tokens.
+    The three arrays are read in the widths of a file below n = 2**32:
+    4-byte psa and plcp words and what the rest leaves for the text."""
+    def after_tokens(pos):
+        (count,) = struct.unpack_from("<Q", data, pos)
+        pos += 8
+        for _ in range(count):
+            (length,) = struct.unpack_from("<Q", data, pos)
+            pos += 8 + length
+        return pos
+
     (n,) = struct.unpack_from("<Q", data, 16)
-    return sections(data)[sec_id][1] // n
+    pi_end = after_tokens(32)
+    (flag,) = struct.unpack_from("<Q", data, pi_end)
+    sigma_end = after_tokens(pi_end + 8) if flag else pi_end + 8
+    text_end = after_tokens(sigma_end)
+    text_width = (len(data) - 32 - text_end) // n - 8
+    cuts = [0, 8, 32, pi_end, sigma_end, text_end]
+    cuts += [cuts[-1] + n * text_width, cuts[-1] + n * (text_width + 4),
+             len(data) - 32]
+    return {name: data[lo:hi]
+            for name, lo, hi in zip(PARTS, cuts, cuts[1:])}
 
 
-def rewrite(path, data):
-    """Write ``data`` with a recomputed checksum."""
-    body = bytes(data[:-32])
+def set_header(parts, word, value):
+    """Set header word ``word`` (0 version, 1 n, 2 mode) of ``parts``."""
+    header = list(struct.unpack("<3Q", parts["header"]))
+    header[word] = value
+    parts["header"] = struct.pack("<3Q", *header)
+
+
+def forge(tmp_path, index, change):
+    """Save ``index``, let ``change`` edit its parts (as ``layout`` splits
+    them) in place, write them back re-checksummed, and return the path."""
+    path = tmp_path / "x.idx"
+    index_io.save(index, path)
+    parts = layout(path.read_bytes())
+    change(parts)
+    body = b"".join(parts.values())
     path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+def forge_words(tmp_path, index, name, change):
+    """``forge`` with ``change`` editing the words of the text, psa or plcp
+    array, repacked in the array's width."""
+    def edit(parts):
+        (n,) = struct.unpack_from("<Q", parts["header"], 8)
+        fmt = f"<{n}{WORD[len(parts[name]) // n]}"
+        words = list(struct.unpack(fmt, parts[name]))
+        change(words)
+        parts[name] = struct.pack(fmt, *words)
+
+    return forge(tmp_path, index, edit)
+
+
+def test_layout_splits_what_save_writes(tmp_path, demo_index):
+    path = forge(tmp_path, demo_index, lambda parts: None)
+    plain = tmp_path / "plain.idx"
+    index_io.save(demo_index, plain)
+    assert path.read_bytes() == plain.read_bytes()
+    parts = layout(plain.read_bytes())
+    assert list(parts) == list(PARTS)
+    assert struct.unpack("<3Q", parts["header"]) == (4, 13, 0)
+    assert parts["pi"] == tokens_blob("xyz")
+    assert parts["sigma"] == struct.pack("<Q", 1) + tokens_blob("A")
+    assert parts["occurring"] == tokens_blob("Axyz")
+    assert list(parts["text"]) == demo_index.text.symbol_array.tolist()
 
 
 def test_wrong_magic(tmp_path, demo_index):
@@ -145,16 +204,54 @@ def test_wrong_magic(tmp_path, demo_index):
 
 
 def test_wrong_version(tmp_path, demo_index):
-    path = tmp_path / "x.idx"
-    index_io.save(demo_index, path)
-    # Version 1 stored node records and dispatch arrays; no reader is kept.
-    for version in (1, 99):
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<Q", data, 8, version)  # the word after the magic
-        forged = tmp_path / "forged.idx"
-        rewrite(forged, data)
+    # Versions 1 to 3 stored node records, u64 words, or token ids in
+    # framed sections; no reader is kept.
+    for version in (1, 2, 3, 99):
+        path = forge(tmp_path, demo_index,
+                     lambda parts: set_header(parts, 0, version))
         with pytest.raises(FormatError, match=f"version {version}"):
-            index_io.load(forged)
+            index_io.load(path)
+
+
+# The README example's index as format version 3 saved it: a five-word
+# header and four framed sections, the alphabet's with its token ids.
+VERSION_3_FILE = bytes.fromhex(
+    "505354524159303103000000000000000f000000000000000300000000000000"
+    "0200000000000000000000000000000001000000000000008800000000000000"
+    "0400000000000000010000000000000001000000000000007802000000000000"
+    "00010000000000000079030000000000000001000000000000007a0400000000"
+    "0000000100000000000000410300000000000000010000000000000078010000"
+    "00000000007901000000000000007a0100000000000000010000000000000001"
+    "000000000000004102000000000000000f000000000000000102030401010104"
+    "0202030403010503000000000000003c0000000000000001000000020000000a"
+    "0000000d00000009000000050000000600000007000000030000000b0000000e"
+    "0000000c00000008000000040000000f00000004000000000000003c00000000"
+    "0000000000000002000000030000000200000001000000020000000200000001"
+    "00000004000000020000000100000000000000020000000300000000000000d1"
+    "6637fcfa0929fb0dcd62c03675277fc6feb24c2b2959510315ce244b776370")
+
+
+def test_version_3_file_is_refused(tmp_path):
+    old = tmp_path / "v3.idx"
+    old.write_bytes(VERSION_3_FILE)
+    with pytest.raises(FormatError, match="version 3"):
+        index_io.load(old)
+
+
+def test_readme_example_file_is_pinned(tmp_path):
+    """The README example saves to one exact file: 15 symbols of 9 bytes,
+    104 bytes of alphabet, the magic, three header words and the digest."""
+    index = assemble(make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A"))
+    path = tmp_path / "x.idx"
+    index_io.save(index, path)
+    data = path.read_bytes()
+    assert len(data) == 15 * 9 + 104 + 8 + 3 * 8 + 32 == 303
+    assert hashlib.sha256(data).hexdigest() == (
+        "8bc590653e280c09ba829b25faa2bcbc9a87c4e969afd61b4b789459df52befe")
+    # The arrays are the ones version 3 stored, word for word.
+    assert data[-32 - 15 * 9:-32] == b"".join(
+        VERSION_3_FILE[off:off + length] for off, length in
+        ((216, 15), (247, 60), (323, 60)))
 
 
 def test_corrupt_section_fails_validation(tmp_path, demo_index):
@@ -162,7 +259,7 @@ def test_corrupt_section_fails_validation(tmp_path, demo_index):
     index_io.save(demo_index, path)
     data = bytearray(path.read_bytes())
     # duplicate a suffix-array entry (valid checksum, invalid permutation)
-    off = data.find(struct.pack("<3I", 6, 7, 11))  # start of the psa payload
+    off = data.find(struct.pack("<3I", 6, 7, 11))  # start of the psa words
     assert off > 0
     struct.pack_into("<I", data, off, 7)
     body = bytes(data[:-32])
@@ -178,14 +275,11 @@ def test_file_holds_only_text_psa_and_plcp(tmp_path):
     path = tmp_path / "x.idx"
     index_io.save(assemble(t), path)
     data = path.read_bytes()
-    secs = sections(data)
-    assert sorted(secs) == [index_io.SEC_ALPHABET, index_io.SEC_TEXT,
-                            index_io.SEC_PSA, index_io.SEC_PLCP]
-    _, alphabet_len = secs[index_io.SEC_ALPHABET]
-    framing = HEADER + 4 * 16 + 32  # magic, header, frames, digest
+    parts = layout(data)
+    alphabet = sum(len(parts[name]) for name in ("pi", "sigma", "occurring"))
     # pi + sigma = 10 ids fit a byte; psa and plcp take 4 bytes each.
-    assert word_width(data, index_io.SEC_TEXT) == 1
-    assert len(data) == (1 + 8) * t.n + alphabet_len + framing
+    assert len(parts["text"]) == t.n
+    assert len(data) == (1 + 8) * t.n + alphabet + 8 + 3 * 8 + 32
 
 
 def test_load_rebuilds_what_assemble_builds(tmp_path):
@@ -206,23 +300,6 @@ def test_load_rebuilds_what_assemble_builds(tmp_path):
         assert loaded.psa_index.plcp.tolist() == index.psa_index.plcp.tolist()
 
 
-def _forge(tmp_path, index, sec_id, change):
-    """Save ``index``, let ``change`` edit the words of one n-word section
-    in place, repack them in the section's width, re-checksum, and return
-    the path."""
-    path = tmp_path / "x.idx"
-    index_io.save(index, path)
-    data = bytearray(path.read_bytes())
-    off, length = sections(data)[sec_id]
-    width = word_width(data, sec_id)
-    layout = f"<{length // width}{WORD[width]}"
-    words = list(struct.unpack_from(layout, data, off))
-    change(words)
-    struct.pack_into(layout, data, off, *words)
-    rewrite(path, data)
-    return path
-
-
 def test_forged_psa_and_plcp_are_refused(tmp_path, demo_index):
     def swap_psa(words):  # adjacent ranks with a long shared prefix
         words[5], words[6] = words[6], words[5]
@@ -233,10 +310,9 @@ def test_forged_psa_and_plcp_are_refused(tmp_path, demo_index):
     def plcp_lowered(words):  # the suffixes still agree one symbol past it
         words[6] -= 1
 
-    for sec_id, change in ((index_io.SEC_PSA, swap_psa),
-                           (index_io.SEC_PLCP, plcp_past_suffix),
-                           (index_io.SEC_PLCP, plcp_lowered)):
-        path = _forge(tmp_path, demo_index, sec_id, change)
+    for name, change in (("psa", swap_psa), ("plcp", plcp_past_suffix),
+                         ("plcp", plcp_lowered)):
+        path = forge_words(tmp_path, demo_index, name, change)
         with pytest.raises(FormatError, match="validation"):
             index_io.load(path)
 
@@ -255,8 +331,8 @@ def test_forgery_caught_by_the_rebuild_is_a_format_error(tmp_path):
         validate_psa(PsaIndex(psa=index.psa_index.psa, plcp=plcp,
                               codes=index.psa_index.codes), index.text,
                      full=False)
-        path = _forge(tmp_path, index, index_io.SEC_PLCP,
-                      lambda words: words.__setitem__(word, value))
+        path = forge_words(tmp_path, index, "plcp",
+                           lambda words: words.__setitem__(word, value))
         with pytest.raises(FormatError, match=message) as caught:
             index_io.load(path)
         assert isinstance(caught.value.__cause__, ConstructionError)
@@ -265,8 +341,8 @@ def test_forgery_caught_by_the_rebuild_is_a_format_error(tmp_path):
 def test_forged_text_symbols_are_refused(tmp_path, demo_text, demo_index):
     # pi + sigma = 5, so the text is stored in bytes.
     for bad in (0, demo_text.pi + demo_text.sigma + 1, 2**8 - 1):
-        path = _forge(tmp_path, demo_index, index_io.SEC_TEXT,
-                      lambda words: words.__setitem__(3, bad))
+        path = forge_words(tmp_path, demo_index, "text",
+                           lambda words: words.__setitem__(3, bad))
         with pytest.raises(FormatError, match="text symbols"):
             index_io.load(path)
 
@@ -295,7 +371,7 @@ def test_text_width_boundary(tmp_path, ids, width):
     p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
     index_io.save(index, p1)
     data = p1.read_bytes()
-    assert word_width(data, index_io.SEC_TEXT) == width
+    assert len(layout(data)["text"]) == width * t.n
     loaded = index_io.load(p1)
     index_io.save(loaded, p2)
     assert p2.read_bytes() == data
@@ -308,8 +384,8 @@ def test_text_width_boundary(tmp_path, ids, width):
         assert loaded.query(pat)[0] == want
     # At width 1 every nonzero byte is an id, so 0 is the only word outside.
     for bad in (0, ids + 1) if width > 1 else (0,):
-        path = _forge(tmp_path, index, index_io.SEC_TEXT,
-                      lambda words: words.__setitem__(5, bad))
+        path = forge_words(tmp_path, index, "text",
+                           lambda words: words.__setitem__(5, bad))
         with pytest.raises(FormatError, match="text symbols"):
             index_io.load(path)
 
@@ -319,122 +395,71 @@ def test_widths_follow_the_header_bounds():
     sigma; psa and plcp take 4 bytes below n = 2**32 and 8 from there.
     Checked on the helper, as no test can build an index that long."""
     widths = index_io._widths
-    text, psa, plcp = index_io.SEC_TEXT, index_io.SEC_PSA, index_io.SEC_PLCP
-    assert widths(2**32 - 1, 6, 6) == {text: 1, psa: 4, plcp: 4}
-    assert widths(2**32, 6, 6) == {text: 1, psa: 8, plcp: 8}
+    assert widths(2**32 - 1, 6, 6) == (1, 4, 4)
+    assert widths(2**32, 6, 6) == (1, 8, 8)
     for ids, width in ((2, 1), (255, 1), (256, 2), (2**16 - 1, 2),
                        (2**16, 4), (2**32 - 1, 4), (2**32, 8),
                        (2**64 - 1, 8)):
-        assert widths(100, 1, ids - 1)[text] == width, ids
-
-
-def test_header_alphabet_mismatch_is_refused(tmp_path, demo_index):
-    path = tmp_path / "x.idx"
-    index_io.save(demo_index, path)
-    for word, value in ((2, 0), (3, 2**40)):  # pi, sigma
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<Q", data, 8 + 8 * word, value)
-        forged = tmp_path / "forged.idx"
-        rewrite(forged, data)
-        with pytest.raises(FormatError, match="alphabet"):
-            index_io.load(forged)
+        assert widths(100, 1, ids - 1)[0] == width, ids
 
 
 def test_undecodable_token_is_refused(tmp_path, demo_index):
-    path = tmp_path / "x.idx"
-    index_io.save(demo_index, path)
-    data = bytearray(path.read_bytes())
-    off, _ = sections(data)[index_io.SEC_ALPHABET]
-    data[off + 24] = 0xFF  # the first byte of the first token
-    rewrite(path, data)
+    def spoil(parts):  # the first byte of the first token
+        pi = bytearray(parts["pi"])
+        pi[16] = 0xFF
+        parts["pi"] = bytes(pi)
+
+    path = forge(tmp_path, demo_index, spoil)
     with pytest.raises(FormatError, match="token"):
         index_io.load(path)
 
 
-def _forge_alphabet(tmp_path, index, pi, sigma):
-    """Save ``index`` with the declared token sets of its alphabet section
-    replaced by ``pi`` and ``sigma`` (None: every other token is static),
-    re-checksum, and return the path."""
-    def blob(tokens):
-        return struct.pack("<Q", len(tokens)) + b"".join(
-            struct.pack("<Q", len(tok)) + tok.encode() for tok in tokens)
-
-    path = tmp_path / "x.idx"
-    index_io.save(index, path)
-    data = path.read_bytes()
-    off, length = sections(data)[index_io.SEC_ALPHABET]
-    ids = sorted(index.text.tok2id.items(), key=lambda kv: kv[1])
-    payload = struct.pack("<Q", len(ids)) + b"".join(
-        struct.pack("<2Q", sym, len(tok)) + tok.encode() for tok, sym in ids)
-    payload += blob(sorted(pi))
-    payload += (struct.pack("<Q", 0) if sigma is None
-                else struct.pack("<Q", 1) + blob(sorted(sigma)))
-    rewrite(path, data[:off - 8] + struct.pack("<Q", len(payload)) + payload
-            + data[off + length:])
-    return path
-
-
 @pytest.mark.parametrize("pi, sigma", [
-    ("wxy", "A"),    # z holds a parameterized id but is declared static
-    ("wxy", None),
-    ("xyzA", None),  # A holds a static id but is declared parameterized
+    ("wxy", "A"),    # z occurs but is in neither declared set
+    ("wxy", None),   # z turns static, and the stored text means another
+    ("xyzA", None),  # A turns parameterized under the same ids
     ("xyz", "B"),    # the explicit static set leaves A out
     ("xyz", "Ax"),   # x declared both
 ])
 def test_forged_token_classes_are_refused(tmp_path, pi, sigma):
     index = assemble(make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A"))
-    plain = tmp_path / "plain.idx"
-    index_io.save(index, plain)
-    # The forger rewrites the section exactly as save writes it.
-    same = _forge_alphabet(tmp_path, index, "xyz", "A")
-    assert same.read_bytes() == plain.read_bytes()
-    path = _forge_alphabet(tmp_path, index, pi, sigma)
-    with pytest.raises(FormatError, match="alphabet"):
+
+    def declare(parts):
+        parts["pi"] = tokens_blob(sorted(pi))
+        parts["sigma"] = (struct.pack("<Q", 0) if sigma is None else
+                          struct.pack("<Q", 1) + tokens_blob(sorted(sigma)))
+
+    path = forge(tmp_path, index, declare)
+    with pytest.raises(FormatError):
         index_io.load(path)
 
 
-def _reframe(tmp_path, index, change):
-    """Save ``index``, split the file into its header and its (section id,
-    payload) frames, let ``change`` return edited ones, write them back
-    framed as ``save`` frames them, re-checksum, and return the path."""
-    path = tmp_path / "x.idx"
-    index_io.save(index, path)
-    data = path.read_bytes()
-    head = data[:HEADER]
-    frames = [(sec_id, data[off:off + length])
-              for sec_id, (off, length) in sections(data).items()]
-    head, frames = change(head, frames)
-    body = head + b"".join(struct.pack("<2Q", sec_id, len(payload)) + payload
-                           for sec_id, payload in frames)
-    path.write_bytes(body + hashlib.sha256(body).digest())
-    return path
-
-
-def _grow(sec_id, extra):
-    """Append ``extra`` to the payload of section ``sec_id``."""
-    return lambda head, frames: (head, [
-        (s, p + extra if s == sec_id else p) for s, p in frames])
+@pytest.mark.parametrize("part, tokens, message", [
+    ("occurring", "Axxyz", "listed twice"),
+    ("pi", "xyyz", "listed twice"),
+    ("occurring", "$Axyz", "sentinel"),
+], ids=["occurring_twice", "declared_twice", "sentinel"])
+def test_forged_token_lists_are_refused(tmp_path, demo_index, part, tokens,
+                                        message):
+    path = forge(tmp_path, demo_index,
+                 lambda parts: parts.update({part: tokens_blob(tokens)}))
+    with pytest.raises(FormatError, match=message):
+        index_io.load(path)
 
 
 @pytest.mark.parametrize("change, message", [
     # mode word 7 loaded as token mode, and "Az" then matched nothing
-    (lambda head, frames: (head[:40] + struct.pack("<Q", 7) + head[48:],
-                           frames), "mode word 7"),
-    (_grow(index_io.SEC_TEXT, bytes([1])), "text section holds"),
-    (lambda head, frames: (head, frames + [(9, struct.pack("<Q", 0))]),
-     "section id 9"),
-    (lambda head, frames: (head, frames + [frames[1]]),  # the text again
-     "section id 2"),
-    (_grow(index_io.SEC_ALPHABET, bytes(8)), "after the last token"),
-], ids=["mode_word", "long_text", "unknown_section", "second_text",
-        "alphabet_tail"])
+    (lambda parts: set_header(parts, 2, 7), "mode word 7"),
+    (lambda parts: parts.update(text=parts["text"] + bytes([1])),
+     "bytes after the alphabet"),
+    (lambda parts: parts.update(occurring=parts["occurring"] + bytes(8)),
+     "bytes after the alphabet"),
+    # the text is 14 symbols and the end marker, so n is 15
+    (lambda parts: set_header(parts, 1, 16), "bytes after the alphabet"),
+], ids=["mode_word", "long_text", "alphabet_tail", "n_plus_one"])
 def test_forged_header_and_framing_are_refused(tmp_path, change, message):
     index = assemble(make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A"))
-    plain = tmp_path / "plain.idx"
-    index_io.save(index, plain)
-    same = _reframe(tmp_path, index, lambda head, frames: (head, frames))
-    assert same.read_bytes() == plain.read_bytes()
-    path = _reframe(tmp_path, index, change)
+    path = forge(tmp_path, index, change)
     with pytest.raises(FormatError, match=message):
         index_io.load(path)
 
@@ -446,22 +471,21 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
     n = t.n
     plain = tmp_path / "plain.idx"
     index_io.save(index, plain)
-    widths = {sec_id: word_width(plain.read_bytes(), sec_id)
-              for sec_id in (index_io.SEC_PSA, index_io.SEC_PLCP)}
-    assert widths == {index_io.SEC_PSA: 4, index_io.SEC_PLCP: 4}
+    parts = layout(plain.read_bytes())
+    assert len(parts["psa"]) == len(parts["plcp"]) == 4 * n
     outcomes = {"loaded": 0, "refused": 0}
     for _ in range(300):
-        sec_id = rng.choice((index_io.SEC_PSA, index_io.SEC_PLCP))
+        name = rng.choice(("psa", "plcp"))
 
         def change(words):
             for _ in range(rng.randint(1, 3)):
                 j = rng.randrange(len(words))
                 words[j] = rng.choice((
-                    rng.getrandbits(8 * widths[sec_id]), rng.randint(0, n + 1),
+                    rng.getrandbits(32), rng.randint(0, n + 1),
                     words[rng.randrange(len(words))],
                     max(words[j] - 1, 0), words[j] + 1))
 
-        path = _forge(tmp_path, index, sec_id, change)
+        path = forge_words(tmp_path, index, name, change)
         try:
             loaded = index_io.load(path)
         except FormatError:
@@ -475,32 +499,6 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
             except PstrayError:
                 pass
     assert outcomes["refused"] > 0 and outcomes["loaded"] > 0
-
-
-def as_version_2(data):
-    """The version-2 file of the index a version-3 file holds: a sixth
-    header word (reserved, written as 1) after the version, and every
-    section in u64 words."""
-    version, n, pi, sigma, mode = struct.unpack_from("<5Q", data, 8)
-    assert version == 3
-    body = data[:8] + struct.pack("<6Q", 2, 1, n, pi, sigma, mode)
-    for sec_id, (off, length) in sections(data).items():
-        payload = data[off:off + length]
-        if sec_id != index_io.SEC_ALPHABET:
-            width = word_width(data, sec_id)
-            words = struct.unpack_from(f"<{n}{WORD[width]}", payload)
-            payload = struct.pack(f"<{n}Q", *words)
-        body += struct.pack("<2Q", sec_id, len(payload)) + payload
-    return body + hashlib.sha256(body).digest()
-
-
-def test_version_2_file_is_refused(tmp_path, demo_index):
-    path = tmp_path / "x.idx"
-    index_io.save(demo_index, path)
-    old = tmp_path / "v2.idx"
-    old.write_bytes(as_version_2(path.read_bytes()))
-    with pytest.raises(FormatError, match="version 2"):
-        index_io.load(old)
 
 
 # ------------------------------------------------------------------- CLI
@@ -561,10 +559,9 @@ def test_cli_stats_report(tmp_path, capsys):
     assert "branching_bound=4" in out  # 13 // max(2, 3)
     assert "parray_cells=10" in out
     # The file: 13 one-byte text words and 13 four-byte psa and plcp words,
-    # 136 bytes of alphabet, the magic, five header words, four frames and
-    # the digest.
+    # 104 bytes of alphabet, the magic, three header words and the digest.
     size = idx.stat().st_size
-    assert size == 13 * 9 + 136 + 8 + 5 * 8 + 4 * 16 + 32
+    assert size == 13 * 9 + 104 + 8 + 3 * 8 + 32
     assert f"file_bytes={size}" in out
     assert f"bytes_per_symbol={size / 13:.3f}" in out
 
@@ -575,7 +572,7 @@ def test_cli_bench_csv(tmp_path, capsys):
     main(["build", "--text", str(text_file), "--alphabet", str(alpha),
           "--out", str(idx)])
     pats = tmp_path / "pats.txt"
-    pats.write_text("yAzz\nxx\nzzzz\n")
+    pats.write_text("yAzz\nxx\nzzzz\nxBy\n")
     out_csv = tmp_path / "bench.csv"
     capsys.readouterr()
     assert main(["bench", "--index", str(idx), "--patterns", str(pats),
@@ -583,9 +580,11 @@ def test_cli_bench_csv(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == ("pattern_id,m,occ,comparisons_tray,comparisons_psa,"
                         "max_range,micros_tray,micros_psa")
-    assert len(lines) == 4
+    assert len(lines) == 5
     first = lines[1].split(",")
     assert first[:3] == ["0", "4", "2"]
+    # B is a static token the text lacks: no occurrence, but m counts it.
+    assert lines[4].split(",")[:3] == ["3", "3", "0"]
 
 
 def test_cli_self_check(tmp_path, capsys):
@@ -623,6 +622,38 @@ def test_cli_error_exits(tmp_path, capsys):
           "--out", str(idx)])
     capsys.readouterr()
     assert main(["query", "--index", str(idx), "--pattern", ""]) == 2
+
+
+@pytest.mark.parametrize("verb, spoiled", [
+    ("build", "text"), ("build", "alphabet"), ("self-check", "text"),
+    ("query", "pattern"), ("bench", "patterns"),
+])
+def test_cli_refuses_non_utf8_input_files(tmp_path, capsys, verb, spoiled):
+    """Each input file a verb reads is UTF-8 text; one that is not exits 2
+    with one ``error:`` line naming the file."""
+    text_file, alpha = write_inputs(tmp_path)
+    idx = tmp_path / "t.idx"
+    assert main(["build", "--text", str(text_file), "--alphabet", str(alpha),
+                 "--out", str(idx)]) == 0
+    files = {"text": text_file, "alphabet": alpha,
+             "pattern": tmp_path / "pat.txt",
+             "patterns": tmp_path / "pats.txt"}
+    files["pattern"].write_text("yAzz\n")
+    files["patterns"].write_text("yAzz\n")
+    files[spoiled].write_bytes(b"xy\xffA\n")
+    args = {"build": ["--text", str(text_file), "--alphabet", str(alpha),
+                      "--out", str(idx)],
+            "self-check": ["--text", str(text_file), "--alphabet",
+                           str(alpha)],
+            "query": ["--index", str(idx), "--pattern",
+                      f"@{files['pattern']}"],
+            "bench": ["--index", str(idx), "--patterns",
+                      str(files["patterns"])]}[verb]
+    capsys.readouterr()
+    assert main([verb, *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(files[spoiled]) in err[0] and "not UTF-8" in err[0]
 
 
 def test_cli_token_mode(tmp_path, capsys):
