@@ -14,8 +14,8 @@ from .errors import (CapacityError, ChecksumError, ClassificationError,
                      QueryError, ValidationError)
 from .suffixes import (PsaIndex, QueryStats, build_psa, range_search, report,
                        validate_psa)
-from .tray import (PSTrayIndex, TrayAnnotations, assemble, build_parrays,
-                   build_tray, classify_pnodes, query)
+from .tray import (PSTrayIndex, TrayAnnotations, annotate, assemble,
+                   build_tray, query)
 from .tree import TrayTree, build_tree
 
 __version__ = "0.1.0"
@@ -26,8 +26,8 @@ __all__ = [
     "STATIC_BASE",
     "PsaIndex", "QueryStats", "build_psa", "range_search", "report",
     "validate_psa", "TrayTree", "build_tree",
-    "TrayAnnotations", "PSTrayIndex", "classify_pnodes", "build_parrays",
-    "build_tray", "assemble", "query",
+    "TrayAnnotations", "PSTrayIndex", "annotate", "build_tray", "assemble",
+    "query",
     "PstrayError", "InputError", "ClassificationError",
     "QueryError", "ConstructionError", "CapacityError", "FormatError",
     "ChecksumError", "ValidationError",

@@ -99,7 +99,7 @@ def cmd_stats(args) -> int:
     index = index_io.load(args.index)
     counts = _structure(index)
     n, cells = counts["n"], counts.pop("parray_cells")
-    bound = n // index.ann.threshold
+    bound = n // max(index.text.sigma, index.text.pi)
     file_bytes = Path(args.index).stat().st_size
     counts.update(branching_bound=bound,
                   branching_margin=bound - counts["branching_pnodes"],

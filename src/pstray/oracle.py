@@ -16,7 +16,8 @@ from typing import Iterator, Sequence
 from .alphabet import PText
 from .encoding import STATIC_BASE, prev, spe
 from .errors import CapacityError, QueryError
-from .tree import NO_NODE, TrayTree
+from .tray import NO_NODE
+from .tree import TrayTree
 
 MAX_ORACLE_DISTINCT = 8
 MAX_ORACLE_TEXT = 5000

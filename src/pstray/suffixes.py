@@ -346,8 +346,11 @@ def plain_range_search(index: PsaIndex, pattern_prev: list[int], lo: int,
 
     The reference the tests hold ``range_search`` to, and the full-range
     baseline of ``pstray bench``: over [1, n] a min over LCP slices would
-    cost O(n) per probe.
+    cost O(n) per probe. Raises QueryError for a range reaching outside
+    1..n, as ``range_search`` does.
     """
+    if not (1 <= lo and hi <= index.n):
+        raise QueryError(f"range [{lo},{hi}] out of bounds")
     first = _lower_bound_plain(index, pattern_prev, lo, hi, skip, False, stats)
     if first > hi:
         return None

@@ -9,30 +9,34 @@ more than a block of suffix-array ranks. A heavy node is *branching*
 when at least two of its children are heavy. Branching nodes carry a
 dispatch array of length ``sigma + pi`` indexed by the rank of the next
 canonically-renamed pattern symbol; non-branching heavy nodes keep only a
-pointer to their unique heavy child. Every range that ever reaches the
-suffix-array search is smaller than ``(sigma + pi + 1) * max(sigma, pi)``,
-which keeps the search's logarithmic term independent of the text length.
+pointer to their unique heavy child. ``annotate`` derives all of it in
+one numpy pass over the tree's CSR children. Every range that ever reaches
+the suffix-array search is smaller than
+``(sigma + pi + 1) * max(sigma, pi)``, which keeps the search's
+logarithmic term independent of the text length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # query calls range_search and report through this module's globals, and
 # bench/tracing.py times them by swapping those names.
 from .alphabet import PText, pattern_codes
-from .encoding import STATIC_BASE, pfunction_from_fpos
+from .encoding import STATIC_BASE, pfunction_from_fpos, prev_char_in_window
 from .errors import ConstructionError, ValidationError
 from .suffixes import (PsaIndex, QueryStats, _window_symbols, build_psa,
                        compare_suffix, range_search, report, validate_psa)
-from .tree import NO_NODE, TrayTree, build_tree, edge_symbol, validate_tree
+from .tree import TrayTree, build_tree, validate_tree
 
 __all__ = [
-    "TrayAnnotations", "QueryStats", "PSTrayIndex", "classify_pnodes",
-    "build_parrays", "build_tray", "assemble", "query", "validate_annotations",
+    "TrayAnnotations", "QueryStats", "PSTrayIndex", "annotate", "build_tray",
+    "assemble", "query", "validate_annotations",
 ]
+
+NO_NODE = -1  # an empty dispatch cell, or no heavy child
 
 
 @dataclass(eq=False)
@@ -41,47 +45,40 @@ class TrayAnnotations:
     query loop indexes.
 
     Parallel to the tree's node arrays: ``is_pnode``, ``is_branching`` and
-    ``heavy_child`` for every node (``heavy_child`` is -1 when absent),
-    each converted once from the numpy pass of ``classify_pnodes``. Only
-    branching nodes, the ones that dispatch, have a ``parray``, the
+    ``heavy_child`` for every node (``heavy_child`` is -1 when absent).
+    Only branching nodes, the ones that dispatch, have a ``parray``, the
     dispatch array (index = rank, value = child id or -1, entry 0 unused),
-    kept in a dict keyed by node id; ``build_parrays`` makes the arrays as
-    the rows of one table.
+    kept in a dict keyed by node id. ``annotate`` makes all of them once.
     """
 
-    threshold: int
     is_pnode: list[bool]
     is_branching: list[bool]
     heavy_child: list[int]
-    parray: dict[int, list[int]] = field(default_factory=dict)
+    parray: dict[int, list[int]]
 
     def parray_cells(self) -> int:
         return sum(len(arr) - 1 for arr in self.parray.values())
 
 
-def classify_pnodes(tree: TrayTree, text: PText) -> TrayAnnotations:
-    """Heavy flags, branching flags, and the unique heavy child of
-    non-branching heavy nodes (absent when a heavy node has no heavy
-    children at all), in a few numpy passes over the node arrays.
+def _classify(tree: TrayTree, threshold: int):
+    """Each child's owner, and the heavy flags, branching flags and unique
+    heavy children of all nodes, as numpy arrays.
 
     A node is heavy when its leaf block ``hi - lo + 1`` reaches the
-    threshold; a heavy child makes its parent heavy too, so counting heavy
-    children per parent finds both the branching nodes (two or more) and
-    the parents of a unique heavy child (exactly one).
+    threshold. Counting the heavy children per owner finds both the
+    branching nodes (two or more) and the owners of a unique heavy child
+    (exactly one); a heavy node with no heavy child has none (-1).
     """
-    threshold = max(text.sigma, text.pi)
     size = tree.size
+    kids = tree.child_ids
+    owner = np.repeat(np.arange(size), np.diff(tree.child_cuts))
     is_pnode = tree.hi_array - tree.lo_array + 1 >= threshold
-    heavy = is_pnode.nonzero()[0]
-    heavy = heavy[heavy != tree.root]
-    up = tree.parent[heavy]
-    heavy_kids = np.bincount(up, minlength=size)
-    only = heavy_kids[up] == 1
+    heavy = is_pnode[kids] & is_pnode[owner]
+    heavy_kids = np.bincount(owner[heavy], minlength=size)
+    only = heavy & (heavy_kids[owner] == 1)
     heavy_child = np.full(size, NO_NODE, dtype=np.int64)
-    heavy_child[up[only]] = heavy[only]
-    return TrayAnnotations(threshold=threshold, is_pnode=is_pnode.tolist(),
-                           is_branching=(heavy_kids >= 2).tolist(),
-                           heavy_child=heavy_child.tolist())
+    heavy_child[owner[only]] = kids[only]
+    return owner, is_pnode, heavy_kids >= 2, heavy_child
 
 
 def _canonical_ids(text: PText, reps: np.ndarray,
@@ -115,13 +112,16 @@ def _canonical_ids(text: PText, reps: np.ndarray,
     return table
 
 
-def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                  index: PsaIndex) -> TrayAnnotations:
-    """Fill the dispatch array of every branching heavy node from the
-    canonical renaming of its representative window, its leftmost leaf's
-    suffix ``psa[lo[v] - 1]`` (every suffix in the block shares the node's
-    label, so any would do). ``_canonical_ids`` computes the renamings of
-    all branching nodes as one table; no other node's is ever read.
+def annotate(tree: TrayTree, text: PText,
+             index: PsaIndex) -> TrayAnnotations:
+    """Classify the nodes (``_classify``) and build the dispatch array of
+    every branching node, in one numpy pass over the tree's children.
+
+    A branching node's dispatch array comes from the canonical renaming of
+    its representative window, its leftmost leaf's suffix
+    ``psa[lo[v] - 1]`` (every suffix in the block shares the node's label,
+    so any would do). ``_canonical_ids`` computes the renamings of all
+    branching nodes as one table; no other node's is ever read.
 
     For a node of depth D with representative suffix i, a child whose edge
     starts with distance k > 0 continues the canonical form with the
@@ -131,29 +131,27 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
     child's first edge symbol is symbol D+1 of its leftmost suffix, read
     through the window adjustment.
 
-    One numpy pass over all branching nodes at once: their children are
-    gathered from the CSR arrays, each child is given its first rank and
-    its count of ranks, and every (node, rank) cell is written into one
-    table of ``sigma + pi + 1`` columns, one row per branching node, after
-    ``bincount`` has checked that no cell is claimed twice. The rows
-    become the dispatch lists. Errors name the lowest offending node.
+    The children of all branching nodes are taken at once, each is given
+    its first rank and its count of ranks, and every (node, rank) cell is
+    written into one table of ``sigma + pi + 1`` columns, one row per
+    branching node, after ``bincount`` has checked that no cell is claimed
+    twice. The rows become the dispatch lists. Errors name the lowest
+    offending node.
     """
     width = text.sigma + text.pi + 1
     pi = text.pi
-    nodes = np.fromiter(ann.is_branching, dtype=bool,
-                        count=tree.size).nonzero()[0]
-    if not len(nodes):
-        return ann
+    owner, is_pnode, is_branching, heavy_child = _classify(
+        tree, max(text.sigma, text.pi))
+    nodes = is_branching.nonzero()[0]
     psa = index.psa
     depth = tree.depth_array[nodes]
     reps = psa[tree.lo_array[nodes] - 1]
     table = _canonical_ids(text, reps, depth)
     # Per child c of a branching node: row[c] is its node's index in
     # nodes, kids[c] its id and d[c] its node's depth.
-    cuts = tree.child_cuts
-    count = cuts[nodes + 1] - cuts[nodes]
-    row = np.repeat(np.arange(len(nodes)), count)
-    kids = tree.child_ids[_ranges(cuts[nodes], count)]
+    below = is_branching[owner]
+    kids = tree.child_ids[below]
+    row = (np.cumsum(is_branching) - 1)[owner[below]]
     d = depth[row]
     sym = _window_symbols(text.code_array, psa[tree.lo_array[kids] - 1] - 1,
                           d + 1)
@@ -179,9 +177,11 @@ def build_parrays(tree: TrayTree, ann: TrayAnnotations, text: PText,
             f"p-array collision at node {nodes[j]}, rank {k}")
     flat = np.full(len(nodes) * width, NO_NODE, dtype=np.int64)
     flat[cell] = np.repeat(kids, spans)
-    ann.parray = dict(zip(nodes.tolist(),
-                          flat.reshape(len(nodes), width).tolist()))
-    return ann
+    return TrayAnnotations(
+        is_pnode=is_pnode.tolist(), is_branching=is_branching.tolist(),
+        heavy_child=heavy_child.tolist(),
+        parray=dict(zip(nodes.tolist(),
+                        flat.reshape(len(nodes), width).tolist())))
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -213,17 +213,14 @@ class PSTrayIndex:
 
 
 def build_tray(psa_index: PsaIndex, text: PText) -> PSTrayIndex:
-    """Everything after the suffix sort: build the tree, classify heavy
-    nodes, and fill the dispatch arrays of the branching nodes from their
-    canonical-id table, which is dropped once the arrays are built.
+    """Everything after the suffix sort: ``build_tree``, then ``annotate``.
 
     The one construction path for the tree and its annotations: both
     ``assemble`` and ``index_io.load`` call it.
     """
     tree = build_tree(psa_index, text)
-    ann = classify_pnodes(tree, text)
-    build_parrays(tree, ann, text, psa_index)
-    return PSTrayIndex(text=text, psa_index=psa_index, tree=tree, ann=ann)
+    return PSTrayIndex(text=text, psa_index=psa_index, tree=tree,
+                       ann=annotate(tree, text, psa_index))
 
 
 def assemble(text: PText) -> PSTrayIndex:
@@ -264,7 +261,7 @@ def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
     depth, lo, hi = tree.depth, tree.lo, tree.hi
     starts = index.starts
     rng = None
-    node = tree.root
+    node = 0  # the root
     matched = 0  # the depth of node
     while True:
         stats.nodes_visited += 1
@@ -321,9 +318,10 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     """Check classification flags, the counting bounds on branching nodes
     and dispatch cells, and that every dispatch array agrees with its node.
 
-    The flags are recomputed in numpy passes over the tree's CSR children:
-    a node is heavy iff its block reaches the threshold, branching iff it
-    has two or more heavy children, and its heavy child is its only one.
+    The flags are recomputed by ``_classify`` from the tree's blocks and
+    CSR children: a node is heavy iff its block reaches the threshold,
+    branching iff it has two or more heavy children, and its heavy child is
+    its only one.
     Dispatch agreement is recomputed from the definition at each branching
     node, trusting none of the stored annotations: the canonical renaming
     of the representative window (the leftmost leaf's) comes from the f-array
@@ -334,21 +332,11 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     every other cell is empty.
     """
     threshold = max(text.sigma, text.pi)
-    if ann.threshold != threshold:
-        raise ValidationError("stale threshold")
     n, size = text.n, tree.size
     if not (len(ann.is_pnode) == len(ann.is_branching)
             == len(ann.heavy_child) == size):
         raise ValidationError("annotations do not match the tree's size")
-    kids = tree.child_ids
-    owner = np.repeat(np.arange(size), np.diff(tree.child_cuts))
-    is_pnode = tree.hi_array - tree.lo_array + 1 >= threshold
-    heavy = is_pnode[kids] & is_pnode[owner]
-    heavy_kids = np.bincount(owner[heavy], minlength=size)
-    only = heavy & (heavy_kids[owner] == 1)
-    heavy_child = np.full(size, NO_NODE, dtype=np.int64)
-    heavy_child[owner[only]] = kids[only]
-    is_branching = heavy_kids >= 2
+    _, is_pnode, is_branching, heavy_child = _classify(tree, threshold)
     for name, got, want in (("p-node flag", ann.is_pnode, is_pnode),
                             ("branching flag", ann.is_branching, is_branching),
                             ("heavy child", ann.heavy_child, heavy_child)):
@@ -374,7 +362,7 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
         k = np.searchsorted(occ, reps)
         found = k < len(occ)
         farr[found, x - 1] = occ[k[found]] - reps[found] + 1
-    kids, cuts = kids.tolist(), tree.child_cuts.tolist()
+    kids, cuts = tree.child_ids.tolist(), tree.child_cuts.tolist()
     for v, rep, row in zip(nodes.tolist(), reps.tolist(), farr.tolist()):
         _check_dispatch(tree, ann, text, index, v, kids[cuts[v]:cuts[v + 1]],
                         rep, row)
@@ -392,7 +380,8 @@ def _check_dispatch(tree: TrayTree, ann: TrayAnnotations, text: PText,
     canon = pfunction_from_fpos(depth, farr)
     want = [NO_NODE] * len(arr)
     for u in kids:
-        sym = edge_symbol(tree, index, u, 1)
+        sym = prev_char_in_window(index.codes, index.starts[tree.lo[u] - 1],
+                                  depth + 1)
         if sym >= STATIC_BASE:
             ranks = [sym - STATIC_BASE]
         elif sym > 0:

@@ -14,9 +14,10 @@ The kept nodes come from numpy passes over the LCP array, not a per-rank
 loop: each adjacent-LCP boundary belongs to the interval bounded by its
 nearest strictly smaller LCPs, so the heavy intervals are those spans that
 reach the threshold, and a heavy node's boundaries cut it into its
-children. Edge labels are never stored; an edge is a depth window of any
-suffix below the node, resolved symbol-by-symbol through the O(1) window
-adjustment.
+children. Each node fact is stored once: a node's children are its CSR
+slice, and its parent is the node whose slice lists it. Edge labels are
+never stored; an edge is a depth window of any suffix below the node,
+resolved symbol-by-symbol through the O(1) window adjustment.
 """
 
 from __future__ import annotations
@@ -26,31 +27,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import PText
-from .encoding import prev_char_in_window
 from .errors import QueryError, ValidationError
 from .suffixes import PsaIndex, _window_symbols
-
-NO_NODE = -1
 
 
 @dataclass(eq=False)
 class TrayTree:
     """Node-array tree of the heavy nodes and their children, as int64
-    arrays indexed by node id: node 0 is the root (ranks 1..n), the other
-    heavy internal nodes follow in preorder, then the light children and
-    the leaves, grouped by parent. Only heavy internal nodes have children;
-    a kept light node is a leaf block for the suffix-array search. The tree
-    keeps no suffix starts of its own.
+    arrays indexed by node id: node 0 is the root (ranks 1..n) by layout,
+    the other heavy internal nodes follow in preorder, then the light
+    children and the leaves, grouped by parent. Only heavy internal nodes
+    have children; a kept light node is a leaf block for the suffix-array
+    search. The tree keeps no suffix starts and no parent links.
 
     ``lo_array``/``hi_array`` are 1-based suffix-array ranks delimiting the
     node's leaf block; ``depth_array`` is the string depth (encoded symbols
-    from the root); ``parent`` is the parent id (-1 at the root). Children
-    are in CSR form: those of node v, in lexicographic edge order, are
+    from the root). Children are in CSR form: those of node v, in
+    lexicographic edge order, are
     ``child_ids[child_cuts[v]:child_cuts[v + 1]]``. Derived once: the lists
     ``depth``, ``lo`` and ``hi`` that the query loop indexes.
     """
 
-    parent: np.ndarray
     depth_array: np.ndarray
     lo_array: np.ndarray
     hi_array: np.ndarray
@@ -60,8 +57,6 @@ class TrayTree:
     lo: list[int] = field(init=False, repr=False)
     hi: list[int] = field(init=False, repr=False)
 
-    root: int = 0
-
     def __post_init__(self):
         self.depth = self.depth_array.tolist()
         self.lo = self.lo_array.tolist()
@@ -69,10 +64,13 @@ class TrayTree:
 
     @property
     def size(self) -> int:
-        return len(self.parent)
+        return len(self.depth_array)
 
     def children(self, v: int) -> list[int]:
-        """Child ids of node v in edge order (empty for a light node)."""
+        """Child ids of node v in edge order (empty for a light node).
+        Raises QueryError for an id outside the tree."""
+        if not 0 <= v < self.size:
+            raise QueryError(f"node {v} outside a tree of {self.size} nodes")
         cuts = self.child_cuts
         return self.child_ids[cuts[v]:cuts[v + 1]].tolist()
 
@@ -146,8 +144,7 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     right = n - _nearest_smaller(h[::-1])[::-1][1:n]
     cut = ((right - left) >= threshold).nonzero()[0]
     if not len(cut):
-        return TrayTree(parent=np.array([NO_NODE]), depth_array=np.array([0]),
-                        lo_array=np.array([1]), hi_array=np.array([n]),
+        return TrayTree(depth_array=np.array([0]), lo_array=np.array([1]), hi_array=np.array([n]),
                         child_ids=np.empty(0, dtype=np.int64),
                         child_cuts=np.zeros(2, dtype=np.int64))
     # Order the heavy nodes by (lo, -hi), a preorder that puts the root
@@ -170,7 +167,6 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     ends = np.empty(bounds[-1], dtype=np.int64)
     ends[np.arange(len(cut)) + np.cumsum(first) - 1] = cut
     ends[bounds[1:] - 1] = node_hi
-    owner = np.repeat(np.arange(heavy), np.diff(bounds))
     begins = np.empty_like(ends)
     begins[1:] = ends[:-1] + 1
     begins[bounds[:-1]] = node_lo
@@ -187,11 +183,7 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
         # Light blocks are disjoint, so their inner minima cost O(n).
         spans = np.column_stack((light_lo[wide], light_hi[wide])).ravel()
         light_depth[wide] = np.minimum.reduceat(h, spans)[::2]
-    parent = np.empty(heavy + len(light_lo), dtype=np.int64)
-    parent[kid] = owner
-    parent[0] = NO_NODE
     return TrayTree(
-        parent=parent,
         depth_array=np.concatenate((h[cut[heads]], light_depth)),
         lo_array=np.concatenate((node_lo, light_lo)),
         hi_array=np.concatenate((node_hi, light_hi)),
@@ -199,28 +191,11 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
         child_cuts=np.append(bounds, np.full(len(light_lo), bounds[-1])))
 
 
-def edge_symbol(tree: TrayTree, index: PsaIndex, node: int, offset: int) -> int:
-    """Symbol ``offset`` (1-based) of the edge entering ``node``.
-
-    Resolved through any leaf below the node; with the leftmost one the
-    window start is ``starts[lo - 1]``. Raises QueryError for the root, a
-    node id outside the tree or an offset outside the edge.
-    """
-    if not 0 < node < tree.size:
-        raise QueryError(f"node {node} has no entering edge in a tree of "
-                         f"{tree.size} nodes")
-    above = tree.depth[tree.parent[node]]
-    if not 1 <= offset <= tree.depth[node] - above:
-        raise QueryError(f"edge offset {offset} out of range for node {node}")
-    start = index.starts[tree.lo[node] - 1]
-    return prev_char_in_window(index.codes, start, above + offset)
-
-
 def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
     """Check in O(n), against the suffix and LCP arrays, that the tree
     holds exactly the heavy LCP intervals and their children.
 
-    The root is ranks 1..n at depth 0. Every other node is the child of
+    Node 0 is ranks 1..n at depth 0. Every other node is the child of
     exactly one node, which lists it. Each listed node's children partition
     its block in order of their first edge symbols, every boundary between
     two of them has the node's depth as its LCP, and each child is deeper
@@ -235,24 +210,20 @@ def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
     threshold = max(text.sigma, text.pi)
     if not 1 <= size <= max(2 * n - 1, 1):
         raise ValidationError("node count outside 1..2n-1")
-    parent, depth = tree.parent, tree.depth_array
-    lo, hi = tree.lo_array, tree.hi_array
+    depth, lo, hi = tree.depth_array, tree.lo_array, tree.hi_array
     cuts, listed = tree.child_cuts, tree.child_ids
-    if len({len(parent), len(depth), len(lo), len(hi), len(cuts) - 1}) != 1:
+    if len({len(depth), len(lo), len(hi), len(cuts) - 1}) != 1:
         raise ValidationError("node arrays differ in length")
     count = np.diff(cuts)
     if cuts[0] != 0 or cuts[-1] != len(listed) or np.count_nonzero(count < 0):
         raise ValidationError("child cuts do not slice the child ids")
-    root = tree.root
-    if (root, lo[0], hi[0], depth[0], parent[0]) != (0, 1, n, 0, NO_NODE):
+    if (lo[0], hi[0], depth[0]) != (1, n, 0):
         raise ValidationError("root is not node 0 over ranks 1..n at depth 0")
     owner = np.repeat(np.arange(size), count)
     if (np.count_nonzero(listed <= 0) or np.count_nonzero(listed >= size)
             or np.count_nonzero(np.bincount(listed, minlength=size)[1:] != 1)):
         raise ValidationError("a node other than the root is not listed "
                               "exactly once as a child")
-    if np.count_nonzero(parent[listed] != owner):
-        raise ValidationError("a child's parent link names another node")
     if np.count_nonzero((lo < 1) | (hi > n) | (lo > hi)):
         raise ValidationError("a node's block is not a rank range in 1..n")
     lists = count > 0

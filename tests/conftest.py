@@ -85,16 +85,33 @@ def demo_index(demo_text):
 # ------------------------------------------------ tree helpers
 
 def is_leaf(tree, v):
-    """A block of one rank below the root is that rank's suffix."""
-    return v != tree.root and tree.lo[v] == tree.hi[v]
+    """A block of one rank below the root (node 0) is that rank's suffix."""
+    return v != 0 and tree.lo[v] == tree.hi[v]
 
 
 def leaf_count(tree, v):
     return tree.hi[v] - tree.lo[v] + 1
 
 
+def parents(tree):
+    """Each node's parent, read from the CSR children (None at the root)."""
+    up = [None] * tree.size
+    for v in range(tree.size):
+        for u in tree.children(v):
+            up[u] = v
+    return up
+
+
 def edge_length(tree, v):
-    return tree.depth[v] - tree.depth[tree.parent[v]]
+    return tree.depth[v] - tree.depth[parents(tree)[v]]
+
+
+def edge_symbol(tree, index, v, offset):
+    """Symbol ``offset`` (1-based) of the edge entering node v, read
+    through its leftmost suffix."""
+    above = tree.depth[parents(tree)[v]]
+    return prev_char_in_window(index.codes, index.starts[tree.lo[v] - 1],
+                               above + offset)
 
 
 def node_label(tree, index, v):
@@ -187,6 +204,6 @@ def tree_intervals(tree):
     def node(v):
         return (tree.lo[v], tree.hi[v], tree.depth[v])
 
-    return {node(v): (None if v == tree.root else node(tree.parent[v]),
+    return {node(v): (None if up is None else node(up),
                       [node(u) for u in tree.children(v)])
-            for v in range(tree.size)}
+            for v, up in enumerate(parents(tree))}

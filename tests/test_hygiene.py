@@ -312,8 +312,8 @@ def test_star_import_of_the_package_runs():
 # searchsorted per parameterized symbol, pi rounds whatever the tree size.
 ARRAY_PASSES = {
     "tree.py": {"build_tree": []},
-    "tray.py": {"classify_pnodes": [], "_canonical_ids": ["for x"],
-                "build_parrays": [], "_ranges": []},
+    "tray.py": {"_classify": [], "_canonical_ids": ["for x"],
+                "annotate": [], "_ranges": []},
 }
 
 

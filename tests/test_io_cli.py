@@ -291,8 +291,8 @@ def test_load_rebuilds_what_assemble_builds(tmp_path):
         path = tmp_path / "x.idx"
         index_io.save(index, path)
         loaded = index_io.load(path)
-        for field in ("parent", "depth_array", "lo_array", "hi_array",
-                      "child_ids", "child_cuts"):
+        for field in ("depth_array", "lo_array", "hi_array", "child_ids",
+                      "child_cuts"):
             assert np.array_equal(getattr(loaded.tree, field),
                                   getattr(index.tree, field))
         assert vars(loaded.ann) == vars(index.ann)

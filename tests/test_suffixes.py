@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pstray.suffixes as sfx
-from pstray.alphabet import encode_pattern
+from pstray.alphabet import encode_pattern, pattern_codes
 from pstray.encoding import STATIC_BASE, prev, prev_char_in_window
 from pstray.errors import QueryError, ValidationError
 from pstray.oracle import naive_psa
@@ -295,6 +295,17 @@ def test_range_search_demo_ranges(demo_text, demo_index):
     for lo, hi in ((0, 3), (1, idx.n + 1), (-2, 1)):
         with pytest.raises(QueryError):
             range_search(idx, sym_codes(t, "00"), lo, hi, 0)
+
+
+def test_plain_range_search_refuses_ranges_outside_the_text():
+    # The README text has n = 15: [1, 20] used to leak an IndexError, and
+    # [0, 3] answered (0, 3) after probing starts[-1] at rank 0.
+    t = make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A")
+    idx = build_psa(t)
+    a = pattern_codes(t, "A")[0]
+    for pat, lo, hi in ((a, 1, 20), ([0], 0, 3)):
+        with pytest.raises(QueryError, match="out of bounds"):
+            plain_range_search(idx, pat, lo, hi, 0, QueryStats())
 
 
 def test_range_search_pattern_longer_than_suffixes(demo_text, demo_index):

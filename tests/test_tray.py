@@ -9,12 +9,12 @@ from pstray.encoding import spe
 from pstray.errors import QueryError
 from pstray.oracle import naive_parray, naive_ppm
 from pstray.suffixes import build_psa
-from pstray.tray import (_canonical_ids, assemble, build_parrays,
-                         classify_pnodes, query, validate_annotations)
-from pstray.tree import NO_NODE, build_tree, edge_symbol
+from pstray.tray import (NO_NODE, _canonical_ids, annotate, assemble, query,
+                         validate_annotations)
+from pstray.tree import build_tree
 
-from conftest import (decode, is_leaf, leaf_count, make_text, random_pattern,
-                      random_text)
+from conftest import (decode, edge_symbol, is_leaf, leaf_count, make_text,
+                      random_pattern, random_text)
 from test_tree import label_map
 
 
@@ -27,7 +27,7 @@ def labelled(demo_index, demo_text):
 def test_demo_pnode_sets(demo_text, demo_index):
     tree, ann = demo_index.tree, demo_index.ann
     labels = labelled(demo_index, demo_text)
-    assert ann.threshold == 3
+    assert max(demo_text.sigma, demo_text.pi) == 3
     pnames = {lbl for lbl, v in labels.items() if ann.is_pnode[v]}
     assert pnames == {"", "0", "00", "0A0", "A0"}
     bnames = {lbl for lbl, v in labels.items() if ann.is_branching[v]}
@@ -47,10 +47,32 @@ def test_small_text_only_root_can_be_pnode():
     t = make_text("xA", pi="x")
     idx = build_psa(t)
     tree = build_tree(idx, t)
-    ann = classify_pnodes(tree, t)
-    assert ann.is_pnode[tree.root]
+    ann = annotate(tree, t, idx)
+    assert ann.is_pnode[0]
     assert all(not ann.is_pnode[v] for v in range(1, tree.size)
-               if leaf_count(tree, v) < ann.threshold)
+               if leaf_count(tree, v) < max(t.sigma, t.pi))
+
+
+def test_threshold_one_makes_every_node_a_pnode():
+    """With pi = sigma = 1 the threshold is 1: "light" means below it, so
+    every leaf is a p-node, and the descent dispatches one node per
+    pattern symbol without touching the suffix array."""
+    t = make_text("x" * 200, pi="x")
+    assert (t.pi, t.sigma) == (1, 1)
+    index = assemble(t)
+    tree, ann = index.tree, index.ann
+    assert tree.size == 401
+    leaves = [v for v in range(tree.size) if is_leaf(tree, v)]
+    assert len(leaves) == 201
+    assert all(ann.is_pnode[v] for v in leaves)
+    assert sum(ann.is_branching) == 200
+    # (symbol_comparisons, nodes_visited, parray_lookups, psa_probes,
+    # max_range_searched), as in GOLDEN_STATS below.
+    for pat, counters in (("x", (0, 1, 1, 0, 0)), ("xx", (0, 2, 2, 0, 0)),
+                          ("xxxxx", (0, 5, 5, 0, 0))):
+        occ, stats = index.query(pat)
+        assert occ == list(range(1, 202 - len(pat)))
+        assert tuple(stats.as_dict().values()) == counters, pat
 
 
 # ------------------------------------------------------------ p-arrays
@@ -165,7 +187,7 @@ def test_parrays_match_oracle_on_wide_and_static_alphabets():
 
 
 def test_parray_scatter_matches_oracle_on_edge_shapes():
-    """The one-table scatter of ``build_parrays`` against ``naive_parray``
+    """The one-table scatter of ``annotate`` against ``naive_parray``
     at every branching node, and only those get a dispatch array, on the
     shapes that stress it: runs of one symbol (threshold 1, every internal
     node branching), pi > sigma, token texts with pi >= 256, and texts
@@ -186,7 +208,7 @@ def test_parray_scatter_matches_oracle_on_edge_shapes():
     for t in runs + wide_pi + [tokens] + flat:
         psa_index = build_psa(t)
         tree = build_tree(psa_index, t)
-        ann = build_parrays(tree, classify_pnodes(tree, t), t, psa_index)
+        ann = annotate(tree, t, psa_index)
         nodes = [v for v in range(tree.size) if ann.is_branching[v]]
         assert sorted(ann.parray) == nodes
         for v in nodes:
@@ -361,7 +383,7 @@ def test_validate_annotations_catches_tampering(demo_text, demo_index):
         ann.heavy_child[plain] = other
 
     def dispatch_on_non_branching(ann):
-        ann.parray[plain] = list(ann.parray[demo_index.tree.root])
+        ann.parray[plain] = list(ann.parray[0])
 
     def flag_list_short(ann):
         ann.is_pnode.pop()
@@ -407,7 +429,9 @@ def test_manual_stage_by_stage_equals_assemble(demo_text):
     t = demo_text
     psa_index = build_psa(t)
     tree = build_tree(psa_index, t)
-    ann = classify_pnodes(tree, t)
-    assert build_parrays(tree, ann, t, psa_index) is ann
+    ann = annotate(tree, t, psa_index)
     auto = assemble(t)
+    for name in ("depth_array", "lo_array", "hi_array", "child_ids",
+                 "child_cuts"):
+        assert np.array_equal(getattr(tree, name), getattr(auto.tree, name))
     assert vars(ann) == vars(auto.ann)

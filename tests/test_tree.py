@@ -6,11 +6,11 @@ import pytest
 from pstray.encoding import STATIC_BASE, prev
 from pstray.errors import QueryError
 from pstray.suffixes import PsaIndex, build_psa
-from pstray.tree import TrayTree, build_tree, edge_symbol, validate_tree
+from pstray.tree import TrayTree, build_tree, validate_tree
 
-from conftest import (edge_length, is_leaf, kept_intervals, leaf_count,
-                      make_text, naive_intervals, node_label, random_text,
-                      tree_intervals)
+from conftest import (edge_length, edge_symbol, is_leaf, kept_intervals,
+                      leaf_count, make_text, naive_intervals, node_label,
+                      random_text, tree_intervals)
 
 
 def label_map(index, tree, text):
@@ -28,7 +28,7 @@ def label_map(index, tree, text):
 
 def test_demo_root_children(demo_text, demo_index):
     t, idx, tree = demo_text, demo_index.psa_index, demo_index.tree
-    kids = tree.children(tree.root)
+    kids = tree.children(0)
     assert len(kids) == 3
     syms = [edge_symbol(tree, idx, u, 1) for u in kids]
     assert syms == [0, STATIC_BASE + t.tok2id["A"], STATIC_BASE + t.sentinel]
@@ -52,7 +52,7 @@ def test_two_leaf_text():
     idx = build_psa(t)
     tree = build_tree(idx, t)
     assert tree.size == 3
-    assert [is_leaf(tree, u) for u in tree.children(tree.root)] == [True, True]
+    assert [is_leaf(tree, u) for u in tree.children(0)] == [True, True]
     validate_tree(tree, idx, t)
 
 
@@ -60,7 +60,7 @@ def test_edge_symbol_examples(demo_text, demo_index):
     t, idx, tree = demo_text, demo_index.psa_index, demo_index.tree
     labels = label_map(idx, tree, demo_text)
     child = labels["0A014"]  # child of "0A0" toward ranks 6..7
-    assert tree.parent[child] == labels["0A0"]
+    assert child in tree.children(labels["0A0"])
     assert edge_symbol(tree, idx, child, 1) == 1
     # every leaf edge ends with the sentinel
     for v in range(tree.size):
@@ -68,17 +68,16 @@ def test_edge_symbol_examples(demo_text, demo_index):
             sym = edge_symbol(tree, idx, v, edge_length(tree, v))
             assert sym == STATIC_BASE + t.sentinel
     # the first symbol of each root child is its ordering key
-    kids = tree.children(tree.root)
+    kids = tree.children(0)
     syms = [edge_symbol(tree, idx, u, 1) for u in kids]
     assert syms == sorted(syms)
-    with pytest.raises(QueryError):
-        edge_symbol(tree, idx, child, 0)
-    with pytest.raises(QueryError):
-        edge_symbol(tree, idx, child, edge_length(tree, child) + 1)
-    # the root has no entering edge, and ids outside the tree name no node
-    for node in (tree.root, -1, tree.size, tree.size + 5):
-        with pytest.raises(QueryError):
-            edge_symbol(tree, idx, node, 1)
+
+
+def test_children_refuses_ids_outside_the_tree(demo_index):
+    tree = demo_index.tree
+    for v in (-1, tree.size, tree.size + 5):
+        with pytest.raises(QueryError, match="outside"):
+            tree.children(v)
 
 
 def test_leaf_labels_reproduce_suffix_encodings():
@@ -147,7 +146,7 @@ def test_tree_lists_are_its_arrays():
             array = getattr(tree, f"{name}_array")
             assert array.dtype == np.int64
             assert getattr(tree, name) == array.tolist()
-        assert tree.parent.dtype == tree.child_ids.dtype == np.int64
+        assert tree.child_ids.dtype == np.int64
         cuts = tree.child_cuts.tolist()
         assert len(cuts) == tree.size + 1
         assert [tree.children(v) for v in range(tree.size)] == [
@@ -159,7 +158,7 @@ def forged_tree(tree, tamper):
     edits them: ``tamper(arrays, kids)`` gets the arrays by field name and
     the child lists, which are packed back into CSR form."""
     arrays = {f: getattr(tree, f).copy()
-              for f in ("parent", "depth_array", "lo_array", "hi_array")}
+              for f in ("depth_array", "lo_array", "hi_array")}
     kids = [tree.children(v) for v in range(tree.size)]
     tamper(arrays, kids)
     return TrayTree(**arrays,
@@ -192,7 +191,7 @@ def test_validate_tree_catches_tampering(demo_text, demo_index):
             a[f][[x, y]] = a[f][[y, x]]
 
     def root_short(a, kids):
-        a["hi_array"][tree.root] = t.n - 1
+        a["hi_array"][0] = t.n - 1
 
     def leaf_with_child(a, kids):
         kids[leaf] = [light]
@@ -206,17 +205,13 @@ def test_validate_tree_catches_tampering(demo_text, demo_index):
     def child_listed_twice(a, kids):
         kids[labels["A0"]] = kids[labels["A0"]] + [leaf]
 
-    def parent_link_wrong(a, kids):
-        a["parent"][light] = tree.root
-
     def arrays_of_two_lengths(a, kids):
         a["depth_array"] = a["depth_array"][:-1]
 
     for tamper in (leaf_too_deep, light_too_shallow, heavy_too_deep,
                    blocks_swapped, root_short, leaf_with_child,
                    children_reversed, heavy_lists_nothing,
-                   child_listed_twice, parent_link_wrong,
-                   arrays_of_two_lengths):
+                   child_listed_twice, arrays_of_two_lengths):
         with pytest.raises(ValidationError):
             validate_tree(forged_tree(tree, tamper), idx, t)
     validate_tree(forged_tree(tree, lambda a, kids: None), idx, t)
@@ -224,8 +219,8 @@ def test_validate_tree_catches_tampering(demo_text, demo_index):
 
     # Cuts that do not slice the child ids: one past the end, or falling.
     for cuts in (tree.child_cuts + 1, tree.child_cuts[::-1]):
-        bad = TrayTree(tree.parent, tree.depth_array, tree.lo_array,
-                       tree.hi_array, tree.child_ids, cuts)
+        bad = TrayTree(tree.depth_array, tree.lo_array, tree.hi_array,
+                       tree.child_ids, cuts)
         with pytest.raises(ValidationError, match="child cuts"):
             validate_tree(bad, idx, t)
 
