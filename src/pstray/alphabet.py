@@ -215,38 +215,16 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
                  tok2id=tok2id, spec=spec)
 
 
-def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:
-    """Map a pattern onto the text's internal ids.
-
-    Parameterized tokens unknown to the text get fresh negative ids (their
-    identity only matters up to equality within the pattern). A static token
-    the text has never seen cannot match anywhere: returns None. The pattern
-    is checked by ``pattern_codes``, so this raises QueryError where it
-    does: for an empty pattern and for one that is neither a string nor a
-    sequence of string tokens.
-    """
-    if pattern_codes(text, raw) is None:
-        return None
-    out: list[int] = []
-    fresh: dict[str, int] = {}
-    for tok in text.spec.tokenize(raw):
-        sym = text.tok2id.get(tok)
-        if sym is None:  # a parameterized token, as pattern_codes passed it
-            sym = fresh.setdefault(tok, -len(fresh) - 1)
-        out.append(sym)
-    return out
-
-
 def pattern_codes(text: PText,
                   raw: str | Sequence[str]) -> tuple[list[int], list[int]] | None:
     """prev codes and canonical ids of a raw pattern, in one pass over its
     tokens; None when it cannot occur in the text.
 
-    Equal to ``prev`` and ``spe`` of ``encode_pattern(text, raw)``, without
-    building the id list between them. A parameterized token needs no text
-    id, because only equality within the pattern matters: its canonical id
-    is the number of distinct parameterized tokens up to its first
-    occurrence, and its prev code the distance back to its last one. A
+    Equal to ``prev`` and ``spe`` of ``oracle.encode_pattern(text, raw)``,
+    without building the id list between them. A parameterized token needs
+    no text id, because only equality within the pattern matters: its
+    canonical id is the number of distinct parameterized tokens up to its
+    first occurrence, and its prev code the distance back to its last one. A
     static token takes one ``tok2id`` lookup; one the text has never seen,
     ``$`` included, gives None. Raises QueryError for an empty pattern and
     for one that is neither a string nor a sequence of string tokens.

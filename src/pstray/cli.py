@@ -17,11 +17,10 @@ import time
 from pathlib import Path
 
 from . import index_io
-from .alphabet import (encode_pattern, ingest, parse_alphabet_spec,
-                       pattern_codes)
+from .alphabet import ingest, parse_alphabet_spec, pattern_codes
 from .errors import InputError, PstrayError
-from .oracle import naive_ppm
-from .suffixes import QueryStats, plain_range_search, report
+from .oracle import encode_pattern, naive_ppm, plain_range_search
+from .suffixes import QueryStats, report
 from .tray import assemble, query
 
 
@@ -95,7 +94,8 @@ def cmd_query(args) -> int:
 
 def cmd_stats(args) -> int:
     """The counts of ``build``, one per line, each bounded one followed by
-    its bound and its margin below it, then the index file's size."""
+    its bound and its margin below it, then the bytes per word of the
+    file's text, suffix and LCP arrays and the file's size."""
     index = index_io.load(args.index)
     counts = _structure(index)
     n, cells = counts["n"], counts.pop("parray_cells")
@@ -105,6 +105,7 @@ def cmd_stats(args) -> int:
                   branching_margin=bound - counts["branching_pnodes"],
                   parray_cells=cells, parray_cells_bound=2 * n,
                   parray_cells_margin=2 * n - cells,
+                  word_bytes=",".join(map(str, index_io.word_widths(index))),
                   file_bytes=file_bytes,
                   bytes_per_symbol=f"{file_bytes / n:.3f}")
     for key, val in counts.items():

@@ -1,6 +1,6 @@
 """Versioned binary on-disk format for assembled indexes.
 
-Layout (version 4), all integers little-endian and unsigned:
+Layout (version 5), all integers little-endian and unsigned:
 
 * the 8-byte magic, then three u64 words: version, n and mode (0 bytes,
   1 tokens);
@@ -13,25 +13,29 @@ Layout (version 4), all integers little-endian and unsigned:
 
 The file holds only what ``load`` cannot derive. The token ids, pi and
 sigma follow from the occurring tokens and the declared sets by
-``alphabet.token_ids``, the rule ``ingest`` uses, and they bound every
-word, so each array takes the narrowest width that holds its bound, with
-no field to say so: the text the smallest of 1, 2, 4 or 8 bytes that
-holds pi + sigma (the sentinel's id), the suffix and LCP arrays 4 bytes
-while n < 2**32 and 8 beyond. On the benchmark corpora (pi + sigma below
-256) that is about 9 bytes per symbol.
+``alphabet.token_ids``, the rule ``ingest`` uses. One rule, ``_width``,
+sizes every array: the narrowest of 1, 2, 4 or 8 bytes that holds its
+largest word. The text's words are bounded by pi + sigma (the sentinel's
+id) and the suffix array's by n, so both widths follow from the header
+and the alphabet. The LCP width is the one stored fact no header word
+gives: ``load`` takes it from the bytes left after the alphabet, minus n
+words of each of the other two widths, and accepts it only when it is
+the narrowest that holds the largest LCP read, so one index has exactly
+one file. On the benchmark corpora that is 4 to 6 bytes per symbol.
 
 The file holds no tree and no annotations. ``load`` verifies magic,
-digest, version and mode word, parses the alphabet (no token listed
-twice, none refused by the id rule) and takes exactly n words of each
-width after it. It checks the text's symbols and the suffix and LCP
-arrays in O(n) (``validate_psa(full=False)``: a permutation, every LCP
-below both suffix lengths, each adjacent pair in order one symbol past
-its LCP), and then rebuilds the tree and annotations through
+digest, version and mode word, refuses n = 0, parses the alphabet (no
+token listed twice, none refused by the id rule) and splits what follows
+into the three arrays. It checks the text's symbols and the suffix and
+LCP arrays in O(n) (``validate_psa(full=False)``: a permutation, every
+LCP below both suffix lengths, each adjacent pair in order one symbol
+past its LCP), and then rebuilds the tree and annotations through
 ``tray.build_tray``, the same code ``assemble`` runs after the sort. So
 no id, dispatch cell or tree link is ever read from disk; any check that
 fails during load is reported as a ``FormatError``. Files of versions 1
-(node records and dispatch arrays), 2 (u64 words) and 3 (stored ids and
-section frames) are refused with a message naming the version.
+(node records and dispatch arrays), 2 (u64 words), 3 (stored ids and
+section frames) and 4 (suffix and LCP words of 4 bytes below n = 2**32)
+are refused with a message naming the version.
 """
 
 from __future__ import annotations
@@ -49,20 +53,26 @@ from .suffixes import PsaIndex
 from .tray import PSTrayIndex, build_tray
 
 MAGIC = b"PSTRAY01"
-VERSION = 4
+VERSION = 5
 
 
 def _u64(*values: int) -> bytes:
     return struct.pack(f"<{len(values)}Q", *values)
 
 
-def _widths(n: int, pi: int, sigma: int) -> tuple[int, int, int]:
-    """Bytes per word of the text, suffix and LCP arrays, as n, pi and
-    sigma bound them: text ids run to pi + sigma, suffix starts to n and
-    LCPs below it."""
-    text = next((w for w in (1, 2, 4) if pi + sigma < 1 << 8 * w), 8)
-    position = 4 if n < 1 << 32 else 8
-    return text, position, position
+def _width(bound: int) -> int:
+    """Bytes per word of an array whose words lie in 0..bound: the
+    narrowest of 1, 2, 4 or 8."""
+    return next((w for w in (1, 2, 4) if bound < 1 << 8 * w), 8)
+
+
+def word_widths(index: PSTrayIndex) -> tuple[int, int, int]:
+    """Bytes per word of the text, suffix and LCP arrays in ``index``'s
+    file: text ids run to pi + sigma, suffix starts to n, and LCPs to the
+    largest one."""
+    text = index.text
+    return (_width(text.pi + text.sigma), _width(text.n),
+            _width(int(index.psa_index.plcp.max())))
 
 
 def _tokens_blob(tokens) -> bytes:
@@ -123,7 +133,7 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
         parts += (_u64(1), _tokens_blob(spec.sigma_members))
     parts.append(_tokens_blob(text.tok2id))
     arrays = (text.symbol_array, index.psa_index.psa, index.psa_index.plcp)
-    for array, width in zip(arrays, _widths(n, text.pi, text.sigma)):
+    for array, width in zip(arrays, word_widths(index)):
         parts.append(array.astype(f"<u{width}"))
     digest = hashlib.sha256()
     with Path(path).open("wb") as out:
@@ -155,6 +165,8 @@ def load(path: str | Path) -> PSTrayIndex:
     n, mode_flag = r.u64(), r.u64()
     if mode_flag not in (0, 1):
         raise FormatError(f"unknown mode word {mode_flag}")
+    if n == 0:
+        raise FormatError("n = 0: a text holds at least its end marker")
 
     pi_members = r.tokens()
     sigma_members = r.tokens() if r.u64() else None
@@ -167,16 +179,26 @@ def load(path: str | Path) -> PSTrayIndex:
     except InputError as exc:
         raise FormatError(f"alphabet: {exc}") from exc
 
-    widths = _widths(n, pi, sigma)
-    if len(body) - r.pos != n * sum(widths):
-        raise FormatError(f"{len(body) - r.pos} bytes after the alphabet, "
-                          f"want {n * sum(widths)}")
+    text_width, psa_width = _width(pi + sigma), _width(n)
+    left = len(body) - r.pos
+    plcp_width, extra = divmod(left - n * (text_width + psa_width), n)
+    if extra or plcp_width not in (1, 2, 4, 8):
+        raise FormatError(f"{left} bytes after the alphabet, want n = {n} "
+                          f"words of {text_width}, {psa_width} and 1, 2, 4 "
+                          f"or 8 bytes")
+    if plcp_width > psa_width:
+        raise FormatError(f"LCP words of {plcp_width} bytes, wider than the "
+                          f"suffix array's {psa_width}")
+    words = [np.frombuffer(r.raw(n * width), dtype=f"<u{width}")
+             for width in (text_width, psa_width, plcp_width)]
+    top = int(words[2].max())
+    if _width(top) != plcp_width:
+        raise FormatError(f"LCP words of {plcp_width} bytes, but the largest, "
+                          f"{top}, takes {_width(top)}")
     # Huge u64 values turn negative, which every range check rejects.
-    symbols, psa, plcp = (
-        np.frombuffer(r.raw(n * width), dtype=f"<u{width}").astype(np.int64)
-        for width in widths)
+    symbols, psa, plcp = (word.astype(np.int64) for word in words)
 
-    if n == 0 or symbols.min() < 1 or symbols.max() > pi + sigma:
+    if symbols.min() < 1 or symbols.max() > pi + sigma:
         raise FormatError(f"text symbols outside 1..{pi + sigma}")
     text = PText(symbol_array=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
                  spec=spec)

@@ -3,9 +3,15 @@
 These are definitional transcriptions used to generate expected values and
 to cross-check the optimized paths in tests and `self-check`, beside the
 definitional helpers the index never calls: the per-suffix f-arrays and
-the p-match test. They share no code with the indexed paths: suffixes are
-materialized, renamings are enumerated, matches are rescanned per
-position.
+the p-match test. The references share no code with the indexed paths:
+suffixes are materialized, renamings are enumerated, matches are rescanned
+per position.
+
+Two helpers serve those comparisons and read the index's own pattern
+intake and suffix comparison: ``encode_pattern`` maps a pattern to the
+text ids ``naive_ppm`` takes, and ``plain_range_search`` is the plain
+binary search over the suffix array, the tests' reference for
+``suffixes.range_search`` and the full-range baseline of ``pstray bench``.
 """
 
 from __future__ import annotations
@@ -13,14 +19,76 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from .alphabet import PText
+from .alphabet import PText, pattern_codes
 from .encoding import STATIC_BASE, prev, spe
 from .errors import CapacityError, QueryError
+from .suffixes import PsaIndex, QueryStats, compare_suffix
 from .tray import NO_NODE
 from .tree import TrayTree
 
 MAX_ORACLE_DISTINCT = 8
 MAX_ORACLE_TEXT = 5000
+
+
+def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:
+    """Map a pattern onto the text's internal ids.
+
+    Parameterized tokens unknown to the text get fresh negative ids (their
+    identity only matters up to equality within the pattern). A static token
+    the text has never seen cannot match anywhere: returns None. The pattern
+    is checked by ``pattern_codes``, so this raises QueryError where it
+    does: for an empty pattern and for one that is neither a string nor a
+    sequence of string tokens.
+    """
+    if pattern_codes(text, raw) is None:
+        return None
+    out: list[int] = []
+    fresh: dict[str, int] = {}
+    for tok in text.spec.tokenize(raw):
+        sym = text.tok2id.get(tok)
+        if sym is None:  # a parameterized token, as pattern_codes passed it
+            sym = fresh.setdefault(tok, -len(fresh) - 1)
+        out.append(sym)
+    return out
+
+
+def _lower_bound_plain(index, pattern_prev, lo, hi, skip, strict, stats):
+    """Smallest rank in [lo, hi+1] whose suffix is >= the pattern (prefix
+    matches count as equal); ``strict`` asks for strictly greater instead."""
+    result = hi + 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        stats.psa_probes += 1
+        rel, _ = compare_suffix(index, index.starts[mid - 1], pattern_prev,
+                                skip, stats)
+        if rel > 0 or (not strict and rel == 0):
+            result = mid
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return result
+
+
+def plain_range_search(index: PsaIndex, pattern_prev: list[int], lo: int,
+                       hi: int, skip: int,
+                       stats: QueryStats) -> tuple[int, int] | None:
+    """Maximal subrange of [lo, hi] whose suffixes extend the pattern, by
+    two plain binary searches that read no LCP values.
+
+    The reference the tests hold ``range_search`` to, and the full-range
+    baseline of ``pstray bench``: over [1, n] a min over LCP slices would
+    cost O(n) per probe. Raises QueryError for a range reaching outside
+    1..n, as ``range_search`` does.
+    """
+    if not (1 <= lo and hi <= index.n):
+        raise QueryError(f"range [{lo},{hi}] out of bounds")
+    first = _lower_bound_plain(index, pattern_prev, lo, hi, skip, False, stats)
+    if first > hi:
+        return None
+    last = _lower_bound_plain(index, pattern_prev, first, hi, skip, True, stats) - 1
+    if last < first:
+        return None
+    return first, last
 
 
 def naive_ppm(text: PText, pattern: Sequence[int]) -> list[int]:

@@ -22,9 +22,7 @@ the lists, never a numpy scalar. There is one search path, an
 LCP-accelerated binary search (Manber & Myers). The LCP of two ranks is a
 min over the LCP slice between them, which is cheap because the tray only
 hands it ranges shorter than ``(sigma + pi + 1) * max(sigma, pi)``.
-Reporting a match range is one slice of the suffix-start list. The plain
-binary search is kept as the tests' oracle and as the full-range baseline
-of ``pstray bench``.
+Reporting a match range is one slice of the suffix-start list.
 """
 
 from __future__ import annotations
@@ -319,45 +317,6 @@ def compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
             return (1 if b > p else -1), t
         t += 1
     return 0, stop
-
-
-def _lower_bound_plain(index, pattern_prev, lo, hi, skip, strict, stats):
-    """Smallest rank in [lo, hi+1] whose suffix is >= the pattern (prefix
-    matches count as equal); ``strict`` asks for strictly greater instead."""
-    result = hi + 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        stats.psa_probes += 1
-        rel, _ = compare_suffix(index, index.starts[mid - 1], pattern_prev,
-                                skip, stats)
-        if rel > 0 or (not strict and rel == 0):
-            result = mid
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return result
-
-
-def plain_range_search(index: PsaIndex, pattern_prev: list[int], lo: int,
-                       hi: int, skip: int,
-                       stats: QueryStats) -> tuple[int, int] | None:
-    """Maximal subrange of [lo, hi] whose suffixes extend the pattern, by
-    two plain binary searches that read no LCP values.
-
-    The reference the tests hold ``range_search`` to, and the full-range
-    baseline of ``pstray bench``: over [1, n] a min over LCP slices would
-    cost O(n) per probe. Raises QueryError for a range reaching outside
-    1..n, as ``range_search`` does.
-    """
-    if not (1 <= lo and hi <= index.n):
-        raise QueryError(f"range [{lo},{hi}] out of bounds")
-    first = _lower_bound_plain(index, pattern_prev, lo, hi, skip, False, stats)
-    if first > hi:
-        return None
-    last = _lower_bound_plain(index, pattern_prev, first, hi, skip, True, stats) - 1
-    if last < first:
-        return None
-    return first, last
 
 
 def _mm_lower_bound(index, pattern_prev, lo, hi, skip, stats):

@@ -81,6 +81,26 @@ def _classify(tree: TrayTree, threshold: int):
     return owner, is_pnode, heavy_kids >= 2, heavy_child
 
 
+def _first_after(text: PText, starts: np.ndarray) -> np.ndarray:
+    """The first 0-based position at or after each of ``starts`` of every
+    parameterized symbol, as one table: row j, column x - 1 for symbol x,
+    the int64 maximum when x does not occur from ``starts[j]`` on.
+
+    ``by_symbol`` orders the positions by the key ``symbol * (n + 1) +
+    position``, so one ``searchsorted`` of the key of every (start,
+    symbol) pair finds each first occurrence; it is a hit when it lies
+    before the end of that symbol's run, ``symbol_cuts[x]``.
+    """
+    n = text.n
+    by_symbol = text.by_symbol
+    keys = text.symbol_array[by_symbol] * (n + 1) + by_symbol
+    k = np.searchsorted(keys, np.arange(1, text.pi + 1) * (n + 1)
+                        + starts[:, None])
+    none = np.iinfo(np.int64).max
+    return np.where(k < np.asarray(text.symbol_cuts[1:]),
+                    np.append(by_symbol, none)[k], none)
+
+
 def _canonical_ids(text: PText, reps: np.ndarray,
                    depths: np.ndarray) -> np.ndarray:
     """Canonical renamings of the windows ``T[i:i+depth]`` at ``reps``, as
@@ -89,23 +109,16 @@ def _canonical_ids(text: PText, reps: np.ndarray,
     row's count of ids.
 
     Each symbol's first occurrence at or after every window start comes
-    from one ``searchsorted`` over that symbol's positions, read from the
-    text's ``by_symbol`` order; those past the window's end are blanked,
-    and ranking the rest of each row by position numbers the window's
-    symbols in order of first occurrence. The table has one row per window
-    and pi + 1 columns.
+    from ``_first_after``; those past the window's end are blanked, and
+    ranking the rest of each row by position numbers the window's symbols
+    in order of first occurrence. The table has one row per window and
+    pi + 1 columns.
     """
-    pi = text.pi
     starts = np.asarray(reps) - 1  # 0-based, as by_symbol
     ends = starts + np.asarray(depths)  # one past each window
-    by_symbol, cuts = text.by_symbol, text.symbol_cuts
-    none = np.iinfo(np.int64).max  # no occurrence at or after the start
-    first = np.empty((len(starts), pi), dtype=np.int64)
-    for x in range(1, pi + 1):
-        occ = by_symbol[cuts[x - 1]:cuts[x]]
-        first[:, x - 1] = np.append(occ, none)[np.searchsorted(occ, starts)]
+    first = _first_after(text, starts)
     inside = first < ends[:, None]
-    table = np.empty((len(starts), pi + 1), dtype=np.int64)
+    table = np.empty((len(starts), text.pi + 1), dtype=np.int64)
     table[:, 0] = inside.sum(axis=1)
     rank = np.argsort(np.argsort(first, axis=1), axis=1) + 1
     table[:, 1:] = np.where(inside, rank, 0)
@@ -355,13 +368,8 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     # f-arrays of the representative suffixes: symbol x's first offset in
     # the suffix at rep, 1-based, or 0 when it does not occur there.
     reps = index.psa[tree.lo_array[nodes] - 1]
-    farr = np.zeros((len(nodes), text.pi), dtype=np.int64)
-    at = text.symbol_cuts
-    for x in range(1, text.pi + 1):
-        occ = text.by_symbol[at[x - 1]:at[x]] + 1
-        k = np.searchsorted(occ, reps)
-        found = k < len(occ)
-        farr[found, x - 1] = occ[k[found]] - reps[found] + 1
+    first = _first_after(text, reps - 1)
+    farr = np.where(first < n, first - reps[:, None] + 2, 0)
     kids, cuts = tree.child_ids.tolist(), tree.child_cuts.tolist()
     for v, rep, row in zip(nodes.tolist(), reps.tolist(), farr.tolist()):
         _check_dispatch(tree, ann, text, index, v, kids[cuts[v]:cuts[v + 1]],

@@ -14,12 +14,12 @@ import time
 import pytest
 
 from pstray import index_io
-from pstray.alphabet import (AlphabetSpec, encode_pattern, ingest,
-                             pattern_codes)
+from pstray.alphabet import AlphabetSpec, ingest, pattern_codes
 from pstray.encoding import STATIC_BASE, prev, prev_char_in_window, spe
-from pstray.oracle import (bijection_p_match, fpos_stream, naive_parray,
-                           naive_ppm, naive_spe, p_match)
-from pstray.suffixes import QueryStats, plain_range_search, report
+from pstray.oracle import (bijection_p_match, encode_pattern, fpos_stream,
+                           naive_parray, naive_ppm, naive_spe, p_match,
+                           plain_range_search)
+from pstray.suffixes import QueryStats, report
 from pstray.tray import assemble, query
 
 from conftest import DEMO_PLCP, DEMO_PSA, decode, make_text

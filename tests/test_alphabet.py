@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from pstray.alphabet import (AlphabetSpec, encode_pattern,
-                             parse_alphabet_spec, pattern_codes)
+from pstray.alphabet import AlphabetSpec, parse_alphabet_spec, pattern_codes
 from pstray.encoding import prev, spe
 from pstray.errors import ClassificationError, InputError, QueryError
+from pstray.oracle import encode_pattern
 
 from conftest import decode, make_text
 

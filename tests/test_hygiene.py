@@ -308,11 +308,10 @@ def test_star_import_of_the_package_runs():
 
 
 # The tray's construction path runs as whole-array numpy passes, with no
-# per-node Python loop. The one loop allowed is ``_canonical_ids``'
-# searchsorted per parameterized symbol, pi rounds whatever the tree size.
+# per-node or per-symbol Python loop.
 ARRAY_PASSES = {
     "tree.py": {"build_tree": []},
-    "tray.py": {"_classify": [], "_canonical_ids": ["for x"],
+    "tray.py": {"_classify": [], "_first_after": [], "_canonical_ids": [],
                 "annotate": [], "_ranges": []},
 }
 

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from pstray import index_io
-from pstray.alphabet import encode_pattern
 from pstray.cli import main
 from pstray.errors import (ChecksumError, ConstructionError, FormatError,
                            PstrayError)
-from pstray.oracle import naive_ppm
+from pstray.oracle import encode_pattern, naive_ppm
 from pstray.suffixes import PsaIndex, validate_psa
 from pstray.tray import assemble, query
 
@@ -124,8 +123,9 @@ def layout(data):
     """An index file split into the parts named in ``PARTS``, in order,
     each the bytes ``save`` wrote for it; the digest is left off. The
     ``sigma`` part is the flag word and, when it is 1, the static tokens.
-    The three arrays are read in the widths of a file below n = 2**32:
-    4-byte psa and plcp words and what the rest leaves for the text."""
+    The arrays are split as ``load`` splits them: the text in the width of
+    pi + sigma (one id per occurring token, and the end marker's), the psa
+    in the width of n, and the plcp in what the rest leaves per word."""
     def after_tokens(pos):
         (count,) = struct.unpack_from("<Q", data, pos)
         pos += 8
@@ -139,10 +139,12 @@ def layout(data):
     (flag,) = struct.unpack_from("<Q", data, pi_end)
     sigma_end = after_tokens(pi_end + 8) if flag else pi_end + 8
     text_end = after_tokens(sigma_end)
-    text_width = (len(data) - 32 - text_end) // n - 8
+    (occurring,) = struct.unpack_from("<Q", data, sigma_end)
+    text_width = index_io._width(occurring + 1)
+    psa_width = index_io._width(n)
     cuts = [0, 8, 32, pi_end, sigma_end, text_end]
-    cuts += [cuts[-1] + n * text_width, cuts[-1] + n * (text_width + 4),
-             len(data) - 32]
+    cuts += [cuts[-1] + n * text_width,
+             cuts[-1] + n * (text_width + psa_width), len(data) - 32]
     return {name: data[lo:hi]
             for name, lo, hi in zip(PARTS, cuts, cuts[1:])}
 
@@ -166,17 +168,32 @@ def forge(tmp_path, index, change):
     return path
 
 
+def words_of(parts, name):
+    """The words of the text, psa or plcp part, and their width."""
+    (n,) = struct.unpack_from("<Q", parts["header"], 8)
+    width = len(parts[name]) // n
+    return list(struct.unpack(f"<{n}{WORD[width]}", parts[name])), width
+
+
 def forge_words(tmp_path, index, name, change):
     """``forge`` with ``change`` editing the words of the text, psa or plcp
     array, repacked in the array's width."""
     def edit(parts):
-        (n,) = struct.unpack_from("<Q", parts["header"], 8)
-        fmt = f"<{n}{WORD[len(parts[name]) // n]}"
-        words = list(struct.unpack(fmt, parts[name]))
+        words, width = words_of(parts, name)
         change(words)
-        parts[name] = struct.pack(fmt, *words)
+        parts[name] = struct.pack(f"<{len(words)}{WORD[width]}", *words)
 
     return forge(tmp_path, index, edit)
+
+
+def repack(name, width):
+    """A ``forge`` change that stores the words of one array in ``width``
+    bytes each, values unchanged."""
+    def change(parts):
+        words, _ = words_of(parts, name)
+        parts[name] = b"".join(w.to_bytes(width, "little") for w in words)
+
+    return change
 
 
 def test_layout_splits_what_save_writes(tmp_path, demo_index):
@@ -186,7 +203,7 @@ def test_layout_splits_what_save_writes(tmp_path, demo_index):
     assert path.read_bytes() == plain.read_bytes()
     parts = layout(plain.read_bytes())
     assert list(parts) == list(PARTS)
-    assert struct.unpack("<3Q", parts["header"]) == (4, 13, 0)
+    assert struct.unpack("<3Q", parts["header"]) == (5, 13, 0)
     assert parts["pi"] == tokens_blob("xyz")
     assert parts["sigma"] == struct.pack("<Q", 1) + tokens_blob("A")
     assert parts["occurring"] == tokens_blob("Axyz")
@@ -238,20 +255,46 @@ def test_version_3_file_is_refused(tmp_path):
         index_io.load(old)
 
 
+# The README example's index as format version 4 saved it: the same
+# header and alphabet, then the text in bytes and the psa and plcp in
+# 4-byte words.
+VERSION_4_FILE = bytes.fromhex(
+    "505354524159303104000000000000000f000000000000000000000000000000"
+    "0300000000000000010000000000000078010000000000000079010000000000"
+    "00007a0100000000000000010000000000000001000000000000004104000000"
+    "0000000001000000000000004101000000000000007801000000000000007901"
+    "000000000000007a01020304010101040202030403010501000000020000000a"
+    "0000000d00000009000000050000000600000007000000030000000b0000000e"
+    "0000000c00000008000000040000000f00000000000000020000000300000002"
+    "0000000100000002000000020000000100000004000000020000000100000000"
+    "000000020000000300000000000000f32c44be85cc23f257ae1eac6e0e315203"
+    "f4ea89166abd14d95d3698ae1f547a")
+
+
+def test_version_4_file_is_refused(tmp_path):
+    assert len(VERSION_4_FILE) == 303
+    assert hashlib.sha256(VERSION_4_FILE).hexdigest().startswith("8bc59065")
+    old = tmp_path / "v4.idx"
+    old.write_bytes(VERSION_4_FILE)
+    with pytest.raises(FormatError, match="version 4"):
+        index_io.load(old)
+
+
 def test_readme_example_file_is_pinned(tmp_path):
-    """The README example saves to one exact file: 15 symbols of 9 bytes,
-    104 bytes of alphabet, the magic, three header words and the digest."""
+    """The README example saves to one exact file: 15 symbols of 3 bytes
+    (n = 15 and the largest LCP, 4, fit a byte like the 5 ids), 104 bytes
+    of alphabet, the magic, three header words and the digest."""
     index = assemble(make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A"))
     path = tmp_path / "x.idx"
     index_io.save(index, path)
     data = path.read_bytes()
-    assert len(data) == 15 * 9 + 104 + 8 + 3 * 8 + 32 == 303
+    assert len(data) == 15 * 3 + 104 + 8 + 3 * 8 + 32 == 213
     assert hashlib.sha256(data).hexdigest() == (
-        "8bc590653e280c09ba829b25faa2bcbc9a87c4e969afd61b4b789459df52befe")
-    # The arrays are the ones version 3 stored, word for word.
-    assert data[-32 - 15 * 9:-32] == b"".join(
-        VERSION_3_FILE[off:off + length] for off, length in
-        ((216, 15), (247, 60), (323, 60)))
+        "b431222d5da6a2b47509108d811e917568a5bc704cd12a464f5adcce14584288")
+    # The arrays hold the words version 4 stored, each now one byte.
+    old = VERSION_4_FILE[-32 - 15 * 9:-32]
+    assert list(data[-32 - 15 * 3:-32]) == (
+        list(old[:15]) + list(struct.unpack("<30I", old[15:])))
 
 
 def test_corrupt_section_fails_validation(tmp_path, demo_index):
@@ -259,9 +302,9 @@ def test_corrupt_section_fails_validation(tmp_path, demo_index):
     index_io.save(demo_index, path)
     data = bytearray(path.read_bytes())
     # duplicate a suffix-array entry (valid checksum, invalid permutation)
-    off = data.find(struct.pack("<3I", 6, 7, 11))  # start of the psa words
+    off = data.find(bytes([6, 7, 11]))  # start of the one-byte psa words
     assert off > 0
-    struct.pack_into("<I", data, off, 7)
+    data[off] = 7
     body = bytes(data[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(FormatError, match="validation"):
@@ -277,9 +320,11 @@ def test_file_holds_only_text_psa_and_plcp(tmp_path):
     data = path.read_bytes()
     parts = layout(data)
     alphabet = sum(len(parts[name]) for name in ("pi", "sigma", "occurring"))
-    # pi + sigma = 10 ids fit a byte; psa and plcp take 4 bytes each.
-    assert len(parts["text"]) == t.n
-    assert len(data) == (1 + 8) * t.n + alphabet + 8 + 3 * 8 + 32
+    # pi + sigma = 10 ids and every LCP fit a byte; n = 3001 takes 2.
+    assert int(index_io.load(path).psa_index.plcp.max()) < 256
+    assert [len(parts[name]) for name in ("text", "psa", "plcp")] == [
+        t.n, 2 * t.n, t.n]
+    assert len(data) == (1 + 2 + 1) * t.n + alphabet + 8 + 3 * 8 + 32
 
 
 def test_load_rebuilds_what_assemble_builds(tmp_path):
@@ -391,16 +436,39 @@ def test_text_width_boundary(tmp_path, ids, width):
 
 
 def test_widths_follow_the_header_bounds():
-    """The text takes the narrowest of 1, 2, 4 or 8 bytes that holds pi +
-    sigma; psa and plcp take 4 bytes below n = 2**32 and 8 from there.
-    Checked on the helper, as no test can build an index that long."""
-    widths = index_io._widths
-    assert widths(2**32 - 1, 6, 6) == (1, 4, 4)
-    assert widths(2**32, 6, 6) == (1, 8, 8)
-    for ids, width in ((2, 1), (255, 1), (256, 2), (2**16 - 1, 2),
-                       (2**16, 4), (2**32 - 1, 4), (2**32, 8),
-                       (2**64 - 1, 8)):
-        assert widths(100, 1, ids - 1)[0] == width, ids
+    """Each array takes the narrowest of 1, 2, 4 or 8 bytes that holds its
+    bound: pi + sigma for the text, n for the psa and the largest LCP for
+    the plcp. Checked on the rule itself past 2**8, as no test can build
+    an index that long."""
+    for bound, width in ((0, 1), (2, 1), (255, 1), (256, 2), (2**16 - 1, 2),
+                         (2**16, 4), (2**32 - 1, 4), (2**32, 8),
+                         (2**64 - 1, 8)):
+        assert index_io._width(bound) == width, bound
+
+
+@pytest.mark.parametrize("raw, part, width", [
+    ("xyA" * 84 + "xy", "psa", 1),   # n = 255
+    ("xyA" * 85, "psa", 2),          # n = 256
+    ("x" * 256, "plcp", 1),          # largest LCP 255
+    ("x" * 257, "plcp", 2),          # largest LCP 256
+])
+def test_position_and_lcp_width_boundaries(tmp_path, raw, part, width):
+    """The psa takes one byte up to n = 255 and two from 256; the plcp one
+    byte while its largest word is 255 and two from 256. Each file
+    round-trips byte-exactly and answers like the oracle."""
+    t = make_text(raw, pi="xy" if "y" in raw else "x")
+    p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
+    index_io.save(assemble(t), p1)
+    data = p1.read_bytes()
+    assert len(layout(data)[part]) == width * t.n
+    loaded = index_io.load(p1)
+    index_io.save(loaded, p2)
+    assert p2.read_bytes() == data
+    rng = random.Random(len(raw))
+    for _ in range(30):
+        pat = random_pattern(rng, t)
+        want = sorted(naive_ppm(t, encode_pattern(t, pat)))
+        assert loaded.query(pat)[0] == want
 
 
 def test_undecodable_token_is_refused(tmp_path, demo_index):
@@ -464,6 +532,26 @@ def test_forged_header_and_framing_are_refused(tmp_path, change, message):
         index_io.load(path)
 
 
+@pytest.mark.parametrize("raw, change, message", [
+    ("xyzAxxxAyyzAzx", lambda parts: set_header(parts, 1, 0), "n = 0"),
+    # 3-byte LCP words: the bytes left give no width in {1, 2, 4, 8}
+    ("xyzAxxxAyyzAzx", repack("plcp", 3), "bytes after the alphabet"),
+    # n = 15 keeps the psa in bytes, so 2-byte LCP words are too wide
+    ("xyzAxxxAyyzAzx", repack("plcp", 2), "wider than the suffix array"),
+    # n = 257 takes 2-byte psa words, but the largest LCP, 255, fits a byte
+    ("x" * 256, repack("plcp", 2), "the largest, 255, takes 1"),
+], ids=["n_zero", "no_width", "wider_than_psa", "not_narrowest"])
+def test_forged_word_widths_are_refused(tmp_path, raw, change, message):
+    """Each array has one width: a header with n = 0, an LCP width the
+    bytes left cannot give, one wider than the psa's, and one wider than
+    its largest word needs are each refused."""
+    index = assemble(make_text(raw, pi="xyz", sigma="A" if "A" in raw
+                               else None))
+    path = forge(tmp_path, index, change)
+    with pytest.raises(FormatError, match=message):
+        index_io.load(path)
+
+
 def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
     rng = random.Random(2718)
     t = make_text("".join(rng.choice("xyzAB") for _ in range(60)), pi="xyz")
@@ -472,7 +560,7 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
     plain = tmp_path / "plain.idx"
     index_io.save(index, plain)
     parts = layout(plain.read_bytes())
-    assert len(parts["psa"]) == len(parts["plcp"]) == 4 * n
+    assert len(parts["psa"]) == len(parts["plcp"]) == n  # one byte each
     outcomes = {"loaded": 0, "refused": 0}
     for _ in range(300):
         name = rng.choice(("psa", "plcp"))
@@ -481,7 +569,7 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
             for _ in range(rng.randint(1, 3)):
                 j = rng.randrange(len(words))
                 words[j] = rng.choice((
-                    rng.getrandbits(32), rng.randint(0, n + 1),
+                    rng.getrandbits(8), rng.randint(0, n + 1),
                     words[rng.randrange(len(words))],
                     max(words[j] - 1, 0), words[j] + 1))
 
@@ -558,11 +646,11 @@ def test_cli_stats_report(tmp_path, capsys):
     assert "branching_pnodes=2" in out
     assert "branching_bound=4" in out  # 13 // max(2, 3)
     assert "parray_cells=10" in out
-    # The file: 13 one-byte text words and 13 four-byte psa and plcp words,
-    # 104 bytes of alphabet, the magic, three header words and the digest.
+    # The file: 13 one-byte words each of text, psa and plcp, 104 bytes of
+    # alphabet, the magic, three header words and the digest.
     size = idx.stat().st_size
-    assert size == 13 * 9 + 104 + 8 + 3 * 8 + 32
-    assert f"file_bytes={size}" in out
+    assert size == 13 * 3 + 104 + 8 + 3 * 8 + 32
+    assert out.index("word_bytes=1,1,1") + 1 == out.index(f"file_bytes={size}")
     assert f"bytes_per_symbol={size / 13:.3f}" in out
 
 

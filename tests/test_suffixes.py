@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 import pstray.suffixes as sfx
-from pstray.alphabet import encode_pattern, pattern_codes
+from pstray.alphabet import pattern_codes
 from pstray.encoding import STATIC_BASE, prev, prev_char_in_window
 from pstray.errors import QueryError, ValidationError
-from pstray.oracle import naive_psa
+from pstray.oracle import encode_pattern, naive_psa, plain_range_search
 from pstray.suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
-                             plain_range_search, range_search, report,
-                             validate_psa)
+                             range_search, report, validate_psa)
 
 from conftest import (DEMO_PLCP, DEMO_PSA, make_text, naive_intervals,
                       random_pattern, random_text, sym_codes)

@@ -4,10 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from pstray.alphabet import encode_pattern
 from pstray.encoding import spe
 from pstray.errors import QueryError
-from pstray.oracle import naive_parray, naive_ppm
+from pstray.oracle import encode_pattern, naive_parray, naive_ppm
 from pstray.suffixes import build_psa
 from pstray.tray import (NO_NODE, _canonical_ids, annotate, assemble, query,
                          validate_annotations)
