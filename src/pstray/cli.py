@@ -54,8 +54,8 @@ def _pattern_arg(raw: str, mode: str) -> str:
 
 def _structure(index) -> dict[str, int]:
     """The structural counts that ``build`` and ``stats`` print, in order.
-    The tree keeps the heavy nodes and their children; the light ones are
-    where a descent hands over to the suffix-array search."""
+    The tree's light nodes (``light_targets``) are exactly the blocks a
+    dispatch can hand over to the suffix-array search."""
     text, tree, ann = index.text, index.tree, index.ann
     pnodes = sum(ann.is_pnode)
     return {"n": text.n, "pi": text.pi, "sigma": text.sigma,

@@ -3,17 +3,16 @@ fall through to a bounded binary search on the suffix array.
 
 This is the suffix tray of Cole, Kopelowitz & Lewenstein (ICALP 2006),
 adapted to parameterized matching. A node is *heavy* (a "p-node") when its
-subtree holds at least ``max(sigma, pi)`` leaves; ``tree.build_tree``
-keeps only the heavy nodes and their children, and a light child is no
-more than a block of suffix-array ranks. A heavy node is *branching*
-when at least two of its children are heavy. Branching nodes carry a
-dispatch array of length ``sigma + pi`` indexed by the rank of the next
-canonically-renamed pattern symbol; non-branching heavy nodes keep only a
-pointer to their unique heavy child. ``annotate`` derives all of it in
-one numpy pass over the tree's CSR children. Every range that ever reaches
-the suffix-array search is smaller than
-``(sigma + pi + 1) * max(sigma, pi)``, which keeps the search's
-logarithmic term independent of the text length.
+subtree holds at least ``max(sigma, pi)`` leaves, and *branching* when at
+least two of its children are heavy. Branching nodes carry a dispatch
+array of length ``sigma + pi`` indexed by the rank of the next
+canonically-renamed pattern symbol; other heavy nodes keep only a pointer
+to their unique heavy child. ``tree.build_tree`` keeps just those
+children, so the flags are the tree's shape, and ``annotate`` builds the
+dispatch arrays in one numpy pass. Every range that ever reaches the
+suffix-array search is smaller than ``(sigma + pi + 1) * max(sigma,
+pi)``, which keeps the search's logarithmic term independent of the
+text length.
 """
 
 from __future__ import annotations
@@ -60,25 +59,14 @@ class TrayAnnotations:
         return sum(len(arr) - 1 for arr in self.parray.values())
 
 
-def _classify(tree: TrayTree, threshold: int):
-    """Each child's owner, and the heavy flags, branching flags and unique
-    heavy children of all nodes, as numpy arrays.
-
-    A node is heavy when its leaf block ``hi - lo + 1`` reaches the
-    threshold. Counting the heavy children per owner finds both the
-    branching nodes (two or more) and the owners of a unique heavy child
-    (exactly one); a heavy node with no heavy child has none (-1).
-    """
-    size = tree.size
-    kids = tree.child_ids
-    owner = np.repeat(np.arange(size), np.diff(tree.child_cuts))
-    is_pnode = tree.hi_array - tree.lo_array + 1 >= threshold
-    heavy = is_pnode[kids] & is_pnode[owner]
-    heavy_kids = np.bincount(owner[heavy], minlength=size)
-    only = heavy & (heavy_kids[owner] == 1)
-    heavy_child = np.full(size, NO_NODE, dtype=np.int64)
-    heavy_child[owner[only]] = kids[only]
-    return owner, is_pnode, heavy_kids >= 2, heavy_child
+def _shape_flags(tree: TrayTree, threshold: int):
+    """The p-node flags, branching flags and heavy children (-1 if none) of
+    all nodes, as the tree's shape gives them: a block that reaches the
+    threshold, two or more listed children, the one listed child."""
+    count = np.diff(tree.child_cuts)
+    first = np.append(tree.child_ids, NO_NODE)[tree.child_cuts[:-1]]
+    return (tree.hi_array - tree.lo_array + 1 >= threshold, count >= 2,
+            np.where(count == 1, first, NO_NODE))
 
 
 def _first_after(text: PText, starts: np.ndarray) -> np.ndarray:
@@ -127,8 +115,8 @@ def _canonical_ids(text: PText, reps: np.ndarray,
 
 def annotate(tree: TrayTree, text: PText,
              index: PsaIndex) -> TrayAnnotations:
-    """Classify the nodes (``_classify``) and build the dispatch array of
-    every branching node, in one numpy pass over the tree's children.
+    """The nodes' flags (``_shape_flags``) and the dispatch array of every
+    branching node, in one numpy pass over the branching nodes' children.
 
     A branching node's dispatch array comes from the canonical renaming of
     its representative window, its leftmost leaf's suffix
@@ -153,7 +141,7 @@ def annotate(tree: TrayTree, text: PText,
     """
     width = text.sigma + text.pi + 1
     pi = text.pi
-    owner, is_pnode, is_branching, heavy_child = _classify(
+    is_pnode, is_branching, heavy_child = _shape_flags(
         tree, max(text.sigma, text.pi))
     nodes = is_branching.nonzero()[0]
     psa = index.psa
@@ -162,9 +150,9 @@ def annotate(tree: TrayTree, text: PText,
     table = _canonical_ids(text, reps, depth)
     # Per child c of a branching node: row[c] is its node's index in
     # nodes, kids[c] its id and d[c] its node's depth.
-    below = is_branching[owner]
-    kids = tree.child_ids[below]
-    row = (np.cumsum(is_branching) - 1)[owner[below]]
+    count = np.diff(tree.child_cuts)
+    kids = tree.child_ids[np.repeat(is_branching, count)]
+    row = np.repeat(np.arange(len(nodes)), count[nodes])
     d = depth[row]
     sym = _window_symbols(text.code_array, psa[tree.lo_array[kids] - 1] - 1,
                           d + 1)
@@ -331,10 +319,8 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     """Check classification flags, the counting bounds on branching nodes
     and dispatch cells, and that every dispatch array agrees with its node.
 
-    The flags are recomputed by ``_classify`` from the tree's blocks and
-    CSR children: a node is heavy iff its block reaches the threshold,
-    branching iff it has two or more heavy children, and its heavy child is
-    its only one.
+    The flags are read off the tree's shape again by ``_shape_flags``;
+    ``validate_tree`` proves that shape.
     Dispatch agreement is recomputed from the definition at each branching
     node, trusting none of the stored annotations: the canonical renaming
     of the representative window (the leftmost leaf's) comes from the f-array
@@ -349,7 +335,7 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     if not (len(ann.is_pnode) == len(ann.is_branching)
             == len(ann.heavy_child) == size):
         raise ValidationError("annotations do not match the tree's size")
-    _, is_pnode, is_branching, heavy_child = _classify(tree, threshold)
+    is_pnode, is_branching, heavy_child = _shape_flags(tree, threshold)
     for name, got, want in (("p-node flag", ann.is_pnode, is_pnode),
                             ("branching flag", ann.is_branching, is_branching),
                             ("heavy child", ann.heavy_child, heavy_child)):

@@ -3,12 +3,11 @@
 The trie is the LCP-interval tree of the sorted suffixes (Abouelhoda,
 Kurtz & Ohlebusch, "Replacing suffix trees with enhanced suffix arrays",
 2004): an internal node is a rank interval whose least inner adjacent LCP
-(its depth) is larger than the LCPs just outside it. A query only walks
-heavy nodes, those with at least ``max(sigma, pi)`` leaves, and leaves
-the heavy part through one of their children, so only those are kept:
-the suffix tray of Cole, Kopelowitz & Lewenstein ("Suffix trays and
-suffix trists", ICALP 2006), adapted to parameterized matching. Below a
-kept light node the suffix array answers instead.
+(its depth) is larger than the LCPs just outside it. A query walks only
+heavy nodes, those with at least ``max(sigma, pi)`` leaves, and only the
+nodes it can reach are kept: all children of a node with two or more
+heavy ones, else its heavy child, as in the suffix tray of Cole,
+Kopelowitz & Lewenstein ("Suffix trays and suffix trists", ICALP 2006).
 
 The kept nodes come from numpy passes over the LCP array, not a per-rank
 loop: each adjacent-LCP boundary belongs to the interval bounded by its
@@ -33,19 +32,17 @@ from .suffixes import PsaIndex, _window_symbols
 
 @dataclass(eq=False)
 class TrayTree:
-    """Node-array tree of the heavy nodes and their children, as int64
-    arrays indexed by node id: node 0 is the root (ranks 1..n) by layout,
-    the other heavy internal nodes follow in preorder, then the light
-    children and the leaves, grouped by parent. Only heavy internal nodes
-    have children; a kept light node is a leaf block for the suffix-array
-    search. The tree keeps no suffix starts and no parent links.
+    """Node-array tree of the nodes a query can reach, as int64 arrays
+    indexed by node id: node 0 is the root (ranks 1..n) by layout, the
+    other heavy internal nodes follow in preorder, then the kept light
+    children and leaves, grouped by parent. No suffix starts or parents.
 
     ``lo_array``/``hi_array`` are 1-based suffix-array ranks delimiting the
     node's leaf block; ``depth_array`` is the string depth (encoded symbols
-    from the root). Children are in CSR form: those of node v, in
-    lexicographic edge order, are
-    ``child_ids[child_cuts[v]:child_cuts[v + 1]]``. Derived once: the lists
-    ``depth``, ``lo`` and ``hi`` that the query loop indexes.
+    from the root) of the p-nodes alone, ids 0..P-1, as only they are read.
+    Children are in CSR form: those of node v, in lexicographic edge order,
+    are ``child_ids[child_cuts[v]:child_cuts[v + 1]]``. Derived once: the
+    lists ``depth``, ``lo`` and ``hi`` that the query loop indexes.
     """
 
     depth_array: np.ndarray
@@ -64,11 +61,11 @@ class TrayTree:
 
     @property
     def size(self) -> int:
-        return len(self.depth_array)
+        return len(self.lo_array)
 
     def children(self, v: int) -> list[int]:
-        """Child ids of node v in edge order (empty for a light node).
-        Raises QueryError for an id outside the tree."""
+        """Child ids of node v in edge order (empty for a light node or one
+        without a heavy child). Raises QueryError for an id outside."""
         if not 0 <= v < self.size:
             raise QueryError(f"node {v} outside a tree of {self.size} nodes")
         cuts = self.child_cuts
@@ -123,19 +120,18 @@ def _boundary_lcps(index: PsaIndex) -> np.ndarray:
 
 
 def build_tree(index: PsaIndex, text: PText) -> TrayTree:
-    """The heavy LCP intervals (at least ``max(sigma, pi)`` leaves) and
-    their children, in a few numpy passes over the LCP array.
+    """The heavy LCP intervals (at least ``max(sigma, pi)`` leaves) and the
+    children a query can reach, in a few numpy passes over the LCP array.
 
     Boundary b (1 <= b < n) lies between ranks b and b + 1 at LCP h[b].
     With its nearest strictly smaller LCPs at L and R (the ends count as
     -1), it is a child boundary of the interval L + 1 .. R at depth h[b],
     and all boundaries of one interval share L and R. Those whose span
     R - L reaches the threshold name the heavy nodes; a heavy node's
-    boundaries, in order, cut its block into its child blocks. A child
-    block of at least threshold ranks is itself a heavy node; any other is
-    a light node of depth min h over its inner boundaries, or a leaf as
-    deep as its suffix is long. When the root is light or holds one rank,
-    the tree is the root alone.
+    boundaries, in order, cut its block into child blocks, heavy ones at
+    least threshold ranks long. It keeps them all if two or more are
+    heavy, else its heavy one. A tree of a light root, or of one rank, is
+    the root alone.
     """
     n = text.n
     threshold = max(text.sigma, text.pi)
@@ -143,10 +139,11 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     left = _nearest_smaller(h)[1:n]
     right = n - _nearest_smaller(h[::-1])[::-1][1:n]
     cut = ((right - left) >= threshold).nonzero()[0]
-    if not len(cut):
-        return TrayTree(depth_array=np.array([0]), lo_array=np.array([1]), hi_array=np.array([n]),
-                        child_ids=np.empty(0, dtype=np.int64),
-                        child_cuts=np.zeros(2, dtype=np.int64))
+    if not len(cut):  # the root alone, with a depth if it is heavy
+        return TrayTree(np.zeros(int(n >= threshold), dtype=np.int64),
+                        np.array([1]), np.array([n]),
+                        np.empty(0, dtype=np.int64),
+                        np.zeros(2, dtype=np.int64))
     # Order the heavy nodes by (lo, -hi), a preorder that puts the root
     # first, and each node's boundaries by rank.
     key = left[cut] * (n + 1) + n - right[cut]
@@ -170,99 +167,115 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     begins = np.empty_like(ends)
     begins[1:] = ends[:-1] + 1
     begins[bounds[:-1]] = node_lo
-    inner = ends - begins + 1 >= max(threshold, 2)
+    heavy_block = ends - begins >= threshold - 1
+    heavy_kids = np.diff(np.cumsum(heavy_block)[bounds[1:] - 1], prepend=0)
+    blocks, branching = np.diff(bounds), heavy_kids >= 2
+    keep = heavy_block | np.repeat(branching, blocks)
+    inner = heavy_block & (ends > begins)
+    light = (keep & ~inner).nonzero()[0]  # indices: faster than masks here
+    inner = inner.nonzero()[0]
     kid = np.empty(len(ends), dtype=np.int64)
     kid[inner] = np.searchsorted(
         node_key, (begins[inner] - 1) * (n + 1) + n - ends[inner])
-    light = ~inner
-    kid[light] = np.arange(heavy, heavy + np.count_nonzero(light))
+    kid[light] = np.arange(heavy, heavy + len(light))
     light_lo, light_hi = begins[light], ends[light]
-    light_depth = n + 1 - index.psa[light_lo - 1]
-    wide = (light_lo < light_hi).nonzero()[0]
-    if len(wide):
-        # Light blocks are disjoint, so their inner minima cost O(n).
-        spans = np.column_stack((light_lo[wide], light_hi[wide])).ravel()
-        light_depth[wide] = np.minimum.reduceat(h, spans)[::2]
+    # Only at threshold 1 are the kept light blocks p-nodes: leaves.
+    leaves = light_lo[light_hi - light_lo >= threshold - 1]
+    cuts = np.zeros(heavy + len(light_lo) + 1, dtype=np.int64)
+    np.cumsum(np.where(branching, blocks, heavy_kids), out=cuts[1:heavy + 1])
+    cuts[heavy + 1:] = cuts[heavy]
     return TrayTree(
-        depth_array=np.concatenate((h[cut[heads]], light_depth)),
+        depth_array=np.concatenate((h[cut[heads]],
+                                    n + 1 - index.psa[leaves - 1])),
         lo_array=np.concatenate((node_lo, light_lo)),
         hi_array=np.concatenate((node_hi, light_hi)),
-        child_ids=kid,
-        child_cuts=np.append(bounds, np.full(len(light_lo), bounds[-1])))
+        child_ids=kid[keep], child_cuts=cuts)
 
 
 def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
     """Check in O(n), against the suffix and LCP arrays, that the tree
-    holds exactly the heavy LCP intervals and their children.
+    holds exactly the heavy LCP intervals and the children a query can
+    reach: by induction each node is an exact LCP interval.
 
-    Node 0 is ranks 1..n at depth 0. Every other node is the child of
-    exactly one node, which lists it. Each listed node's children partition
-    its block in order of their first edge symbols, every boundary between
-    two of them has the node's depth as its LCP, and each child is deeper
-    than the node. A child without listed children is a leaf (lo == hi, as
-    deep as its suffix is long) or a light node whose inner LCPs have the
-    node's depth as their minimum. A node lists children iff it holds at
-    least ``max(sigma, pi)`` leaves and more than one rank. By induction
-    every node is then an exact LCP interval.
+    Node 0 is ranks 1..n; the p-nodes (blocks of ``max(sigma, pi)`` ranks
+    or more) are ids 0..P-1 with a depth. Each other node is listed once,
+    in rank order inside a larger parent whose depth is the LCP beside it.
+    A node lists two or more children, two heavy, that tile its block in
+    first-symbol order; or one heavy child; or none. The rest of a block,
+    its node's own ranks (which tile 1..n, so no nested block is scanned),
+    has no LCP below the node's depth (a light node's parent's plus one),
+    and cut at that depth a p-node's own ranks fall into light pieces.
     """
-    n = text.n
-    size = tree.size
+    def fail(bad, message: str) -> None:
+        if np.count_nonzero(bad):
+            raise ValidationError(message)
+
+    n, size = text.n, tree.size
     threshold = max(text.sigma, text.pi)
-    if not 1 <= size <= max(2 * n - 1, 1):
-        raise ValidationError("node count outside 1..2n-1")
     depth, lo, hi = tree.depth_array, tree.lo_array, tree.hi_array
     cuts, listed = tree.child_cuts, tree.child_ids
-    if len({len(depth), len(lo), len(hi), len(cuts) - 1}) != 1:
-        raise ValidationError("node arrays differ in length")
+    fail(not 1 <= size <= max(2 * n - 1, 1) or len(hi) != size
+         or len(cuts) != size + 1, "node count outside 1..2n-1, or node "
+         "arrays of different lengths")
     count = np.diff(cuts)
-    if cuts[0] != 0 or cuts[-1] != len(listed) or np.count_nonzero(count < 0):
-        raise ValidationError("child cuts do not slice the child ids")
-    if (lo[0], hi[0], depth[0]) != (1, n, 0):
-        raise ValidationError("root is not node 0 over ranks 1..n at depth 0")
+    fail(cuts[0] != 0 or cuts[-1] != len(listed) or (count < 0).any(),
+         "child cuts do not slice the child ids")
+    fail((lo[0], hi[0]) != (1, n) or depth[:1].any(),
+         "root is not node 0 over ranks 1..n at depth 0")
+    fail((lo < 1) | (hi > n) | (lo > hi),
+         "a node's block is not a rank range in 1..n")
+    pnodes = len(depth)
+    pnode = hi - lo + 1 >= threshold
+    fail(pnodes > size or (pnode != (np.arange(size) < pnodes)).any(),
+         "the nodes with a depth are not the p-nodes, ids 0..P-1")
+    fail((listed <= 0).any() or (listed >= size).any()
+         or (np.bincount(listed, minlength=size)[1:] != 1).any(),
+         "a node other than the root is not listed exactly once as a child")
     owner = np.repeat(np.arange(size), count)
-    if (np.count_nonzero(listed <= 0) or np.count_nonzero(listed >= size)
-            or np.count_nonzero(np.bincount(listed, minlength=size)[1:] != 1)):
-        raise ValidationError("a node other than the root is not listed "
-                              "exactly once as a child")
-    if np.count_nonzero((lo < 1) | (hi > n) | (lo > hi)):
-        raise ValidationError("a node's block is not a rank range in 1..n")
-    lists = count > 0
-    if np.count_nonzero(lists != ((hi - lo + 1 >= threshold) & (lo < hi))):
-        raise ValidationError("a node lists children iff it is heavy and "
-                              "holds more than one rank")
-    if not len(listed):
-        return
-    # Children in order: the first starts at lo, each next one rank past
-    # the last, and the last ends at hi.
-    heads = cuts[:-1][lists]
-    tails = heads + count[lists] - 1
-    expect = np.empty(len(listed), dtype=np.int64)
-    expect[1:] = hi[listed[:-1]] + 1
-    expect[heads] = lo[lists]
-    if (np.count_nonzero(lo[listed] != expect)
-            or np.count_nonzero(hi[listed[tails]] != hi[lists])):
-        raise ValidationError("children do not partition their parent's block")
+    top, bottom = lo[owner], hi[owner]
+    first, last, heavy = lo[listed], hi[listed], listed < pnodes
+    same = owner[1:] == owner[:-1]  # slot j + 1 follows a sibling
+    prev = np.where(np.append(False, same), np.append(0, last)[:-1], top - 1)
+    fail((first <= prev) | (last > bottom) | (last - first >= bottom - top),
+         "children are not smaller parts of their parent's block in rank "
+         "order")
+    # A child smaller than a light parent is light, so only p-nodes list.
+    fail(np.minimum(np.diff(np.append(0, np.cumsum(heavy))[cuts]), 2)
+         != np.minimum(count, 2), "a node lists more than its heavy child "
+         "without two heavy ones, or a light one alone")
     h = _boundary_lcps(index)
-    inside = np.ones(len(listed), dtype=bool)
-    inside[tails] = False
-    if np.count_nonzero(h[hi[listed[inside]]] != depth[owner[inside]]):
-        raise ValidationError("a boundary between children is not at its "
-                              "parent's depth")
-    if np.count_nonzero(depth[listed] <= depth[owner]):
-        raise ValidationError("a child is not deeper than its parent")
-    psa = index.psa
-    bare = listed[count[listed] == 0]
-    leaf = bare[lo[bare] == hi[bare]]
-    if np.count_nonzero(depth[leaf] != n + 1 - psa[lo[leaf] - 1]):
-        raise ValidationError("a leaf is not as deep as its suffix")
-    block = bare[lo[bare] < hi[bare]]
-    if len(block):
-        spans = np.column_stack((lo[block], hi[block])).ravel()
-        if np.count_nonzero(np.minimum.reduceat(h, spans)[::2]
-                            != depth[block]):
-            raise ValidationError("a light node's depth is not the least "
-                                  "LCP inside its block")
-    sym = _window_symbols(text.code_array, psa[lo[listed] - 1] - 1,
-                          depth[owner] + 1)
-    if np.count_nonzero(sym[1:][inside[:-1]] <= sym[:-1][inside[:-1]]):
-        raise ValidationError("children are not in first-symbol order")
+    d = depth[owner]
+    fail((first > top) & (h[first - 1] != d)
+         | (last < bottom) & (h[last] != d),
+         "an LCP beside a child is not at its parent's depth")
+    fail(depth[listed[heavy]] <= d[heavy],
+         "a heavy child is not deeper than its parent")
+    leaf = listed[heavy & (first == last)]
+    fail(depth[leaf] != n + 1 - index.psa[lo[leaf] - 1],
+         "a leaf is not as deep as its suffix")
+    # Own ranks: the gaps before each child and after each node's last
+    # one, and the whole block of a node that lists none.
+    gap = first > prev + 1
+    rest = np.append(~same, True) & (last < bottom)
+    bare = (count == 0).nonzero()[0]
+    starts = np.concatenate((prev[gap] + 1, last[rest] + 1, lo[bare]))
+    whose = np.concatenate((owner[gap], owner[rest], bare))
+    fail(count[whose] >= 2, "children do not partition their parent's block")
+    floor = np.append(depth, np.zeros(size - pnodes, dtype=np.int64))
+    floor[listed[~heavy]] = d[~heavy] + 1
+    own = np.zeros(n + 1, dtype=np.int64)
+    own[starts] = whose + 1  # 0 where no own ranks begin
+    begins = own > 0
+    own = own[np.maximum.accumulate(np.where(begins, np.arange(n + 1), 0))] - 1
+    inside = ~begins[2:]  # boundary b lies among its owner's own ranks
+    above = h[1:n] - floor[own[1:n]]
+    fail(inside & (above < 0),
+         "an LCP among a node's own ranks is below its depth")
+    begins[2:] |= inside & (above == 0)  # pieces cut at the node's depth
+    piece = begins.nonzero()[0]
+    fail((np.diff(piece, append=n + 1) >= threshold)
+         & (pnode & (lo < hi))[own[piece]],
+         "a p-node's own ranks hold a heavy block at its depth")
+    sym = _window_symbols(text.code_array, index.psa[first - 1] - 1, d + 1)
+    fail((sym[1:] <= sym[:-1]) & same,
+         "children are not in first-symbol order")

@@ -102,8 +102,20 @@ def parents(tree):
     return up
 
 
-def edge_length(tree, v):
-    return tree.depth[v] - tree.depth[parents(tree)[v]]
+def node_depth(tree, index, v):
+    """The string depth of node v: stored for a p-node; for a light node,
+    which keeps none, its least inner LCP, or its suffix's length when it
+    holds one rank."""
+    if v < len(tree.depth):
+        return tree.depth[v]
+    lo, hi = tree.lo[v], tree.hi[v]
+    if lo == hi:
+        return len(index.starts) + 1 - index.starts[lo - 1]
+    return int(index.plcp[lo:hi].min())
+
+
+def edge_length(tree, index, v):
+    return node_depth(tree, index, v) - tree.depth[parents(tree)[v]]
 
 
 def edge_symbol(tree, index, v, offset):
@@ -119,7 +131,7 @@ def node_label(tree, index, v):
     through its leftmost suffix."""
     start = index.starts[tree.lo[v] - 1]
     return tuple(prev_char_in_window(index.codes, start, d)
-                 for d in range(1, tree.depth[v] + 1))
+                 for d in range(1, node_depth(tree, index, v) + 1))
 
 
 # ------------------------------------------------ LCP-interval references
@@ -183,26 +195,32 @@ def lcp_intervals(psa, plcp):
 
 def kept_intervals(parent, threshold):
     """The part of an interval tree that the tray keeps, as {(lo, hi,
-    depth): (parent, [children in rank order])}: the root and every child
-    of a heavy node (at least ``threshold`` leaves) that holds more than
-    one rank; only those heavy nodes list their children. Every heavy node
-    but the root is the child of a larger one, so for n > 1 these are the
-    heavy nodes and their children."""
-    def lists(v):
-        return v[0] < v[1] and v[1] - v[0] + 1 >= threshold
+    depth): (parent, [children in rank order])}: the root, and below each
+    heavy node (at least ``threshold`` leaves, more than one rank) all its
+    children when two or more are heavy, else its one heavy child, if
+    any. For n > 1 these are the heavy intervals, the children of the
+    branching ones and the heavy child of each other one."""
+    def heavy(v):
+        return v[1] - v[0] + 1 >= threshold
 
-    kids = {}
+    below = {}
     for v, up in sorted(parent.items()):
-        if up is not None and lists(up):
-            kids.setdefault(up, []).append(v)
-    return {v: (up, kids.get(v, [])) for v, up in parent.items()
-            if up is None or lists(up)}
+        if up is not None:
+            below.setdefault(up, []).append(v)
+    kids = {}
+    for v, all_kids in below.items():
+        if heavy(v) and v[0] < v[1]:
+            big = [u for u in all_kids if heavy(u)]
+            kids[v] = all_kids if len(big) >= 2 else big
+    listed = {u: v for v, us in kids.items() for u in us}
+    return {v: (listed.get(v), kids.get(v, [])) for v, up in parent.items()
+            if up is None or v in listed}
 
 
-def tree_intervals(tree):
+def tree_intervals(tree, index):
     """A TrayTree in the shape ``kept_intervals`` returns."""
     def node(v):
-        return (tree.lo[v], tree.hi[v], tree.depth[v])
+        return (tree.lo[v], tree.hi[v], node_depth(tree, index, v))
 
     return {node(v): (None if up is None else node(up),
                       [node(u) for u in tree.children(v)])

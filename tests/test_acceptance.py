@@ -20,7 +20,7 @@ from pstray.oracle import (bijection_p_match, encode_pattern, fpos_stream,
                            naive_parray, naive_ppm, naive_spe, p_match,
                            plain_range_search)
 from pstray.suffixes import QueryStats, report
-from pstray.tray import assemble, query
+from pstray.tray import NO_NODE, assemble, query
 
 from conftest import DEMO_PLCP, DEMO_PSA, decode, make_text
 from test_tree import label_map
@@ -137,9 +137,15 @@ def test_criterion_1_golden_vectors(demo_text, demo_index):
     assert pnodes == {"", "0", "00", "0A0", "A0"} and len(pnodes) == 5
     assert branching == {"", "0"} and len(branching) == 2
 
+    # "0A0" does not branch, so the tray keeps none of its light children
+    # and the defining relation names no kept node there. Its distance-1
+    # child "0A014" is ranks 6..7, suffixes 3 and 8, found by the search
+    # over the "0A0" block.
     arr = naive_parray(demo_index.tree, demo_text, demo_index.psa_index,
                        labels["0A0"])
-    assert arr[demo_text.tok2id["y"]] == labels["0A014"]
+    assert arr == [NO_NODE] * len(arr) and "0A014" not in labels
+    occ, stats = query(demo_index, "xAyyx")
+    assert occ == [3, 8] and stats.max_range_searched == 3
 
     ppm_text = make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A")
     ppm_index = assemble(ppm_text)

@@ -31,9 +31,10 @@ def construction_texts():
 
 
 def test_build_tree_matches_interval_definition():
-    """The kept tree is exactly the heavy LCP intervals and their children:
-    lo, hi, depth, parent and ordered children, against the enumeration
-    from materialized prev strings. Runs of one parameterized symbol have
+    """The kept tree is exactly the heavy LCP intervals, the children of
+    the branching ones and the heavy child of each other one: lo, hi,
+    depth, parent and ordered children, against the enumeration from
+    materialized prev strings. Runs of one parameterized symbol have
     threshold 1 (every node is kept), "A" * 50 has pi = 0, and the texts
     of one and two symbols hold two and three suffixes."""
     texts = construction_texts()
@@ -43,7 +44,7 @@ def test_build_tree_matches_interval_definition():
         idx = build_psa(t)
         tree = build_tree(idx, t)
         validate_tree(tree, idx, t)
-        got = tree_intervals(tree)
+        got = tree_intervals(tree, idx)
         assert len(got) == tree.size
         full = naive_intervals(t)
         assert lcp_intervals(idx.starts, idx.lcps) == full
@@ -60,16 +61,17 @@ def test_build_tree_of_one_suffix():
     idx = build_psa(t)
     tree = build_tree(idx, t)
     validate_tree(tree, idx, t)
-    assert tree_intervals(tree) == kept_intervals(naive_intervals(t), 1) \
+    assert tree_intervals(tree, idx) == kept_intervals(naive_intervals(t), 1) \
         == {(1, 1, 0): (None, [])}
 
 
 def test_build_tree_on_long_rising_and_falling_lcps():
     """``x^k y`` has LCPs 1, 2, ..., k-1, 1, 0 and its mirror ``y x^k``
     has 1, k-1, ..., 1, 0: one pointer-jumping round per rank would be
-    Theta(k) rounds. With threshold 2 every internal node is heavy, so
-    the kept tree is the whole tree; it is checked against the stack pass
-    over the LCP array."""
+    Theta(k) rounds. With threshold 2 every internal node is heavy and
+    none has two heavy children, so the kept tree is the internal nodes,
+    each listing its one internal child; it is checked against the stack
+    pass over the LCP array."""
     k = 30_000
     for raw in ("x" * k + "y", "y" + "x" * k):
         t = make_text(raw, pi="xy")
@@ -77,8 +79,8 @@ def test_build_tree_on_long_rising_and_falling_lcps():
         tree = build_tree(idx, t)
         validate_tree(tree, idx, t)
         full = lcp_intervals(idx.starts, idx.lcps)
-        assert tree_intervals(tree) == kept_intervals(full, 2)
-        assert tree.size == len(full)
+        assert tree_intervals(tree, idx) == kept_intervals(full, 2)
+        assert tree.size == len(tree.depth) == k
 
 
 def test_nearest_smaller_matches_a_scan():

@@ -311,7 +311,7 @@ def test_star_import_of_the_package_runs():
 # per-node or per-symbol Python loop.
 ARRAY_PASSES = {
     "tree.py": {"build_tree": []},
-    "tray.py": {"_classify": [], "_first_after": [], "_canonical_ids": [],
+    "tray.py": {"_shape_flags": [], "_first_after": [], "_canonical_ids": [],
                 "annotate": [], "_ranges": []},
 }
 

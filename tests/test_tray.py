@@ -74,6 +74,20 @@ def test_threshold_one_makes_every_node_a_pnode():
         assert tuple(stats.as_dict().values()) == counters, pat
 
 
+def test_every_kept_node_is_reachable(demo_index):
+    """Every node but the root is some node's heavy child or a cell of a
+    dispatch row, so a query can reach it: the tray keeps no other node."""
+    rng = random.Random(2468)
+    indexes = [demo_index,
+               assemble(make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A"))]
+    indexes += [assemble(random_text(rng, max_n=300)) for _ in range(40)]
+    for index in indexes:
+        ann = index.ann
+        reached = set(ann.heavy_child).union(
+            *(row[1:] for row in ann.parray.values()))
+        assert reached - {NO_NODE} == set(range(1, index.tree.size))
+
+
 # ------------------------------------------------------------ p-arrays
 
 def test_demo_parray_at_branching_node(demo_text, demo_index):
@@ -110,16 +124,18 @@ def test_demo_parrays_match_oracle(demo_text, demo_index):
 
 
 def test_nonbranching_relation_testable_via_oracle(demo_text, demo_index):
-    # "0A0" holds no dispatch array, but the defining relation still names
-    # its distance-1 child through the second canonical symbol (y).
+    # "0A0" does not branch, so it keeps neither its distance-1 child
+    # "0A014" (ranks 6..7) nor its rank-8 leaf: the defining relation names
+    # no kept node there, and a query below "0A0" searches its ranks 6..8.
     t = demo_text
     tree, idx = demo_index.tree, demo_index.psa_index
-    labels = labelled(demo_index, demo_text)
-    arr = naive_parray(tree, t, idx, labels["0A0"])
-    assert arr[t.tok2id["y"]] == labels["0A014"]
-    assert arr[t.tok2id["x"]] == NO_NODE  # prev(xAxx)=0A02 extends no child
-    leaf = arr[t.tok2id["A"]]  # prev(xAyA)=0A0A prefixes only the rank-8 leaf
-    assert is_leaf(tree, leaf) and tree.lo[leaf] == 8
+    v = labelled(demo_index, demo_text)["0A0"]
+    assert tree.children(v) == []
+    assert naive_parray(tree, t, idx, v) == [NO_NODE] * (t.sigma + t.pi + 1)
+    for pat in ("xAyy", "xAyA"):  # prev 0A01 and 0A0A
+        occ, stats = query(demo_index, pat)
+        assert occ == sorted(naive_ppm(t, encode_pattern(t, pat)))
+        assert stats.max_range_searched == 3
 
 
 def test_parray_pipeline_vs_oracle_randomized():
