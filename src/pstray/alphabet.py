@@ -18,6 +18,7 @@ and any input or alphabet declaration containing it is rejected.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,10 +67,10 @@ class AlphabetSpec:
                 raise InputError(f"alphabets not disjoint: {sorted(overlap)}")
 
     def tokenize(self, raw: str | Sequence[str]) -> list[str]:
-        if not isinstance(raw, str):
-            return list(raw)
-        if self.mode == TOKEN_MODE:
-            return raw.split()
+        if isinstance(raw, str):  # first: the ABC checks cost 0.4 us
+            return raw.split() if self.mode == TOKEN_MODE else list(raw)
+        if isinstance(raw, (Set, Mapping)):  # no order to read tokens in
+            raise TypeError(f"{type(raw).__name__} is unordered")
         return list(raw)
 
     def is_parameterized(self, token: str) -> bool:
@@ -188,9 +189,9 @@ def ingest(raw: str | Sequence[str], spec: AlphabetSpec) -> PText:
     """Classify and remap raw input, append the end marker, return a PText.
 
     Raises InputError for empty input, a sentinel collision and input that
-    is neither a string nor an iterable of string tokens, and
-    ClassificationError for a token outside both alphabets when the static
-    set is explicit.
+    is neither a string nor an ordered iterable of string tokens (a set or
+    mapping is refused), and ClassificationError for a token outside both
+    alphabets when the static set is explicit.
     """
     try:
         tokens = spec.tokenize(raw)

@@ -10,6 +10,7 @@ line on stdout); everything diagnostic goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import random
 import sys
@@ -147,13 +148,9 @@ def cmd_bench(args) -> int:
         })
     fields = ["pattern_id", "m", "occ", "comparisons_tray", "comparisons_psa",
               "max_range", "micros_tray", "micros_psa"]
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
+    with (open(args.csv, "w", newline="", encoding="utf-8") if args.csv
+          else contextlib.nullcontext(sys.stdout)) as out:
+        writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
     return 0
@@ -246,10 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PstrayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PstrayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,8 +145,8 @@ def save(index: PSTrayIndex, path: str | Path) -> None:
 
 def load(path: str | Path) -> PSTrayIndex:
     """Read and checksum an index file, derive its token ids by the rule
-    ``ingest`` uses, check its suffix and LCP arrays in O(n), and rebuild
-    the tree and annotations from them."""
+    ``ingest`` uses, check the suffix index (which holds the text) in O(n),
+    and rebuild the tree and annotations from it with ``build_tray``."""
     data = memoryview(Path(path).read_bytes())
     if len(data) < len(MAGIC) + 32:
         raise ChecksumError("file too short")
@@ -202,13 +202,13 @@ def load(path: str | Path) -> PSTrayIndex:
         raise FormatError(f"text symbols outside 1..{pi + sigma}")
     text = PText(symbol_array=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
                  spec=spec)
-    psa_index = PsaIndex(psa=psa, plcp=plcp, codes=text.prev_codes)
+    psa_index = PsaIndex(text=text, psa=psa, plcp=plcp)
     # Resolved per call, so a wrapper installed on suffixes.validate_psa
     # (such as a tracing span) sees it.
     from .suffixes import validate_psa
 
     try:
-        validate_psa(psa_index, text, full=False)
-        return build_tray(psa_index, text)
+        validate_psa(psa_index, full=False)
+        return build_tray(psa_index)
     except (ValidationError, ConstructionError) as exc:
         raise FormatError(f"loaded index fails validation: {exc}") from exc

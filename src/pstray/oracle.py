@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .alphabet import PText, pattern_codes
 from .encoding import STATIC_BASE, prev, spe
-from .errors import CapacityError, QueryError
+from .errors import CapacityError, QueryError, ValidationError
 from .suffixes import PsaIndex, QueryStats, compare_suffix
 from .tray import NO_NODE
 from .tree import TrayTree
@@ -216,31 +216,37 @@ def naive_psa(text: PText) -> tuple[list[int], list[int]]:
     return order, plcp
 
 
-def naive_parray(tree: TrayTree, text: PText, index, node: int) -> list[int]:
+def naive_parray(tree: TrayTree, index: PsaIndex, node: int) -> list[int]:
     """Dispatch array of ``node`` straight from the definition.
 
-    For each canonical symbol x, materialize the prev encoding of the
-    node's canonical window extended by x and find the child whose label
-    has it as a prefix (children compared through fully materialized leaf
-    suffixes). Entry 0 is unused; missing children are -1.
+    The children come from the node's block, not from the tree: its
+    suffixes' prev encodings, materialized to depth + 1, split it into one
+    run of ranks per child, named by the kept node with exactly that
+    block. Each canonical symbol x selects the child whose prefix is the
+    node's canonical window extended by x. Entry 0 is unused; a symbol
+    that selects no child, or a light child of a node with fewer than two
+    heavy ones (which the tray does not keep), gives -1. Raises
+    ValidationError for a child the tray keeps but no kept node holds.
     """
-    depth = tree.depth[node]
-    start = index.starts[tree.lo[node] - 1]
+    text, depth = index.text, tree.depth[node]
+    pi, threshold = text.pi, max(text.sigma, text.pi)
     symbols = text.symbol_array.tolist()
-    window = symbols[start - 1:start - 1 + depth]
-    canon = spe(window, text.pi)
-    kids = tree.children(node)
-    kid_prefixes = []
-    for u in kids:
-        leaf_start = index.starts[tree.lo[u] - 1]
-        enc = prev(symbols[leaf_start - 1:], text.pi)
-        kid_prefixes.append((u, enc[:depth + 1]))
-    width = text.sigma + text.pi
-    out = [NO_NODE] * (width + 1)
-    for x in range(1, width + 1):
-        target = prev(canon + [x], text.pi)
-        for u, pref in kid_prefixes:
-            if pref == target:
-                out[x] = u
-                break
-    return out
+    runs: dict[tuple[int, ...], tuple[int, int]] = {}  # prefix -> ranks
+    for r in range(tree.lo[node], tree.hi[node] + 1):
+        i = index.starts[r - 1] - 1
+        key = tuple(prev(symbols[i:i + depth + 1], pi))
+        if len(key) > depth:  # not a leaf's own suffix
+            runs[key] = (runs.get(key, (r,))[0], r)
+    heavy = sum(hi - lo + 1 >= threshold for lo, hi in runs.values())
+    kept = {block: u for u, block in enumerate(zip(tree.lo, tree.hi))}
+    named = {}
+    for key, (lo, hi) in runs.items():
+        if heavy >= 2 or hi - lo + 1 >= threshold:
+            if (lo, hi) not in kept:
+                raise ValidationError(f"no kept node holds child ranks "
+                                      f"{lo}..{hi} of node {node}")
+            named[key] = kept[lo, hi]
+    i = index.starts[tree.lo[node] - 1] - 1
+    canon = spe(symbols[i:i + depth], pi)
+    return [NO_NODE] + [named.get(tuple(prev(canon + [x], pi)), NO_NODE)
+                        for x in range(1, text.sigma + pi + 1)]

@@ -16,9 +16,9 @@ few rounds instead of max LCP / k. What still costs about max LCP / k
 rounds and O(n + sum of LCPs) element work is a text whose suffixes all
 keep a late correction, such as ``y x^n y``.
 
-The index holds only O(n) words: the suffix array, the LCP array, plain
-list copies of both and the text's prev-code list. The search loops read
-the lists, never a numpy scalar. There is one search path, an
+The index holds its text and O(n) words: the suffix array, the LCP array
+and plain list copies of both. The search loops read those lists and the
+text's prev-code list, never a numpy scalar. There is one search path, an
 LCP-accelerated binary search (Manber & Myers). The LCP of two ranks is a
 min over the LCP slice between them, which is cheap because the tray only
 hands it ranges shorter than ``(sigma + pi + 1) * max(sigma, pi)``.
@@ -63,20 +63,21 @@ class QueryStats:
 
 @dataclass(eq=False)
 class PsaIndex:
-    """Parameterized suffix array plus adjacent-LCP array, in O(n) words.
+    """A PText, ``text``, with its parameterized suffix array and
+    adjacent-LCP array in O(n) words: the one object later stages take.
 
     ``psa`` holds 1-based suffix start positions in encoded-suffix order;
     ``plcp[r]`` (0-based r) is the longest common prefix of ranks r and r-1
-    (0 at r=0). ``codes`` (the text's own ``prev_codes``), ``starts`` and
-    ``lcps`` (copies of ``psa`` and ``plcp``) are plain lists for fast
-    scalar access and slicing in the search loops: the suffix of 1-based
-    rank ``r`` starts at ``starts[r - 1]``. ``starts`` is the index's one
+    (0 at r=0). ``starts`` and ``lcps`` (copies of ``psa`` and ``plcp``)
+    and the text's ``prev_codes`` are plain lists for fast scalar access
+    and slicing in the search loops: the suffix of 1-based rank ``r``
+    starts at ``starts[r - 1]``. ``starts`` is the index's one
     rank-to-start list; the tree reaches its nodes' suffixes through it.
     """
 
+    text: PText = field(repr=False)
     psa: np.ndarray
     plcp: np.ndarray
-    codes: list[int]
     starts: list[int] = field(init=False, repr=False)
     lcps: list[int] = field(init=False, repr=False)
 
@@ -86,7 +87,7 @@ class PsaIndex:
 
     @property
     def n(self) -> int:
-        return len(self.psa)
+        return self.text.n
 
 
 def _last_corrections(code: np.ndarray) -> np.ndarray:
@@ -281,7 +282,7 @@ def build_psa(text: PText) -> PsaIndex:
             inner = ~head[1:-1]
         d += k
 
-    return PsaIndex(psa=psa, plcp=plcp, codes=text.prev_codes)
+    return PsaIndex(text=text, psa=psa, plcp=plcp)
 
 
 def compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
@@ -300,8 +301,8 @@ def compare_suffix(index: PsaIndex, j: int, pattern_prev: list[int],
     one loop comparing suffix symbols with a pattern: the tree descent and
     the binary searches both call it.
     """
-    codes = index.codes
-    slen = index.n - j + 1
+    codes = index.text.prev_codes
+    slen = len(codes) - j + 1
     if stop is None:
         stop = len(pattern_prev)
     t = start
@@ -437,9 +438,10 @@ def _window_symbols(codes: np.ndarray, starts: np.ndarray, d) -> np.ndarray:
     return sym
 
 
-def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
-    """Check the permutation, sortedness and LCP invariants; raise
-    ValidationError naming the lowest failing rank of the first failed check.
+def validate_psa(index: PsaIndex, full: bool = True) -> None:
+    """Check the permutation, sortedness and LCP invariants against the
+    index's text; raise ValidationError naming the lowest failing rank of
+    the first failed check.
 
     The O(n) part checks that psa is a permutation of 1..n, that every
     plcp is at least 0 and below both suffix lengths, and that each
@@ -449,7 +451,7 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
     it, so max LCP rounds and O(n + sum of LCPs) element work.
     ``full=False`` keeps only the O(n) part.
     """
-    n = text.n
+    n = index.n
     psa = index.psa
     if len(psa) != n or len(index.plcp) != n:
         raise ValidationError("index arrays do not match text length")
@@ -468,7 +470,7 @@ def validate_psa(index: PsaIndex, text: PText, full: bool = True) -> None:
             r = int(hits[0]) + 1
             raise ValidationError(message.format(r=r, q=r - 1))
 
-    codes = text.code_array
+    codes = index.text.code_array
     # Pair r - 1 holds ranks r - 1 and r; a, b are their 0-based starts and
     # la, lb their lengths.
     a = psa[:-1] - 1

@@ -113,8 +113,7 @@ def _canonical_ids(text: PText, reps: np.ndarray,
     return table
 
 
-def annotate(tree: TrayTree, text: PText,
-             index: PsaIndex) -> TrayAnnotations:
+def annotate(tree: TrayTree, index: PsaIndex) -> TrayAnnotations:
     """The nodes' flags (``_shape_flags``) and the dispatch array of every
     branching node, in one numpy pass over the branching nodes' children.
 
@@ -139,6 +138,7 @@ def annotate(tree: TrayTree, text: PText,
     twice. The rows become the dispatch lists. Errors name the lowest
     offending node.
     """
+    text = index.text
     width = text.sigma + text.pi + 1
     pi = text.pi
     is_pnode, is_branching, heavy_child = _shape_flags(
@@ -193,40 +193,43 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class PSTrayIndex:
-    """The assembled index: text, sorted suffixes, tree and annotations.
+    """The assembled index: the sorted suffixes, which hold the text
+    (``text`` reads it), the tree and its annotations.
 
     ``query(pattern)`` is ``tray.query(self, pattern)``: a pattern is a
     string or a sequence of string tokens.
     """
 
-    text: PText
     psa_index: PsaIndex
     tree: TrayTree
     ann: TrayAnnotations
+
+    @property
+    def text(self) -> PText:
+        return self.psa_index.text
 
     def query(self, pattern) -> tuple[list[int], QueryStats]:
         return query(self, pattern)
 
     def validate(self) -> None:
-        validate_psa(self.psa_index, self.text, full=True)
-        validate_tree(self.tree, self.psa_index, self.text)
-        validate_annotations(self.tree, self.ann, self.text, self.psa_index)
+        validate_psa(self.psa_index, full=True)
+        validate_tree(self.tree, self.psa_index)
+        validate_annotations(self.tree, self.ann, self.psa_index)
 
 
-def build_tray(psa_index: PsaIndex, text: PText) -> PSTrayIndex:
+def build_tray(index: PsaIndex) -> PSTrayIndex:
     """Everything after the suffix sort: ``build_tree``, then ``annotate``.
 
-    The one construction path for the tree and its annotations: both
-    ``assemble`` and ``index_io.load`` call it.
+    The one construction path for the tree and its annotations, from the
+    suffix index alone: both ``assemble`` and ``index_io.load`` call it.
     """
-    tree = build_tree(psa_index, text)
-    return PSTrayIndex(text=text, psa_index=psa_index, tree=tree,
-                       ann=annotate(tree, text, psa_index))
+    tree = build_tree(index)
+    return PSTrayIndex(psa_index=index, tree=tree, ann=annotate(tree, index))
 
 
 def assemble(text: PText) -> PSTrayIndex:
     """Sort the suffixes, then build the tree and its annotations."""
-    return build_tray(build_psa(text), text)
+    return build_tray(build_psa(text))
 
 
 def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
@@ -250,15 +253,15 @@ def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
     ascending.
     """
     stats = QueryStats()
-    codes = pattern_codes(idx.text, pattern)
+    index = idx.psa_index
+    codes = pattern_codes(index.text, pattern)
     if codes is None:
         return [], stats
     pattern_prev, pattern_canon = codes
     m = len(pattern_prev)
     tree = idx.tree
     ann = idx.ann
-    index = idx.psa_index
-    pi = idx.text.pi
+    pi = index.text.pi
     depth, lo, hi = tree.depth, tree.lo, tree.hi
     starts = index.starts
     rng = None
@@ -314,7 +317,7 @@ def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
     return occ, stats
 
 
-def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
+def validate_annotations(tree: TrayTree, ann: TrayAnnotations,
                          index: PsaIndex) -> None:
     """Check classification flags, the counting bounds on branching nodes
     and dispatch cells, and that every dispatch array agrees with its node.
@@ -330,6 +333,7 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     every canonical id the window leaves unused), every child appears and
     every other cell is empty.
     """
+    text = index.text
     threshold = max(text.sigma, text.pi)
     n, size = text.n, tree.size
     if not (len(ann.is_pnode) == len(ann.is_branching)
@@ -356,40 +360,32 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations, text: PText,
     reps = index.psa[tree.lo_array[nodes] - 1]
     first = _first_after(text, reps - 1)
     farr = np.where(first < n, first - reps[:, None] + 2, 0)
-    kids, cuts = tree.child_ids.tolist(), tree.child_cuts.tolist()
+    width = text.sigma + text.pi + 1
     for v, rep, row in zip(nodes.tolist(), reps.tolist(), farr.tolist()):
-        _check_dispatch(tree, ann, text, index, v, kids[cuts[v]:cuts[v + 1]],
-                        rep, row)
-
-
-def _check_dispatch(tree: TrayTree, ann: TrayAnnotations, text: PText,
-                    index: PsaIndex, v: int, kids: list[int], rep: int,
-                    farr: list[int]) -> None:
-    """Dispatch agreement at branching node ``v`` with children ``kids``,
-    whose leftmost leaf is the suffix at ``rep`` with f-array ``farr``."""
-    arr = ann.parray[v]
-    if len(arr) != text.sigma + text.pi + 1:
-        raise ValidationError(f"p-array mis-sized at {v}")
-    depth = tree.depth[v]
-    canon = pfunction_from_fpos(depth, farr)
-    want = [NO_NODE] * len(arr)
-    for u in kids:
-        sym = prev_char_in_window(index.codes, index.starts[tree.lo[u] - 1],
-                                  depth + 1)
-        if sym >= STATIC_BASE:
-            ranks = [sym - STATIC_BASE]
-        elif sym > 0:
-            ranks = [canon.get(text.symbol_array[rep + depth - sym - 1])]
-        else:
-            ranks = list(range(len(canon) + 1, text.pi + 1))
-        if not ranks or None in ranks:
-            raise ValidationError(f"child {u} of {v} has no dispatch rank")
-        for k in ranks:
-            if want[k] != NO_NODE:
-                raise ValidationError(f"children of {v} share rank {k}")
-            want[k] = u
-    for k in range(1, len(arr)):
-        if arr[k] != want[k]:
-            raise ValidationError(
-                f"p-array at {v}, rank {k} holds {arr[k]}, its rank selects "
-                f"{want[k]}")
+        arr = ann.parray[v]
+        if len(arr) != width:
+            raise ValidationError(f"p-array mis-sized at {v}")
+        depth = tree.depth[v]
+        canon = pfunction_from_fpos(depth, row)
+        want = [NO_NODE] * width
+        for u in tree.children(v):
+            start = index.starts[tree.lo[u] - 1]
+            sym = prev_char_in_window(text.prev_codes, start, depth + 1)
+            if sym >= STATIC_BASE:
+                ranks = [sym - STATIC_BASE]
+            elif sym > 0:
+                ranks = [canon.get(text.symbol_array[rep + depth - sym - 1])]
+            else:
+                ranks = list(range(len(canon) + 1, text.pi + 1))
+            if not ranks or None in ranks:
+                raise ValidationError(
+                    f"child {u} of {v} has no dispatch rank")
+            for k in ranks:
+                if want[k] != NO_NODE:
+                    raise ValidationError(f"children of {v} share rank {k}")
+                want[k] = u
+        for k in range(1, width):
+            if arr[k] != want[k]:
+                raise ValidationError(
+                    f"p-array at {v}, rank {k} holds {arr[k]}, its rank "
+                    f"selects {want[k]}")

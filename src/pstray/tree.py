@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import PText
 from .errors import QueryError, ValidationError
 from .suffixes import PsaIndex, _window_symbols
 
@@ -119,7 +118,7 @@ def _boundary_lcps(index: PsaIndex) -> np.ndarray:
     return h
 
 
-def build_tree(index: PsaIndex, text: PText) -> TrayTree:
+def build_tree(index: PsaIndex) -> TrayTree:
     """The heavy LCP intervals (at least ``max(sigma, pi)`` leaves) and the
     children a query can reach, in a few numpy passes over the LCP array.
 
@@ -133,7 +132,7 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
     heavy, else its heavy one. A tree of a light root, or of one rank, is
     the root alone.
     """
-    n = text.n
+    n, text = index.n, index.text
     threshold = max(text.sigma, text.pi)
     h = _boundary_lcps(index)
     left = _nearest_smaller(h)[1:n]
@@ -192,7 +191,7 @@ def build_tree(index: PsaIndex, text: PText) -> TrayTree:
         child_ids=kid[keep], child_cuts=cuts)
 
 
-def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
+def validate_tree(tree: TrayTree, index: PsaIndex) -> None:
     """Check in O(n), against the suffix and LCP arrays, that the tree
     holds exactly the heavy LCP intervals and the children a query can
     reach: by induction each node is an exact LCP interval.
@@ -210,7 +209,7 @@ def validate_tree(tree: TrayTree, index: PsaIndex, text: PText) -> None:
         if np.count_nonzero(bad):
             raise ValidationError(message)
 
-    n, size = text.n, tree.size
+    n, size, text = index.n, tree.size, index.text
     threshold = max(text.sigma, text.pi)
     depth, lo, hi = tree.depth_array, tree.lo_array, tree.hi_array
     cuts, listed = tree.child_cuts, tree.child_ids

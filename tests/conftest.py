@@ -122,15 +122,15 @@ def edge_symbol(tree, index, v, offset):
     """Symbol ``offset`` (1-based) of the edge entering node v, read
     through its leftmost suffix."""
     above = tree.depth[parents(tree)[v]]
-    return prev_char_in_window(index.codes, index.starts[tree.lo[v] - 1],
-                               above + offset)
+    return prev_char_in_window(index.text.prev_codes,
+                               index.starts[tree.lo[v] - 1], above + offset)
 
 
 def node_label(tree, index, v):
     """Full root-to-node label of node v as encoded symbol codes, read
     through its leftmost suffix."""
     start = index.starts[tree.lo[v] - 1]
-    return tuple(prev_char_in_window(index.codes, start, d)
+    return tuple(prev_char_in_window(index.text.prev_codes, start, d)
                  for d in range(1, node_depth(tree, index, v) + 1))
 
 

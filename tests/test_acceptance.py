@@ -141,8 +141,7 @@ def test_criterion_1_golden_vectors(demo_text, demo_index):
     # and the defining relation names no kept node there. Its distance-1
     # child "0A014" is ranks 6..7, suffixes 3 and 8, found by the search
     # over the "0A0" block.
-    arr = naive_parray(demo_index.tree, demo_text, demo_index.psa_index,
-                       labels["0A0"])
+    arr = naive_parray(demo_index.tree, demo_index.psa_index, labels["0A0"])
     assert arr == [NO_NODE] * len(arr) and "0A014" not in labels
     occ, stats = query(demo_index, "xAyyx")
     assert occ == [3, 8] and stats.max_range_searched == 3
@@ -192,7 +191,7 @@ def test_criterion_4_parray_pipeline_vs_oracle():
         index = assemble(text)
         for v in range(index.tree.size):
             if index.ann.is_branching[v]:
-                expect = naive_parray(index.tree, text, index.psa_index, v)
+                expect = naive_parray(index.tree, index.psa_index, v)
                 assert index.ann.parray[v] == expect, \
                     (decode(text, range(1, text.n)), v)
                 checked += 1

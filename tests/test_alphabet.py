@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from pstray.alphabet import AlphabetSpec, parse_alphabet_spec, pattern_codes
+from pstray.alphabet import (AlphabetSpec, ingest, parse_alphabet_spec,
+                             pattern_codes)
 from pstray.encoding import prev, spe
 from pstray.errors import ClassificationError, InputError, QueryError
 from pstray.oracle import encode_pattern
+from pstray.tray import assemble
 
 from conftest import decode, make_text
 
@@ -226,3 +228,24 @@ def test_pattern_codes_rejects_empty_and_malformed():
     for raw in (5, None, [["x"]], ["x", ["y"]], ["x", 1.5]):
         with pytest.raises(QueryError):
             pattern_codes(t, raw)
+
+
+def test_unordered_token_collections_are_refused():
+    """A set or a mapping has no token order (a set's iterates by hash),
+    so neither a text nor a pattern may be one; any ordered iterable of
+    tokens is read in its own order."""
+    spec = AlphabetSpec(pi_members=frozenset("xyz"),
+                        sigma_members=frozenset("A"))
+    index = assemble(ingest("xyzAxxxAyyzAzx", spec))
+    for raw in ({"x", "A", "y"}, frozenset("xAy"), {"x": 1, "A": 2},
+                {"x": 1, "A": 2}.keys()):
+        with pytest.raises(InputError, match="sequence"):
+            ingest(raw, spec)
+        with pytest.raises(QueryError, match="sequence"):
+            index.query(raw)
+    for raw in (list("yAzz"), tuple("yAzz"), (c for c in "yAzz"),
+                np.array(list("yAzz"))):
+        assert index.query(raw)[0] == [3, 7]
+    for raw in (list("xAy"), tuple("xAy"), (c for c in "xAy"),
+                np.array(list("xAy"))):
+        assert decode(ingest(raw, spec), range(1, 4)) == "xAy"

@@ -42,8 +42,8 @@ def test_build_tree_matches_interval_definition():
     texts += [make_text("AB", pi="", sigma="AB")]
     for t in texts:
         idx = build_psa(t)
-        tree = build_tree(idx, t)
-        validate_tree(tree, idx, t)
+        tree = build_tree(idx)
+        validate_tree(tree, idx)
         got = tree_intervals(tree, idx)
         assert len(got) == tree.size
         full = naive_intervals(t)
@@ -59,8 +59,8 @@ def test_build_tree_of_one_suffix():
     t = PText(symbol_array=np.array([1], dtype=np.int64), pi=0, sigma=1,
               tok2id={}, spec=AlphabetSpec(pi_members=frozenset()))
     idx = build_psa(t)
-    tree = build_tree(idx, t)
-    validate_tree(tree, idx, t)
+    tree = build_tree(idx)
+    validate_tree(tree, idx)
     assert tree_intervals(tree, idx) == kept_intervals(naive_intervals(t), 1) \
         == {(1, 1, 0): (None, [])}
 
@@ -76,8 +76,8 @@ def test_build_tree_on_long_rising_and_falling_lcps():
     for raw in ("x" * k + "y", "y" + "x" * k):
         t = make_text(raw, pi="xy")
         idx = build_psa(t)
-        tree = build_tree(idx, t)
-        validate_tree(tree, idx, t)
+        tree = build_tree(idx)
+        validate_tree(tree, idx)
         full = lcp_intervals(idx.starts, idx.lcps)
         assert tree_intervals(tree, idx) == kept_intervals(full, 2)
         assert tree.size == len(tree.depth) == k
@@ -105,7 +105,7 @@ def test_annotations_match_definitions():
     for t in construction_texts():
         index = assemble(t)
         tree, ann, idx = index.tree, index.ann, index.psa_index
-        validate_annotations(tree, ann, t, idx)
+        validate_annotations(tree, ann, idx)
         # Only branching nodes dispatch, so only they get a row of canonical
         # ids: the renaming of the window at their leftmost leaf.
         branching = [v for v in range(tree.size) if ann.is_branching[v]]

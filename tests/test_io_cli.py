@@ -373,9 +373,8 @@ def test_forgery_caught_by_the_rebuild_is_a_format_error(tmp_path):
         plcp = index.psa_index.plcp.copy()
         assert plcp[word] < value
         plcp[word] = value
-        validate_psa(PsaIndex(psa=index.psa_index.psa, plcp=plcp,
-                              codes=index.psa_index.codes), index.text,
-                     full=False)
+        validate_psa(PsaIndex(text=index.text, psa=index.psa_index.psa,
+                              plcp=plcp), full=False)
         path = forge_words(tmp_path, index, "plcp",
                            lambda words: words.__setitem__(word, value))
         with pytest.raises(FormatError, match=message) as caught:

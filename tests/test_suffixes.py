@@ -16,11 +16,11 @@ from conftest import (DEMO_PLCP, DEMO_PSA, make_text, naive_intervals,
                       random_pattern, random_text, sym_codes)
 
 
-def test_demo_psa_plcp(demo_text, demo_index):
+def test_demo_psa_plcp(demo_index):
     idx = demo_index.psa_index
     assert idx.psa.tolist() == DEMO_PSA
     assert idx.plcp.tolist() == DEMO_PLCP
-    validate_psa(idx, demo_text)
+    validate_psa(idx)
 
 
 def test_static_only_text():
@@ -58,7 +58,7 @@ def check_against_oracle(t):
     o_psa, o_plcp = naive_psa(t)
     assert idx.psa.tolist() == o_psa
     assert idx.plcp.tolist() == o_plcp
-    validate_psa(idx, t, full=True)
+    validate_psa(idx, full=True)
     return idx
 
 
@@ -236,7 +236,7 @@ def test_build_long_repeats_without_oracle():
     assert idx.plcp[0] == 0
     assert (idx.plcp[1:] == n - 1 - np.arange(1, n)).all()
     t = make_text(("xyA" * 10_000)[:29_999], pi="xy")
-    validate_psa(build_psa(t), t, full=False)
+    validate_psa(build_psa(t), full=False)
 
 
 def golden_texts():
@@ -276,7 +276,7 @@ GOLDEN_DIGESTS = {
 def test_build_matches_golden_digests():
     for name, t in golden_texts().items():
         idx = build_psa(t)
-        validate_psa(idx, t, full=False)
+        validate_psa(idx, full=False)
         assert psa_digest(idx) == GOLDEN_DIGESTS[name], name
 
 
@@ -433,6 +433,8 @@ def test_psa_index_is_linear_space():
     array_bytes, lists, todo = 0, [], [idx]
     while todo:
         obj = todo.pop()
+        if obj is t:  # the input the index holds, not space it adds
+            continue
         if isinstance(obj, np.ndarray):
             array_bytes += obj.nbytes
         elif isinstance(obj, (list, tuple)):
@@ -444,7 +446,7 @@ def test_psa_index_is_linear_space():
     assert lists and max(lists) <= t.n
 
 
-def test_validator_catches_corruption(demo_text, demo_index):
+def test_validator_catches_corruption(demo_index):
     import copy
 
     def swap(idx, r):
@@ -469,24 +471,24 @@ def test_validator_catches_corruption(demo_text, demo_index):
         idx = copy.deepcopy(demo_index.psa_index)
         corrupt(idx)
         with pytest.raises(ValidationError):
-            validate_psa(idx, demo_text)
+            validate_psa(idx)
     t = make_text("xxyAyx", pi="xy")
     idx = build_psa(t)
     idx.plcp[3] += 1
     with pytest.raises(ValidationError, match="overstates"):
-        validate_psa(idx, t)
+        validate_psa(idx)
 
-    # Codes without a unique end marker let a suffix be a prefix of its
-    # successor, or a shorter suffix sort after a longer one it prefixes.
+    # An LCP as long as a suffix makes it a prefix of its successor, as
+    # codes without a unique end marker could, or sorts a shorter suffix
+    # after a longer one it prefixes.
     t = make_text("A", pi="", sigma="A")
-    same = [STATIC_BASE, STATIC_BASE]
     for psa, message in (([2, 1], "prefix"), ([1, 2], "exhaustion")):
-        idx = PsaIndex(psa=np.array(psa), plcp=np.array([0, 1]), codes=same)
+        idx = PsaIndex(text=t, psa=np.array(psa), plcp=np.array([0, 1]))
         with pytest.raises(ValidationError, match=message):
-            validate_psa(idx, t)
+            validate_psa(idx)
 
 
-def test_linear_check_catches_order_faults(demo_text, demo_index):
+def test_linear_check_catches_order_faults(demo_index):
     import copy
 
     def corrupt(change):
@@ -504,10 +506,10 @@ def test_linear_check_catches_order_faults(demo_text, demo_index):
     for change in (swap(0), swap(5), set_plcp(6, 4), set_plcp(6, 0),
                    set_plcp(6, 40), set_plcp(7, -1)):
         with pytest.raises(ValidationError):
-            validate_psa(corrupt(change), demo_text, full=False)
+            validate_psa(corrupt(change), full=False)
     # An overstated LCP keeps the pair in order one symbol past it; only
     # the full check's prefix rounds see it.
     overstated = corrupt(set_plcp(1, 5))
-    validate_psa(overstated, demo_text, full=False)
+    validate_psa(overstated, full=False)
     with pytest.raises(ValidationError, match="overstates"):
-        validate_psa(overstated, demo_text, full=True)
+        validate_psa(overstated, full=True)

@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from pstray import index_io
 from pstray.encoding import spe
 from pstray.errors import QueryError
 from pstray.oracle import encode_pattern, naive_parray, naive_ppm
 from pstray.suffixes import build_psa
-from pstray.tray import (NO_NODE, _canonical_ids, annotate, assemble, query,
-                         validate_annotations)
+from pstray.tray import (NO_NODE, _canonical_ids, annotate, assemble,
+                         build_tray, query, validate_annotations)
 from pstray.tree import build_tree
 
 from conftest import (decode, edge_symbol, is_leaf, leaf_count, make_text,
@@ -45,8 +46,8 @@ def test_demo_heavy_children(demo_text, demo_index):
 def test_small_text_only_root_can_be_pnode():
     t = make_text("xA", pi="x")
     idx = build_psa(t)
-    tree = build_tree(idx, t)
-    ann = annotate(tree, t, idx)
+    tree = build_tree(idx)
+    ann = annotate(tree, idx)
     assert ann.is_pnode[0]
     assert all(not ann.is_pnode[v] for v in range(1, tree.size)
                if leaf_count(tree, v) < max(t.sigma, t.pi))
@@ -116,11 +117,11 @@ def test_demo_parray_at_root(demo_text, demo_index):
     assert par[t.sentinel] == labels["$"]
 
 
-def test_demo_parrays_match_oracle(demo_text, demo_index):
+def test_demo_parrays_match_oracle(demo_index):
     tree, ann, idx = demo_index.tree, demo_index.ann, demo_index.psa_index
     for v in range(tree.size):
         if ann.is_branching[v]:
-            assert ann.parray[v] == naive_parray(tree, demo_text, idx, v)
+            assert ann.parray[v] == naive_parray(tree, idx, v)
 
 
 def test_nonbranching_relation_testable_via_oracle(demo_text, demo_index):
@@ -131,7 +132,7 @@ def test_nonbranching_relation_testable_via_oracle(demo_text, demo_index):
     tree, idx = demo_index.tree, demo_index.psa_index
     v = labelled(demo_index, demo_text)["0A0"]
     assert tree.children(v) == []
-    assert naive_parray(tree, t, idx, v) == [NO_NODE] * (t.sigma + t.pi + 1)
+    assert naive_parray(tree, idx, v) == [NO_NODE] * (t.sigma + t.pi + 1)
     for pat in ("xAyy", "xAyA"):  # prev 0A01 and 0A0A
         occ, stats = query(demo_index, pat)
         assert occ == sorted(naive_ppm(t, encode_pattern(t, pat)))
@@ -145,7 +146,7 @@ def test_parray_pipeline_vs_oracle_randomized():
         index = assemble(t)
         for v in range(index.tree.size):
             if index.ann.is_branching[v]:
-                expect = naive_parray(index.tree, t, index.psa_index, v)
+                expect = naive_parray(index.tree, index.psa_index, v)
                 assert index.ann.parray[v] == expect
 
 
@@ -194,7 +195,7 @@ def test_parrays_match_oracle_on_wide_and_static_alphabets():
         nodes = [v for v in range(tree.size) if ann.is_branching[v]]
         assert nodes
         for v in nodes:
-            assert ann.parray[v] == naive_parray(tree, t, idx, v)
+            assert ann.parray[v] == naive_parray(tree, idx, v)
         distance_children = [
             u for v in nodes for u in tree.children(v)
             if 0 < edge_symbol(tree, idx, u, 1) <= tree.depth[v]]
@@ -222,12 +223,12 @@ def test_parray_scatter_matches_oracle_on_edge_shapes():
     assert all(t.pi > t.sigma for t in wide_pi + [tokens])
     for t in runs + wide_pi + [tokens] + flat:
         psa_index = build_psa(t)
-        tree = build_tree(psa_index, t)
-        ann = annotate(tree, t, psa_index)
+        tree = build_tree(psa_index)
+        ann = annotate(tree, psa_index)
         nodes = [v for v in range(tree.size) if ann.is_branching[v]]
         assert sorted(ann.parray) == nodes
         for v in nodes:
-            assert ann.parray[v] == naive_parray(tree, t, psa_index, v)
+            assert ann.parray[v] == naive_parray(tree, psa_index, v)
         if t in runs:
             assert nodes == [v for v in range(tree.size)
                              if tree.children(v)]
@@ -377,7 +378,7 @@ def test_structural_bounds_randomized():
         branching = sum(index.ann.is_branching)
         assert branching <= t.n // thr
         assert index.ann.parray_cells() <= 2 * t.n
-        validate_annotations(index.tree, index.ann, t, index.psa_index)
+        validate_annotations(index.tree, index.ann, index.psa_index)
 
 
 def test_validate_annotations_catches_tampering(demo_text, demo_index):
@@ -411,8 +412,7 @@ def test_validate_annotations_catches_tampering(demo_text, demo_index):
         bad = copy.deepcopy(demo_index.ann)
         tamper(bad)
         with pytest.raises(ValidationError, match=message):
-            validate_annotations(demo_index.tree, bad, demo_text,
-                                 demo_index.psa_index)
+            validate_annotations(demo_index.tree, bad, demo_index.psa_index)
 
 
 def test_validate_annotations_catches_forged_dispatch():
@@ -436,17 +436,34 @@ def test_validate_annotations_catches_forged_dispatch():
     forgeries.append(emptied)
     for bad in forgeries:
         with pytest.raises(ValidationError):
-            validate_annotations(tree, bad, t, idx)
-    validate_annotations(tree, index.ann, t, idx)
+            validate_annotations(tree, bad, idx)
+    validate_annotations(tree, index.ann, idx)
 
 
-def test_manual_stage_by_stage_equals_assemble(demo_text):
-    t = demo_text
-    psa_index = build_psa(t)
-    tree = build_tree(psa_index, t)
-    ann = annotate(tree, t, psa_index)
-    auto = assemble(t)
-    for name in ("depth_array", "lo_array", "hi_array", "child_ids",
-                 "child_cuts"):
-        assert np.array_equal(getattr(tree, name), getattr(auto.tree, name))
-    assert vars(ann) == vars(auto.ann)
+def test_manual_stage_by_stage_equals_assemble(demo_text, tmp_path):
+    """Each stage takes the one index that holds the text: ``build_tree``
+    and ``annotate`` on ``build_psa(t)`` give ``assemble(t)``'s tree and
+    annotations, and ``build_tray(build_psa(t))``, saved and loaded,
+    answers as the brute-force matcher does."""
+    rng = random.Random(2525)
+    for t in [demo_text] + [random_text(rng, max_n=150) for _ in range(40)]:
+        psa_index = build_psa(t)
+        tree = build_tree(psa_index)
+        ann = annotate(tree, psa_index)
+        auto = assemble(t)
+        for name in ("depth_array", "lo_array", "hi_array", "child_ids",
+                     "child_cuts"):
+            assert np.array_equal(getattr(tree, name),
+                                  getattr(auto.tree, name))
+        assert vars(ann) == vars(auto.ann)
+        built = build_tray(psa_index)
+        assert built.text is t
+        path = tmp_path / "x.idx"
+        index_io.save(built, path)
+        loaded = index_io.load(path)
+        for _ in range(20):
+            pattern = random_pattern(rng, t)
+            encoded = encode_pattern(t, pattern)
+            expect = sorted(naive_ppm(t, encoded)) if encoded else []
+            assert built.query(pattern)[0] == expect
+            assert loaded.query(pattern)[0] == expect

@@ -56,9 +56,9 @@ def test_two_leaf_text():
     # neither and the tree is the root alone.
     t = make_text("A", pi="", sigma="A")
     idx = build_psa(t)
-    tree = build_tree(idx, t)
+    tree = build_tree(idx)
     assert (tree.size, tree.depth, tree.children(0)) == (1, [0], [])
-    validate_tree(tree, idx, t)
+    validate_tree(tree, idx)
 
 
 def test_edge_symbol_examples(demo_text, demo_index):
@@ -95,8 +95,8 @@ def test_leaf_labels_reproduce_suffix_encodings():
     for i in range(20):
         t = random_text(rng, max_n=500 if i < 4 else 120)
         idx = build_psa(t)
-        tree = build_tree(idx, t)
-        validate_tree(tree, idx, t)
+        tree = build_tree(idx)
+        validate_tree(tree, idx)
         assert tree_intervals(tree, idx) == kept_intervals(
             naive_intervals(t), max(t.sigma, t.pi))
         encoded = [prev(t.symbol_array[start - 1:].tolist(), t.pi)
@@ -120,7 +120,7 @@ def test_structure_bounds():
     for _ in range(25):
         t = random_text(rng, max_n=150)
         idx = build_psa(t)
-        tree = build_tree(idx, t)
+        tree = build_tree(idx)
         threshold = max(t.sigma, t.pi)
         kept = kept_intervals(naive_intervals(t), threshold)
         assert tree.size <= 2 * t.n - 1
@@ -147,7 +147,7 @@ def test_structure_bounds():
                 assert sum(u < pnodes for u in kids) >= 2
             else:
                 assert all(u < pnodes for u in kids)
-        validate_tree(tree, idx, t)
+        validate_tree(tree, idx)
 
 
 def test_tree_lists_are_its_arrays():
@@ -157,7 +157,7 @@ def test_tree_lists_are_its_arrays():
     texts = [random_text(rng, max_n=200) for _ in range(6)]
     texts += [make_text("x" * 30, pi="x"), make_text("uvwxyz", pi="uvwxyz")]
     for t in texts:
-        tree = build_tree(build_psa(t), t)
+        tree = build_tree(build_psa(t))
         for name in ("depth", "lo", "hi"):
             array = getattr(tree, f"{name}_array")
             assert array.dtype == np.int64
@@ -285,9 +285,9 @@ def test_validate_tree_catches_tampering(demo_text, demo_index):
             (branching_cut_to_one_child, True, "own ranks hold a heavy block"),
             (branching_drops_a_light_child, True, "do not partition")):
         with pytest.raises(ValidationError, match=match):
-            validate_tree(forged_tree(tree, tamper, prune), idx, t)
-    validate_tree(forged_tree(tree, lambda a, kids: None, True), idx, t)
-    validate_tree(tree, idx, t)
+            validate_tree(forged_tree(tree, tamper, prune), idx)
+    validate_tree(forged_tree(tree, lambda a, kids: None, True), idx)
+    validate_tree(tree, idx)
 
     # On "xxxxA" (threshold 2) no node branches: the root lists ranks
     # 1..4 at depth 1, which lists 1..3, which lists 1..2. On "xxxx"
@@ -307,24 +307,23 @@ def test_validate_tree_catches_tampering(demo_text, demo_index):
             ("xxxx", leaf_too_deep, False, "as deep as its suffix")):
         other = make_text(raw, pi="x")
         other_idx = build_psa(other)
-        built = build_tree(other_idx, other)
-        validate_tree(built, other_idx, other)
+        built = build_tree(other_idx)
+        validate_tree(built, other_idx)
         with pytest.raises(ValidationError, match=match):
-            validate_tree(forged_tree(built, tamper, prune), other_idx, other)
+            validate_tree(forged_tree(built, tamper, prune), other_idx)
 
     # Cuts that do not slice the child ids: one past the end, or falling.
     for cuts in (tree.child_cuts + 1, tree.child_cuts[::-1]):
         bad = TrayTree(tree.depth_array, tree.lo_array, tree.hi_array,
                        tree.child_ids, cuts)
         with pytest.raises(ValidationError, match="child cuts"):
-            validate_tree(bad, idx, t)
+            validate_tree(bad, idx)
 
     # A tree that agrees with its LCP array but not with the symbol order:
     # the root's blocks "0" (ranks 1..9) and "A0" (10..12) trade places.
     psa, plcp = idx.psa, idx.plcp
     swapped = PsaIndex(
-        psa=np.concatenate((psa[9:12], psa[:9], psa[12:])),
-        plcp=np.concatenate(([0], plcp[10:12], [0], plcp[1:9], plcp[12:])),
-        codes=idx.codes)
+        text=t, psa=np.concatenate((psa[9:12], psa[:9], psa[12:])),
+        plcp=np.concatenate(([0], plcp[10:12], [0], plcp[1:9], plcp[12:])))
     with pytest.raises(ValidationError, match="first-symbol order"):
-        validate_tree(build_tree(swapped, t), swapped, t)
+        validate_tree(build_tree(swapped), swapped)
