@@ -438,6 +438,21 @@ def _window_symbols(codes: np.ndarray, starts: np.ndarray, d) -> np.ndarray:
     return sym
 
 
+def _range_min(values: np.ndarray, lo, hi) -> np.ndarray:
+    """``min(values[lo[i]:hi[i] + 1])`` for each i (lo <= hi), from the
+    minima of 2**k consecutive values, built one level at a time:
+    O((n + queries) log n) time, two levels held."""
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2) of each length
+    out = np.empty(len(lo), dtype=values.dtype)
+    mins = values
+    for k in range(int(level.max(initial=-1)) + 1):
+        if k:
+            mins = np.minimum(mins[:-(1 << k - 1)], mins[1 << k - 1:])
+        at = (level == k).nonzero()[0]
+        out[at] = np.minimum(mins[lo[at]], mins[hi[at] - (1 << k) + 1])
+    return out
+
+
 def validate_psa(index: PsaIndex, full: bool = True) -> None:
     """Check the permutation, sortedness and LCP invariants against the
     index's text; raise ValidationError naming the lowest failing rank of
@@ -446,9 +461,12 @@ def validate_psa(index: PsaIndex, full: bool = True) -> None:
     The O(n) part checks that psa is a permutation of 1..n, that every
     plcp is at least 0 and below both suffix lengths, and that each
     adjacent pair is in order at depth plcp + 1. The full check adds the
-    common prefixes: it compares every adjacent suffix pair up to its
-    recorded LCP, in numpy rounds of one depth over all pairs that reach
-    it, so max LCP rounds and O(n + sum of LCPs) element work.
+    common prefixes by induction on depth: suffixes a and b agree on
+    h >= 1 symbols iff their first symbols agree, so do the offsets below
+    h at which those recur (suffix a reads t there, a + 1 reads 0), and
+    a + 1 and b + 1 agree on h - 1, which holds if no claimed LCP between
+    their ranks is below h - 1. So every claim is a true common prefix,
+    which the O(n) part makes exact: O(n log n) time, whatever the LCPs.
     ``full=False`` keeps only the O(n) part.
     """
     n = index.n
@@ -486,15 +504,18 @@ def validate_psa(index: PsaIndex, full: bool = True) -> None:
          "ranks {q},{r} out of order or plcp short")
     if not full:
         return
-    # Depth d compares the pairs with h >= d; sorted by h descending, they
-    # are a prefix of the pairs.
-    order = np.argsort(-h, kind="stable")
-    sa, sb = a[order], b[order]
-    top = int(h.max(initial=0))
-    reach = len(h) - np.searchsorted(np.sort(h), np.arange(1, top + 1))
-    for d, k in enumerate(reach.tolist(), start=1):
-        differ = (_window_symbols(codes, sa[:k], d)
-                  != _window_symbols(codes, sb[:k], d))
-        if differ.any():
-            r = int(order[:k][differ].min()) + 1
-            raise ValidationError(f"plcp[{r}] overstates common prefix")
+    # lead[p]: the static code at p, or minus the offset at which the
+    # parameterized symbol at p next recurs (-n if never); capped at -h it
+    # decides the first symbols and their recurrences. With h >= 1 both
+    # suffixes are two symbols or longer, so a + 1 and b + 1 are starts.
+    lead = np.where(codes < STATIC_BASE, -n, codes)
+    at = ((codes > 0) & (codes < STATIC_BASE)).nonzero()[0]
+    lead[at - codes[at]] = -codes[at]
+    bad = (h >= 1) & (np.maximum(lead[a], -h) != np.maximum(lead[b], -h))
+    rank = np.empty(n, dtype=np.int64)
+    rank[psa - 1] = np.arange(n)
+    deep = (h >= 2).nonzero()[0]
+    ra, rb = rank[a[deep] + 1], rank[b[deep] + 1]
+    bad[deep] |= _range_min(index.plcp, np.minimum(ra, rb) + 1,
+                            np.maximum(ra, rb)) < h[deep] - 1
+    fail(bad, "plcp[{r}] overstates common prefix")

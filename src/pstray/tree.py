@@ -86,13 +86,12 @@ def _nearest_smaller(h: np.ndarray) -> np.ndarray:
     n = len(h)
     near = np.arange(-1, n - 1)
     near[0] = 0
-    todo = np.arange(1, n - 1)
-    todo = todo[h[todo - 1] >= h[todo]]
+    todo = (h[:n - 2] >= h[1:n - 1]).nonzero()[0] + 1
     for _ in range(2 * n.bit_length()):
         if not len(todo):
             return near
         near[todo] = near[near[todo]]
-        todo = todo[h[near[todo]] >= h[todo]]
+        todo = todo[(h[near[todo]] >= h[todo]).nonzero()[0]]
     # Every entry from near[i] up to i - 1 is at least h[i]; lift the left
     # end of that run over blocks of 2**k entries whose minimum is too. A
     # block clipped at 0 holds h[0], so it never is.

@@ -72,6 +72,57 @@ def random_pattern(rng: random.Random, text, max_m=14):
     return "".join(rng.choice(tokens) for _ in range(m))
 
 
+def fibonacci_word(n, a, b):
+    """The first n letters of the Fibonacci word over a, b."""
+    w, v = a, a + b
+    while len(v) < n:
+        w, v = v, v + w
+    return v[:n]
+
+
+def thue_morse_word(n, a, b):
+    """The first n letters of the Thue–Morse word over a, b."""
+    return "".join(b if bin(i).count("1") % 2 else a for i in range(n))
+
+
+# Hard inputs for the suffix sort, the tree and the checks: the stress
+# words of suffix sorting, runs and periods, the four texts that keep a
+# late window correction in every suffix (a long repeat framed by one
+# parameterized symbol at both ends), and the degenerate alphabets.
+SHAPES = ("fibonacci", "thue-morse", "x^k y", "(xy)^k", "static run",
+          "two params", "distinct params", "y x^k y", "y fibonacci y",
+          "y (xz)^k y", "w x^k y x^k w", "no params", "no statics",
+          "one token")
+
+
+def shapes(name, n):
+    """The shape ``name`` of SHAPES as a text of about n tokens (one for
+    "one token"); lower-case letters are parameterized, upper-case ones
+    static. Deterministic."""
+    rng = random.Random(f"{name} {n}")
+    if name == "distinct params":
+        return make_text(" ".join(f"p{i}" for i in range(n)),
+                         pi=[f"p{i}" for i in range(n)], mode="tokens")
+    raw = {
+        "fibonacci": lambda: fibonacci_word(n, "x", "y"),
+        "thue-morse": lambda: thue_morse_word(n, "x", "y"),
+        "x^k y": lambda: "x" * (n - 1) + "y",
+        "(xy)^k": lambda: ("xy" * n)[:n],
+        "static run": lambda: "A" * n,
+        "two params": lambda: "".join(rng.choice("xy") for _ in range(n)),
+        "y x^k y": lambda: "y" + "x" * (n - 2) + "y",
+        "y fibonacci y": lambda: "y" + fibonacci_word(n - 2, "x", "z") + "y",
+        "y (xz)^k y": lambda: "y" + ("xz" * n)[:n - 2] + "y",
+        "w x^k y x^k w": lambda: "w" + "x" * ((n - 3) // 2) + "y"
+                                 + "x" * ((n - 3) // 2) + "w",
+        "no params": lambda: "".join(rng.choice("ABC") for _ in range(n)),
+        "no statics": lambda: "".join(rng.choice("uvwxyz")
+                                      for _ in range(n)),
+        "one token": lambda: "x",
+    }[name]()
+    return make_text(raw, pi="uvwxyz")
+
+
 @pytest.fixture(scope="session")
 def demo_text():
     return make_text(DEMO_TEXT, pi="xyz", sigma="A")

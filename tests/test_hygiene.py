@@ -307,9 +307,12 @@ def test_star_import_of_the_package_runs():
     assert set(pstray.__all__) <= set(namespace)
 
 
-# The tray's construction path runs as whole-array numpy passes, with no
-# per-node or per-symbol Python loop.
+# The tray's construction path, the suffix sort's correction offsets and
+# the suffix-array checks run as whole-array numpy passes, with no
+# per-node, per-symbol or per-depth Python loop.
 ARRAY_PASSES = {
+    "suffixes.py": {"validate_psa": [], "_window_symbols": [],
+                    "_last_corrections": []},
     "tree.py": {"build_tree": []},
     "tray.py": {"_shape_flags": [], "_first_after": [], "_canonical_ids": [],
                 "annotate": [], "_ranges": []},

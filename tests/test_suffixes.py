@@ -236,7 +236,7 @@ def test_build_long_repeats_without_oracle():
     assert idx.plcp[0] == 0
     assert (idx.plcp[1:] == n - 1 - np.arange(1, n)).all()
     t = make_text(("xyA" * 10_000)[:29_999], pi="xy")
-    validate_psa(build_psa(t), full=False)
+    validate_psa(build_psa(t))
 
 
 def golden_texts():
@@ -276,7 +276,7 @@ GOLDEN_DIGESTS = {
 def test_build_matches_golden_digests():
     for name, t in golden_texts().items():
         idx = build_psa(t)
-        validate_psa(idx, full=False)
+        validate_psa(idx)
         assert psa_digest(idx) == GOLDEN_DIGESTS[name], name
 
 
@@ -508,8 +508,42 @@ def test_linear_check_catches_order_faults(demo_index):
         with pytest.raises(ValidationError):
             validate_psa(corrupt(change), full=False)
     # An overstated LCP keeps the pair in order one symbol past it; only
-    # the full check's prefix rounds see it.
+    # the full check sees it.
     overstated = corrupt(set_plcp(1, 5))
     validate_psa(overstated, full=False)
     with pytest.raises(ValidationError, match="overstates"):
         validate_psa(overstated, full=True)
+
+
+def test_full_check_accepts_exactly_the_true_arrays():
+    """Seeded corruptions of small indexes: one or two LCP words raised
+    or lowered, or two adjacent suffix-array words swapped. The full check
+    accepts an index exactly when its arrays are ``build_psa``'s. Many of
+    the overstated LCPs pass the O(n) part (``past_linear``), so only the
+    common-prefix part refuses them."""
+    rng = random.Random(2626)
+    corruptions = past_linear = 0
+    while corruptions < 5000:
+        idx = build_psa(random_text(rng, max_n=150))
+        n = idx.n
+        validate_psa(idx)
+        for _ in range(25):
+            psa, plcp = idx.psa.copy(), idx.plcp.copy()
+            if rng.random() < 0.2:
+                r = rng.randrange(n - 1)
+                psa[[r, r + 1]] = psa[[r + 1, r]]
+            else:
+                for r in rng.sample(range(n), min(rng.randint(1, 2), n)):
+                    plcp[r] += rng.choice((-1, 1, 1, 1, 2))
+            forged = PsaIndex(text=idx.text, psa=psa, plcp=plcp)
+            true = (psa == idx.psa).all() and (plcp == idx.plcp).all()
+            try:
+                validate_psa(forged, full=False)
+                past_linear += 1
+                validate_psa(forged)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == true, (idx.text.symbol_array, psa, plcp)
+            corruptions += 1
+    assert past_linear > 250
