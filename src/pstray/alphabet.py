@@ -123,9 +123,9 @@ class PText:
     Derived once: ``id2tok``, the inverse of ``tok2id`` with ``$`` at the
     sentinel; ``by_symbol``, the 0-based positions of the parameterized
     symbols sorted by symbol (symbol x's, ascending, are
-    ``by_symbol[symbol_cuts[x-1]:symbol_cuts[x]]``); ``code_array``, the
-    prev codes; and their list ``prev_codes``, which the query's suffix
-    comparisons index.
+    ``by_symbol[symbol_cuts[x-1]:symbol_cuts[x]]``, with ``symbol_cuts``
+    an int64 array too); ``code_array``, the prev codes; and their list
+    ``prev_codes``, which the query's suffix comparisons index.
     """
 
     symbol_array: np.ndarray
@@ -135,7 +135,7 @@ class PText:
     spec: AlphabetSpec
     id2tok: dict[int, str] = field(init=False, repr=False)
     by_symbol: np.ndarray = field(init=False, repr=False)
-    symbol_cuts: list[int] = field(init=False, repr=False)
+    symbol_cuts: np.ndarray = field(init=False, repr=False)
     code_array: np.ndarray = field(init=False, repr=False)
     prev_codes: list[int] = field(init=False, repr=False)
 
@@ -145,7 +145,7 @@ class PText:
         self.id2tok[self.sentinel] = SENTINEL_TOKEN
         self.by_symbol = sort_by_symbol(symbols, self.pi)
         self.symbol_cuts = np.bincount(symbols[self.by_symbol],
-                                       minlength=self.pi + 1).cumsum().tolist()
+                                       minlength=self.pi + 1).cumsum()
         self.code_array = prev_array(symbols, self.by_symbol)
         self.prev_codes = self.code_array.tolist()
 
@@ -225,10 +225,12 @@ def pattern_codes(text: PText,
     without building the id list between them. A parameterized token needs
     no text id, because only equality within the pattern matters: its
     canonical id is the number of distinct parameterized tokens up to its
-    first occurrence, and its prev code the distance back to its last one. A
-    static token takes one ``tok2id`` lookup; one the text has never seen,
-    ``$`` included, gives None. Raises QueryError for an empty pattern and
-    for one that is neither a string nor a sequence of string tokens.
+    first occurrence, and its prev code the distance back to its last one.
+    More distinct parameterized tokens than the text's ``pi`` give None,
+    since no window of the text holds more. A static token takes one
+    ``tok2id`` lookup; one the text has never seen, ``$`` included, gives
+    None. Every token is read first: raises QueryError for an empty pattern
+    and for one that is neither a string nor a sequence of string tokens.
     """
     try:
         tokens = text.spec.tokenize(raw)
@@ -239,6 +241,7 @@ def pattern_codes(text: PText,
         raise QueryError("empty pattern")
     params = text.spec.pi_members
     tok2id = text.tok2id
+    unknown = False  # a static token the text lacks
     codes: list[int] = []
     canon: list[int] = []
     seen: dict[str, int] = {}  # parameterized token -> canonical id
@@ -261,9 +264,11 @@ def pattern_codes(text: PText,
         else:
             sym = tok2id.get(tok)
             if sym is None:
-                if isinstance(tok, str):
-                    return None
-                raise QueryError(f"pattern token {tok!r} is not a string")
+                if not isinstance(tok, str):
+                    raise QueryError(f"pattern token {tok!r} is not a string")
+                unknown, sym = True, 0
             codes.append(STATIC_BASE + sym)
             canon.append(sym)
+    if unknown or len(seen) > text.pi:
+        return None
     return codes, canon

@@ -23,6 +23,7 @@ from .errors import InputError, PstrayError
 from .oracle import encode_pattern, naive_ppm, plain_range_search
 from .suffixes import QueryStats, report
 from .tray import assemble, query
+from .tree import heavy_threshold
 
 
 def _read(path: str) -> str:
@@ -55,14 +56,15 @@ def _pattern_arg(raw: str, mode: str) -> str:
 
 def _structure(index) -> dict[str, int]:
     """The structural counts that ``build`` and ``stats`` print, in order.
-    The tree's light nodes (``light_targets``) are exactly the blocks a
-    dispatch can hand over to the suffix-array search."""
+    The p-nodes are the tree's nodes with a depth, and its light nodes
+    (``light_targets``) are exactly the blocks a dispatch can hand over to
+    the suffix-array search."""
     text, tree, ann = index.text, index.tree, index.ann
-    pnodes = sum(ann.is_pnode)
+    pnodes = len(tree.depth_array)
     return {"n": text.n, "pi": text.pi, "sigma": text.sigma,
             "nodes": tree.size, "pnodes": pnodes,
             "light_targets": tree.size - pnodes,
-            "branching_pnodes": sum(ann.is_branching),
+            "branching_pnodes": len(ann.parray),
             "parray_cells": ann.parray_cells()}
 
 
@@ -100,7 +102,7 @@ def cmd_stats(args) -> int:
     index = index_io.load(args.index)
     counts = _structure(index)
     n, cells = counts["n"], counts.pop("parray_cells")
-    bound = n // max(index.text.sigma, index.text.pi)
+    bound = n // heavy_threshold(index.text)
     file_bytes = Path(args.index).stat().st_size
     counts.update(branching_bound=bound,
                   branching_margin=bound - counts["branching_pnodes"],

@@ -1,7 +1,8 @@
 """prev encoding and canonical renaming, of one sequence and of a whole
-text, the O(1) window adjustment of a text's prev codes, and the renaming
-of a window read off its suffix's f-array. The f-arrays themselves and the
-p-match test are references in ``oracle``.
+text, and the renaming of a window read off its suffix's f-array. The
+window adjustment of a text's prev codes is read in ``suffixes``
+(``compare_suffix`` and ``_window_symbols``); the f-arrays themselves and
+the p-match test are references in ``oracle``.
 
 Every symbol of an encoded string is either a *distance* (a parameterized
 symbol rewritten as the distance to its previous occurrence, 0 at the first
@@ -19,8 +20,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from .errors import QueryError
 
 # Distances are bounded by the text/pattern length; anything this large is
 # a static symbol id plus the base.
@@ -87,22 +86,6 @@ def spe(w: Sequence[int], pi: int) -> list[int]:
         else:
             out.append(c)
     return out
-
-
-def prev_char_in_window(global_prev: Sequence[int], j: int, d: int) -> int:
-    """Symbol ``d`` of the prev encoding of the suffix starting at ``j``.
-
-    Both arguments are 1-based. A distance that would point before the
-    window start collapses to 0 (the occurrence is the first one visible);
-    everything else is the whole-text prev symbol unchanged. Constant time.
-    Raises QueryError for a window symbol outside the text.
-    """
-    if d < 1 or j < 1 or j + d - 1 > len(global_prev):
-        raise QueryError(f"window symbol ({j},{d}) out of range")
-    b = global_prev[j + d - 2]
-    if b < STATIC_BASE and b >= d:
-        return 0
-    return b
 
 
 def pfunction_from_fpos(limit: int, farr: Sequence[int]) -> dict[int, int]:

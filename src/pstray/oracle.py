@@ -24,7 +24,7 @@ from .encoding import STATIC_BASE, prev, spe
 from .errors import CapacityError, QueryError, ValidationError
 from .suffixes import PsaIndex, QueryStats, compare_suffix
 from .tray import NO_NODE
-from .tree import TrayTree
+from .tree import TrayTree, heavy_threshold
 
 MAX_ORACLE_DISTINCT = 8
 MAX_ORACLE_TEXT = 5000
@@ -34,11 +34,12 @@ def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:
     """Map a pattern onto the text's internal ids.
 
     Parameterized tokens unknown to the text get fresh negative ids (their
-    identity only matters up to equality within the pattern). A static token
-    the text has never seen cannot match anywhere: returns None. The pattern
-    is checked by ``pattern_codes``, so this raises QueryError where it
-    does: for an empty pattern and for one that is neither a string nor a
-    sequence of string tokens.
+    identity only matters up to equality within the pattern). A pattern
+    that cannot match anywhere, with a static token the text has never
+    seen or more distinct parameterized tokens than its ``pi``, gives
+    None. The pattern is checked by ``pattern_codes``, so this returns
+    None and raises QueryError where it does: for an empty pattern and for
+    one that is neither a string nor a sequence of string tokens.
     """
     if pattern_codes(text, raw) is None:
         return None
@@ -229,7 +230,7 @@ def naive_parray(tree: TrayTree, index: PsaIndex, node: int) -> list[int]:
     ValidationError for a child the tray keeps but no kept node holds.
     """
     text, depth = index.text, tree.depth[node]
-    pi, threshold = text.pi, max(text.sigma, text.pi)
+    pi, threshold = text.pi, heavy_threshold(text)
     symbols = text.symbol_array.tolist()
     runs: dict[tuple[int, ...], tuple[int, int]] = {}  # prefix -> ranks
     for r in range(tree.lo[node], tree.hi[node] + 1):

@@ -1,8 +1,10 @@
 """Sorted array of prev-encoded suffixes, adjacent-LCP array, range search.
 
 Suffix comparisons never materialize an encoded suffix: symbol ``d`` of the
-suffix starting at ``j`` is derived in O(1) from the whole-text prev codes
-(see ``encoding.prev_char_in_window``). The sort is a level-synchronous
+suffix starting at ``j`` is derived in O(1) from the whole-text prev codes,
+a distance reaching past ``j`` reading 0. ``compare_suffix``, the query's
+scalar loop, reads symbols that way one at a time, and ``_window_symbols``
+reads them for whole arrays of suffixes. The sort is a level-synchronous
 MSD bucketing over suffix start indices: each numpy round packs the next k
 symbols of every unsorted suffix, as many as fit, under its group's rank
 into one int64 key and orders every group with one argsort. The LCP of

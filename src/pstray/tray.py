@@ -7,12 +7,12 @@ subtree holds at least ``max(sigma, pi)`` leaves, and *branching* when at
 least two of its children are heavy. Branching nodes carry a dispatch
 array of length ``sigma + pi`` indexed by the rank of the next
 canonically-renamed pattern symbol; other heavy nodes keep only a pointer
-to their unique heavy child. ``tree.build_tree`` keeps just those
-children, so the flags are the tree's shape, and ``annotate`` builds the
-dispatch arrays in one numpy pass. Every range that ever reaches the
-suffix-array search is smaller than ``(sigma + pi + 1) * max(sigma,
-pi)``, which keeps the search's logarithmic term independent of the
-text length.
+to their unique heavy child. ``tree.build_tree`` numbers the p-nodes
+first and keeps just those children, so the flags are the tree's layout
+and shape, and ``annotate`` builds the dispatch arrays in one numpy
+pass. Every range that ever reaches the suffix-array search is smaller
+than ``(sigma + pi + 1) * max(sigma, pi)``, which keeps the search's
+logarithmic term independent of the text length.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import numpy as np
 # query calls range_search and report through this module's globals, and
 # bench/tracing.py times them by swapping those names.
 from .alphabet import PText, pattern_codes
-from .encoding import STATIC_BASE, pfunction_from_fpos, prev_char_in_window
+from .encoding import STATIC_BASE, pfunction_from_fpos
 from .errors import ConstructionError, ValidationError
 from .suffixes import (PsaIndex, QueryStats, _window_symbols, build_psa,
                        compare_suffix, range_search, report, validate_psa)
-from .tree import TrayTree, build_tree, validate_tree
+from .tree import TrayTree, build_tree, heavy_threshold, validate_tree
 
 __all__ = [
     "TrayAnnotations", "QueryStats", "PSTrayIndex", "annotate", "build_tray",
@@ -59,13 +59,13 @@ class TrayAnnotations:
         return sum(len(arr) - 1 for arr in self.parray.values())
 
 
-def _shape_flags(tree: TrayTree, threshold: int):
+def _shape_flags(tree: TrayTree):
     """The p-node flags, branching flags and heavy children (-1 if none) of
-    all nodes, as the tree's shape gives them: a block that reaches the
-    threshold, two or more listed children, the one listed child."""
+    all nodes, as the tree's layout and shape give them: an id with a
+    depth, two or more listed children, the one listed child."""
     count = np.diff(tree.child_cuts)
     first = np.append(tree.child_ids, NO_NODE)[tree.child_cuts[:-1]]
-    return (tree.hi_array - tree.lo_array + 1 >= threshold, count >= 2,
+    return (np.arange(tree.size) < len(tree.depth_array), count >= 2,
             np.where(count == 1, first, NO_NODE))
 
 
@@ -85,7 +85,7 @@ def _first_after(text: PText, starts: np.ndarray) -> np.ndarray:
     k = np.searchsorted(keys, np.arange(1, text.pi + 1) * (n + 1)
                         + starts[:, None])
     none = np.iinfo(np.int64).max
-    return np.where(k < np.asarray(text.symbol_cuts[1:]),
+    return np.where(k < text.symbol_cuts[1:],
                     np.append(by_symbol, none)[k], none)
 
 
@@ -141,8 +141,7 @@ def annotate(tree: TrayTree, index: PsaIndex) -> TrayAnnotations:
     text = index.text
     width = text.sigma + text.pi + 1
     pi = text.pi
-    is_pnode, is_branching, heavy_child = _shape_flags(
-        tree, max(text.sigma, text.pi))
+    is_pnode, is_branching, heavy_child = _shape_flags(tree)
     nodes = is_branching.nonzero()[0]
     psa = index.psa
     depth = tree.depth_array[nodes]
@@ -238,15 +237,16 @@ def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
 
     ``pattern`` is a string or a sequence of string tokens, as the text
     was ingested; one pass over it (``pattern_codes``) gives its prev codes
-    and canonical ids, and anything else raises QueryError.
+    and canonical ids, and anything else raises QueryError. A pattern that
+    cannot occur gets no answer and zero counters.
     Descends the tree through heavy nodes and finishes with a bounded
     suffix-array search as soon as the locus leaves the heavy part. A
-    branching node dispatches in O(1) on the next canonical id, which
-    matches the first symbol of the child's edge; a non-branching one
-    offers only its heavy child. Either way the rest of the edge, up to the
-    pattern's end, is compared on the child's leftmost suffix by
-    ``compare_suffix``, the loop the binary search runs too; the call is
-    skipped when the dispatch has already read all of it. At a heavy
+    branching node dispatches in O(1) on the next canonical id (a static's
+    is its rank), which matches the first symbol of the child's edge; a
+    non-branching one offers only its heavy child. Either way the rest of
+    the edge, up to the pattern's end, is compared on the child's leftmost
+    suffix by ``compare_suffix``, the loop the binary search runs too; the
+    call is skipped when the dispatch has already read all of it. At a heavy
     child a mismatch on the edge's first symbol leaves the leaf block left
     or right of the child, by the sign of the comparison, for the search.
     The match range is reported as one slice of the suffix starts, sorted
@@ -261,7 +261,6 @@ def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
     m = len(pattern_prev)
     tree = idx.tree
     ann = idx.ann
-    pi = index.text.pi
     depth, lo, hi = tree.depth, tree.lo, tree.hi
     starts = index.starts
     rng = None
@@ -270,15 +269,8 @@ def query(idx: PSTrayIndex, pattern) -> tuple[list[int], QueryStats]:
     while True:
         stats.nodes_visited += 1
         if ann.is_branching[node]:
-            nxt = pattern_prev[matched]
-            if nxt >= STATIC_BASE:
-                rank = nxt - STATIC_BASE
-            else:
-                rank = pattern_canon[matched]
-                if rank > pi:
-                    break  # needs more distinct symbols than T has
             stats.parray_lookups += 1
-            child = ann.parray[node][rank]
+            child = ann.parray[node][pattern_canon[matched]]
             if child == NO_NODE:
                 break
             if not ann.is_pnode[child]:
@@ -322,8 +314,8 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations,
     """Check classification flags, the counting bounds on branching nodes
     and dispatch cells, and that every dispatch array agrees with its node.
 
-    The flags are read off the tree's shape again by ``_shape_flags``;
-    ``validate_tree`` proves that shape.
+    The flags are read off the tree's layout and shape again by
+    ``_shape_flags``; ``validate_tree`` proves them.
     Dispatch agreement is recomputed from the definition at each branching
     node, trusting none of the stored annotations: the canonical renaming
     of the representative window (the leftmost leaf's) comes from the f-array
@@ -331,15 +323,16 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations,
     the rank its first edge symbol selects (a static at its own rank,
     distance k at the canonical id of ``T[rep+depth-k]``, distance 0 at
     every canonical id the window leaves unused), every child appears and
-    every other cell is empty.
+    every other cell is empty. The children and their first edge symbols
+    are read for all branching nodes at once, as ``annotate`` reads them.
     """
     text = index.text
-    threshold = max(text.sigma, text.pi)
+    threshold = heavy_threshold(text)
     n, size = text.n, tree.size
     if not (len(ann.is_pnode) == len(ann.is_branching)
             == len(ann.heavy_child) == size):
         raise ValidationError("annotations do not match the tree's size")
-    is_pnode, is_branching, heavy_child = _shape_flags(tree, threshold)
+    is_pnode, is_branching, heavy_child = _shape_flags(tree)
     for name, got, want in (("p-node flag", ann.is_pnode, is_pnode),
                             ("branching flag", ann.is_branching, is_branching),
                             ("heavy child", ann.heavy_child, heavy_child)):
@@ -360,17 +353,26 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations,
     reps = index.psa[tree.lo_array[nodes] - 1]
     first = _first_after(text, reps - 1)
     farr = np.where(first < n, first - reps[:, None] + 2, 0)
+    # The branching nodes' children, node by node, each with symbol D + 1
+    # of its leftmost suffix, D its node's depth; cuts[j] starts node j's.
+    count = np.diff(tree.child_cuts)
+    kids = tree.child_ids[np.repeat(is_branching, count)]
+    depths = tree.depth_array[nodes]
+    starts = index.psa[tree.lo_array[kids] - 1] - 1
+    syms = _window_symbols(text.code_array, starts,
+                           np.repeat(depths, count[nodes]) + 1).tolist()
+    cuts = np.append(0, np.cumsum(count[nodes])).tolist()
+    kids = kids.tolist()
     width = text.sigma + text.pi + 1
-    for v, rep, row in zip(nodes.tolist(), reps.tolist(), farr.tolist()):
+    for v, depth, rep, row, begin, end in zip(
+            nodes.tolist(), depths.tolist(), reps.tolist(), farr.tolist(),
+            cuts, cuts[1:]):
         arr = ann.parray[v]
         if len(arr) != width:
             raise ValidationError(f"p-array mis-sized at {v}")
-        depth = tree.depth[v]
         canon = pfunction_from_fpos(depth, row)
         want = [NO_NODE] * width
-        for u in tree.children(v):
-            start = index.starts[tree.lo[u] - 1]
-            sym = prev_char_in_window(text.prev_codes, start, depth + 1)
+        for u, sym in zip(kids[begin:end], syms[begin:end]):
             if sym >= STATIC_BASE:
                 ranks = [sym - STATIC_BASE]
             elif sym > 0:

@@ -25,8 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QueryError, ValidationError
+from .alphabet import PText
+from .errors import ValidationError
 from .suffixes import PsaIndex, _window_symbols
+
+
+def heavy_threshold(text: PText) -> int:
+    """The least leaf count of a heavy node (a p-node): ``max(sigma,
+    pi)``."""
+    return max(text.sigma, text.pi)
 
 
 @dataclass(eq=False)
@@ -61,14 +68,6 @@ class TrayTree:
     @property
     def size(self) -> int:
         return len(self.lo_array)
-
-    def children(self, v: int) -> list[int]:
-        """Child ids of node v in edge order (empty for a light node or one
-        without a heavy child). Raises QueryError for an id outside."""
-        if not 0 <= v < self.size:
-            raise QueryError(f"node {v} outside a tree of {self.size} nodes")
-        cuts = self.child_cuts
-        return self.child_ids[cuts[v]:cuts[v + 1]].tolist()
 
 
 def _nearest_smaller(h: np.ndarray) -> np.ndarray:
@@ -131,8 +130,8 @@ def build_tree(index: PsaIndex) -> TrayTree:
     heavy, else its heavy one. A tree of a light root, or of one rank, is
     the root alone.
     """
-    n, text = index.n, index.text
-    threshold = max(text.sigma, text.pi)
+    n = index.n
+    threshold = heavy_threshold(index.text)
     h = _boundary_lcps(index)
     left = _nearest_smaller(h)[1:n]
     right = n - _nearest_smaller(h[::-1])[::-1][1:n]
@@ -209,7 +208,7 @@ def validate_tree(tree: TrayTree, index: PsaIndex) -> None:
             raise ValidationError(message)
 
     n, size, text = index.n, tree.size, index.text
-    threshold = max(text.sigma, text.pi)
+    threshold = heavy_threshold(text)
     depth, lo, hi = tree.depth_array, tree.lo_array, tree.hi_array
     cuts, listed = tree.child_cuts, tree.child_ids
     fail(not 1 <= size <= max(2 * n - 1, 1) or len(hi) != size

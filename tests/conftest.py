@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from pstray.alphabet import TOKEN_MODE, AlphabetSpec, ingest
-from pstray.encoding import STATIC_BASE, prev_char_in_window
+from pstray.encoding import STATIC_BASE
+from pstray.suffixes import _window_symbols
 from pstray.tray import assemble
 
 # The running example used throughout: pi = {x,y,z}, sigma = {A} (+ '$').
@@ -25,6 +27,13 @@ def decode(text, positions):
     sep = " " if text.spec.mode == TOKEN_MODE else ""
     symbols = text.symbol_array
     return sep.join(text.id2tok[symbols[p - 1]] for p in positions)
+
+
+def window_codes(text, start, depth):
+    """Symbols 1..depth of the prev encoding of the suffix at 1-based
+    ``start``, read by one ``_window_symbols`` call, as a list."""
+    return _window_symbols(text.code_array, np.full(depth, start - 1),
+                           np.arange(1, depth + 1)).tolist()
 
 
 def sym_codes(text, pretty):
@@ -135,6 +144,10 @@ def demo_index(demo_text):
 
 # ------------------------------------------------ tree helpers
 
+def children(tree, v):
+    return tree.child_ids[tree.child_cuts[v]:tree.child_cuts[v + 1]].tolist()
+
+
 def is_leaf(tree, v):
     """A block of one rank below the root (node 0) is that rank's suffix."""
     return v != 0 and tree.lo[v] == tree.hi[v]
@@ -148,7 +161,7 @@ def parents(tree):
     """Each node's parent, read from the CSR children (None at the root)."""
     up = [None] * tree.size
     for v in range(tree.size):
-        for u in tree.children(v):
+        for u in children(tree, v):
             up[u] = v
     return up
 
@@ -172,17 +185,16 @@ def edge_length(tree, index, v):
 def edge_symbol(tree, index, v, offset):
     """Symbol ``offset`` (1-based) of the edge entering node v, read
     through its leftmost suffix."""
-    above = tree.depth[parents(tree)[v]]
-    return prev_char_in_window(index.text.prev_codes,
-                               index.starts[tree.lo[v] - 1], above + offset)
+    depth = tree.depth[parents(tree)[v]] + offset
+    return window_codes(index.text, index.starts[tree.lo[v] - 1],
+                        depth)[depth - 1]
 
 
 def node_label(tree, index, v):
     """Full root-to-node label of node v as encoded symbol codes, read
     through its leftmost suffix."""
-    start = index.starts[tree.lo[v] - 1]
-    return tuple(prev_char_in_window(index.text.prev_codes, start, d)
-                 for d in range(1, node_depth(tree, index, v) + 1))
+    return tuple(window_codes(index.text, index.starts[tree.lo[v] - 1],
+                              node_depth(tree, index, v)))
 
 
 # ------------------------------------------------ LCP-interval references
@@ -274,5 +286,5 @@ def tree_intervals(tree, index):
         return (tree.lo[v], tree.hi[v], node_depth(tree, index, v))
 
     return {node(v): (None if up is None else node(up),
-                      [node(u) for u in tree.children(v)])
+                      [node(u) for u in children(tree, v)])
             for v, up in enumerate(parents(tree))}

@@ -15,14 +15,14 @@ import pytest
 
 from pstray import index_io
 from pstray.alphabet import AlphabetSpec, ingest, pattern_codes
-from pstray.encoding import STATIC_BASE, prev, prev_char_in_window, spe
+from pstray.encoding import STATIC_BASE, prev, spe
 from pstray.oracle import (bijection_p_match, encode_pattern, fpos_stream,
                            naive_parray, naive_ppm, naive_spe, p_match,
                            plain_range_search)
 from pstray.suffixes import QueryStats, report
 from pstray.tray import NO_NODE, assemble, query
 
-from conftest import DEMO_PLCP, DEMO_PSA, decode, make_text
+from conftest import DEMO_PLCP, DEMO_PSA, decode, make_text, window_codes
 from test_tree import label_map
 
 PI_POOL = list("uvwxyz")
@@ -278,15 +278,13 @@ def test_criterion_5_encoding_laws():
     for w in _universe():
         text = ingest("".join(tok[c] for c in w), spec)
         streamed = dict(fpos_stream(text))
-        codes = text.prev_codes
         for i in range(1, text.n + 1):
             suffix = text.symbol_array[i - 1:].tolist()
             expect = tuple(suffix.index(x) + 1 if x in suffix else 0
                            for x in range(1, text.pi + 1))
             assert streamed[i] == expect
-            suffix_prev = prev(suffix, text.pi)
-            for d in range(1, text.n - i + 2):
-                assert prev_char_in_window(codes, i, d) == suffix_prev[d - 1]
+            assert window_codes(text, i, text.n - i + 1) == prev(suffix,
+                                                                  text.pi)
 
     _passed(5, f"({len(groups)} equivalence classes over the universe)")
 

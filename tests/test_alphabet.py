@@ -187,7 +187,8 @@ def test_pattern_codes_equal_prev_and_spe_of_encoding():
     """The one-pass intake against prev and spe of encode_pattern, in both
     input modes and for both string and token-list input. Patterns draw on
     parameterized tokens the text never saw, unknown statics and '$', and
-    often hold more distinct parameterized tokens than the text."""
+    often hold more distinct parameterized tokens than the text, which
+    gives None from both: no window of the text holds that many."""
     rng = random.Random(2031)
     params = {"bytes": list("uvwxyz"),
               "tokens": ["p0", "p1", "p2", "p3", "p4", "p5"]}
@@ -207,15 +208,15 @@ def test_pattern_codes_equal_prev_and_spe_of_encoding():
                 for raw in (sep.join(tokens), tokens):
                     got = pattern_codes(t, raw)
                     enc = encode_pattern(t, raw)
+                    over_pi = len(set(tokens) & set(params[mode])) > t.pi
                     if enc is None:
                         assert got is None, raw
-                        seen["none"] += 1
+                        seen["over_pi" if over_pi else "none"] += 1
                         continue
+                    assert not over_pi, raw
                     assert got == (prev(enc, t.pi), spe(enc, t.pi)), raw
                     seen["matchable"] += 1
                     seen["unseen_param"] += min(enc) < 0
-                    distinct = {c for c in enc if c <= t.pi}
-                    seen["over_pi"] += len(distinct) > t.pi
     assert all(count > 20 for count in seen.values()), seen
 
 
@@ -228,6 +229,12 @@ def test_pattern_codes_rejects_empty_and_malformed():
     for raw in (5, None, [["x"]], ["x", ["y"]], ["x", 1.5]):
         with pytest.raises(QueryError):
             pattern_codes(t, raw)
+    # A pattern that cannot occur (an unknown static, more distinct
+    # parameterized tokens than pi = 1) is still read to its end.
+    t1 = make_text("xAx", pi="xyz")
+    for raw in (["Q", 1], ["Q", ["y"]], ["x", "y", 1]):
+        with pytest.raises(QueryError):
+            pattern_codes(t1, raw)
 
 
 def test_unordered_token_collections_are_refused():

@@ -1,16 +1,17 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from pstray.encoding import (STATIC_BASE, pfunction_from_fpos, prev,
-                             prev_array, prev_char_in_window, sort_by_symbol,
-                             spe)
+                             prev_array, sort_by_symbol, spe)
 from pstray.errors import QueryError
 from pstray.oracle import (bijection_p_match, fpos, fpos_stream, naive_spe,
                            p_match)
+from pstray.suffixes import _window_symbols
 
-from conftest import make_text, random_text, sym_codes
+from conftest import make_text, random_text, sym_codes, window_codes
 
 
 def enc(text, s):
@@ -159,28 +160,23 @@ def test_p_match_agrees_with_bijection_oracle_small():
 # ------------------------------------------------- window-adjusted symbols
 
 def test_window_symbols_demo(demo_text):
-    codes = demo_text.prev_codes
-    assert prev_char_in_window(codes, 6, 1) == 0
-    assert prev_char_in_window(codes, 6, 3) == 2
+    codes = demo_text.code_array
+    # symbols 1 and 3 of the suffix at 6, one depth per start
+    assert _window_symbols(codes, np.array([5, 5]),
+                           np.array([1, 3])).tolist() == [0, 2]
     # first window symbol of any parameterized position is fresh
-    for j in (1, 3, 5, 6, 7, 8, 10, 11, 12):
-        assert prev_char_in_window(codes, j, 1) == 0
-    for j, d in ((6, 9), (0, 1), (1, 0), (demo_text.n + 1, 1)):
-        with pytest.raises(QueryError):
-            prev_char_in_window(codes, j, d)
+    starts = np.array([1, 3, 5, 6, 7, 8, 10, 11, 12]) - 1
+    assert _window_symbols(codes, starts, 1).tolist() == [0] * len(starts)
 
 
 def test_window_symbols_match_materialized_suffixes():
     rng = random.Random(4242)
-    from conftest import random_text
 
     for i in range(25):
         t = random_text(rng, max_n=200 if i < 5 else 60)
-        codes = t.prev_codes
         for j in range(1, t.n + 1):
             suffix_prev = prev(t.symbol_array[j - 1:].tolist(), t.pi)
-            for d in range(1, t.n - j + 2):
-                assert prev_char_in_window(codes, j, d) == suffix_prev[d - 1]
+            assert window_codes(t, j, t.n - j + 1) == suffix_prev
 
 
 # ---------------------------------------------------------------- f-arrays

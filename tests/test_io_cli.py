@@ -588,6 +588,29 @@ def test_fuzzed_psa_and_plcp_load_or_raise_format_error(tmp_path):
     assert outcomes["refused"] > 0 and outcomes["loaded"] > 0
 
 
+@pytest.mark.xfail(strict=True, reason="load runs only the O(n) psa check, "
+                   "which misses an overstated LCP (ROADMAP item 2)")
+def test_load_refuses_every_overstated_lcp(tmp_path):
+    """Each of 200 files of one n = 201 index, with one LCP word raised by
+    1 to 3 and the checksum redone, is refused. Loads only."""
+    rng = random.Random(7)
+    t = make_text("".join(rng.choice("xyzAB") for _ in range(200)), pi="xyz")
+    index = assemble(t)
+    loaded = 0
+    for _ in range(200):
+        j, up = rng.randrange(t.n), rng.randint(1, 3)
+
+        def change(words, j=j, up=up):
+            words[j] += up
+
+        try:
+            index_io.load(forge_words(tmp_path, index, "plcp", change))
+        except FormatError:
+            continue
+        loaded += 1
+    assert loaded == 0
+
+
 # ------------------------------------------------------------------- CLI
 
 def test_cli_build_query(tmp_path, capsys):

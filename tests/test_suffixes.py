@@ -6,14 +6,14 @@ import pytest
 
 import pstray.suffixes as sfx
 from pstray.alphabet import pattern_codes
-from pstray.encoding import STATIC_BASE, prev, prev_char_in_window
+from pstray.encoding import STATIC_BASE, prev
 from pstray.errors import QueryError, ValidationError
 from pstray.oracle import encode_pattern, naive_psa, plain_range_search
 from pstray.suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
                              range_search, report, validate_psa)
 
 from conftest import (DEMO_PLCP, DEMO_PSA, make_text, naive_intervals,
-                      random_pattern, random_text, sym_codes)
+                      random_pattern, random_text, sym_codes, window_codes)
 
 
 def test_demo_psa_plcp(demo_index):
@@ -198,8 +198,8 @@ def test_last_corrections_match_window_scan():
         want = []
         for i in range(1, t.n + 1):
             last = 0
-            for d in range(1, t.n - i + 2):
-                if prev_char_in_window(codes, i, d) != codes[i + d - 2]:
+            for d, sym in enumerate(window_codes(t, i, t.n - i + 1), start=1):
+                if sym != codes[i + d - 2]:
                     last = d
             want.append(last)
         assert sfx._last_corrections(sort_code(t)).tolist() == want

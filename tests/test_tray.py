@@ -13,8 +13,8 @@ from pstray.tray import (NO_NODE, _canonical_ids, annotate, assemble,
                          build_tray, query, validate_annotations)
 from pstray.tree import build_tree
 
-from conftest import (decode, edge_symbol, is_leaf, leaf_count, make_text,
-                      random_pattern, random_text)
+from conftest import (children, decode, edge_symbol, is_leaf, leaf_count,
+                      make_text, random_pattern, random_text)
 from test_tree import label_map
 
 
@@ -131,7 +131,7 @@ def test_nonbranching_relation_testable_via_oracle(demo_text, demo_index):
     t = demo_text
     tree, idx = demo_index.tree, demo_index.psa_index
     v = labelled(demo_index, demo_text)["0A0"]
-    assert tree.children(v) == []
+    assert children(tree, v) == []
     assert naive_parray(tree, idx, v) == [NO_NODE] * (t.sigma + t.pi + 1)
     for pat in ("xAyy", "xAyA"):  # prev 0A01 and 0A0A
         occ, stats = query(demo_index, pat)
@@ -197,7 +197,7 @@ def test_parrays_match_oracle_on_wide_and_static_alphabets():
         for v in nodes:
             assert ann.parray[v] == naive_parray(tree, idx, v)
         distance_children = [
-            u for v in nodes for u in tree.children(v)
+            u for v in nodes for u in children(tree, v)
             if 0 < edge_symbol(tree, idx, u, 1) <= tree.depth[v]]
         assert bool(distance_children) == (t is wide)
 
@@ -231,7 +231,7 @@ def test_parray_scatter_matches_oracle_on_edge_shapes():
             assert ann.parray[v] == naive_parray(tree, psa_index, v)
         if t in runs:
             assert nodes == [v for v in range(tree.size)
-                             if tree.children(v)]
+                             if children(tree, v)]
         assert bool(nodes) == (t not in flat)
 
 
@@ -264,6 +264,10 @@ def test_query_empty_pattern_rejected(demo_index):
 def test_query_unknown_static(demo_index):
     occ, stats = query(demo_index, "xQ")
     assert occ == [] and stats.nodes_visited == 0
+    # Three distinct parameterized symbols cannot occur where the text has
+    # two: no descent either.
+    occ, stats = query(assemble(make_text("xAyxAyyx", pi="wxyz")), "wxy")
+    assert occ == [] and stats.nodes_visited == 0
 
 
 def _random_index(seed, n=3000):
@@ -278,10 +282,14 @@ def test_query_one_symbol_on_a_run_reports_every_position():
     t = make_text("x" * n, pi="xw")
     index = assemble(t)
     # "w" never occurs in the text, but it p-matches every "x".
-    for pat, count in (("x", n), ("w", n), ("xx", n - 1), ("wx", 0)):
+    for pat, count in (("x", n), ("w", n), ("xx", n - 1)):
         occ, _ = index.query(pat)
         assert occ == sorted(naive_ppm(t, encode_pattern(t, pat)))
         assert occ == list(range(1, count + 1))
+    # "wx" holds two distinct parameterized symbols, the text one.
+    assert encode_pattern(t, "wx") is None
+    occ, stats = index.query("wx")
+    assert occ == [] and stats.nodes_visited == 0
 
 
 # Integer ids are not patterns, whether in range or not: a pattern is a
