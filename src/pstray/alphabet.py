@@ -18,19 +18,31 @@ and any input or alphabet declaration containing it is rejected.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+import re
+from collections.abc import Collection, Mapping, Set
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .encoding import STATIC_BASE, prev_array, sort_by_symbol
-from .errors import ClassificationError, InputError, QueryError
+from .errors import (ClassificationError, InputError, QueryError,
+                     ValidationError)
 
 SENTINEL_TOKEN = "$"
 
 BYTE_MODE = "bytes"
 TOKEN_MODE = "tokens"
+
+# Lone surrogates: what UTF-8, the index file's token encoding, cannot hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _require_utf8(tokens: Collection[str], what: str) -> None:
+    """Raise InputError naming the least token UTF-8 cannot encode."""
+    if _SURROGATE.search("".join(tokens)):
+        bad = min(tok for tok in tokens if _SURROGATE.search(tok))
+        raise InputError(f"{what} token {bad!r} does not encode as UTF-8")
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,8 @@ class AlphabetSpec:
                    and all(isinstance(tok, str) for tok in s) for s in sets):
             raise InputError("pi_members and sigma_members must be sets of "
                              "string tokens")
+        for members in sets:
+            _require_utf8(members, "declared")
         if SENTINEL_TOKEN in self.pi_members:
             raise InputError("sentinel collision: '$' declared parameterized")
         if self.sigma_members is not None:
@@ -86,31 +100,26 @@ def parse_alphabet_spec(content: str) -> AlphabetSpec:
         sigma: A B        (or "sigma: auto")
         mode: bytes       (or "mode: tokens")
 
-    Lines may appear in any order; blank lines and '#' comments are ignored.
+    Each key once, in any order; blank lines and '#' comments are ignored.
     """
-    pi: frozenset[str] | None = None
-    sigma: frozenset[str] | None = None
-    sigma_seen = False
-    mode = BYTE_MODE
+    fields: dict[str, str] = {}
     for lineno, line in enumerate(content.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(":")
         key = key.strip().lower()
-        rest = rest.strip()
-        if key == "pi":
-            pi = frozenset(rest.split())
-        elif key == "sigma":
-            sigma_seen = True
-            sigma = None if rest == "auto" else frozenset(rest.split())
-        elif key == "mode":
-            mode = rest
-        else:
-            raise InputError(f"alphabet spec line {lineno}: unknown key {key!r}")
-    if pi is None or not sigma_seen:
+        if key not in ("pi", "sigma", "mode") or key in fields:
+            what = "repeated" if key in fields else "unknown"
+            raise InputError(f"alphabet spec line {lineno}: {what} key {key!r}")
+        fields[key] = rest.strip()
+    if "pi" not in fields or "sigma" not in fields:
         raise InputError("alphabet spec needs both a 'pi:' and a 'sigma:' line")
-    return AlphabetSpec(pi_members=pi, sigma_members=sigma, mode=mode)
+    sigma = fields["sigma"]
+    return AlphabetSpec(pi_members=frozenset(fields["pi"].split()),
+                        sigma_members=None if sigma == "auto"
+                        else frozenset(sigma.split()),
+                        mode=fields.get("mode", BYTE_MODE))
 
 
 @dataclass(eq=False)
@@ -118,11 +127,11 @@ class PText:
     """An ingested text: internal symbols with the end marker appended.
 
     Made from its int64 ``symbol_array`` (built by ``ingest``, read by
-    ``index_io.load``; position ``p`` is ``symbol_array[p-1]`` and the last
-    entry is the sentinel) and the token ids ``tok2id``, and immutable.
-    Derived once: ``id2tok``, the inverse of ``tok2id`` with ``$`` at the
-    sentinel; ``by_symbol``, the 0-based positions of the parameterized
-    symbols sorted by symbol (symbol x's, ascending, are
+    ``index_io.load``; position ``p`` is ``symbol_array[p-1]``, the last
+    alone is the sentinel, else ValidationError) and the token ids ``tok2id``,
+    and immutable. Derived once: ``id2tok``, the inverse of ``tok2id``
+    with ``$`` at the sentinel; ``by_symbol``, the 0-based positions of
+    the parameterized symbols sorted by symbol (symbol x's, ascending, are
     ``by_symbol[symbol_cuts[x-1]:symbol_cuts[x]]``, with ``symbol_cuts``
     an int64 array too); ``code_array``, the prev codes; and their list
     ``prev_codes``, which the query's suffix comparisons index.
@@ -140,9 +149,15 @@ class PText:
     prev_codes: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        symbols = self.symbol_array
+        symbols, end = self.symbol_array, self.sentinel
+        if not (isinstance(symbols, np.ndarray) and symbols.ndim == 1
+                and symbols.dtype == np.int64 and len(symbols)
+                and symbols[-1] == end and symbols.min() >= 1
+                and symbols[:-1].max(initial=0) < end):
+            raise ValidationError(f"text symbols are not int64 ids "
+                                  f"1..{end - 1} ended by the end marker {end}")
         self.id2tok = {v: k for k, v in self.tok2id.items()}
-        self.id2tok[self.sentinel] = SENTINEL_TOKEN
+        self.id2tok[end] = SENTINEL_TOKEN
         self.by_symbol = sort_by_symbol(symbols, self.pi)
         self.symbol_cuts = np.bincount(symbols[self.by_symbol],
                                        minlength=self.pi + 1).cumsum()
@@ -166,12 +181,13 @@ def token_ids(tokens: Sequence[str], distinct: set[str] | frozenset[str],
     sigma, takes the last id pi + sigma. ``ingest`` and ``index_io.load``
     both assign ids here.
 
-    Raises InputError when ``$`` is among the tokens, and
-    ClassificationError for a token outside an explicit static set, naming
-    the first such token in ``tokens``.
+    Raises InputError when ``$`` is among the tokens or one does not
+    encode as UTF-8, and ClassificationError for a token outside an
+    explicit static set, naming the first such token in ``tokens``.
     """
     if SENTINEL_TOKEN in distinct:
         raise InputError("sentinel collision: input contains '$'")
+    _require_utf8(distinct, "text")
     pi_occ = distinct & spec.pi_members
     sigma_occ = distinct - pi_occ
     if spec.sigma_members is not None and not sigma_occ <= spec.sigma_members:

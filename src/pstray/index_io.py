@@ -198,16 +198,14 @@ def load(path: str | Path) -> PSTrayIndex:
     # Huge u64 values turn negative, which every range check rejects.
     symbols, psa, plcp = (word.astype(np.int64) for word in words)
 
-    if symbols.min() < 1 or symbols.max() > pi + sigma:
-        raise FormatError(f"text symbols outside 1..{pi + sigma}")
-    text = PText(symbol_array=symbols, pi=pi, sigma=sigma, tok2id=tok2id,
-                 spec=spec)
-    psa_index = PsaIndex(text=text, psa=psa, plcp=plcp)
     # Resolved per call, so a wrapper installed on suffixes.validate_psa
     # (such as a tracing span) sees it.
     from .suffixes import validate_psa
 
     try:
+        psa_index = PsaIndex(text=PText(symbol_array=symbols, pi=pi,
+                                        sigma=sigma, tok2id=tok2id, spec=spec),
+                             psa=psa, plcp=plcp)
         validate_psa(psa_index, full=False)
         return build_tray(psa_index)
     except (ValidationError, ConstructionError) as exc:

@@ -9,9 +9,10 @@ array of length ``sigma + pi`` indexed by the rank of the next
 canonically-renamed pattern symbol; other heavy nodes keep only a pointer
 to their unique heavy child. ``tree.build_tree`` numbers the p-nodes
 first and keeps just those children, so the flags are the tree's layout
-and shape, and ``annotate`` builds the dispatch arrays in one numpy
-pass. Every range that ever reaches the suffix-array search is smaller
-than ``(sigma + pi + 1) * max(sigma, pi)``, which keeps the search's
+and shape; ``tree.tray_shape`` reads them and the children's first edge
+symbols, and ``annotate`` builds the dispatch arrays in one numpy pass.
+Every range that ever reaches the suffix-array search is smaller than
+``(sigma + pi + 1) * max(sigma, pi)``, which keeps the search's
 logarithmic term independent of the text length.
 """
 
@@ -26,16 +27,15 @@ import numpy as np
 from .alphabet import PText, pattern_codes
 from .encoding import STATIC_BASE, pfunction_from_fpos
 from .errors import ConstructionError, ValidationError
-from .suffixes import (PsaIndex, QueryStats, _window_symbols, build_psa,
-                       compare_suffix, range_search, report, validate_psa)
-from .tree import TrayTree, build_tree, heavy_threshold, validate_tree
+from .suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
+                       range_search, report, validate_psa)
+from .tree import (NO_NODE, TrayTree, build_tree, heavy_threshold,
+                   tray_shape, validate_tree)
 
 __all__ = [
     "TrayAnnotations", "QueryStats", "PSTrayIndex", "annotate", "build_tray",
     "assemble", "query", "validate_annotations",
 ]
-
-NO_NODE = -1  # an empty dispatch cell, or no heavy child
 
 
 @dataclass(eq=False)
@@ -57,16 +57,6 @@ class TrayAnnotations:
 
     def parray_cells(self) -> int:
         return sum(len(arr) - 1 for arr in self.parray.values())
-
-
-def _shape_flags(tree: TrayTree):
-    """The p-node flags, branching flags and heavy children (-1 if none) of
-    all nodes, as the tree's layout and shape give them: an id with a
-    depth, two or more listed children, the one listed child."""
-    count = np.diff(tree.child_cuts)
-    first = np.append(tree.child_ids, NO_NODE)[tree.child_cuts[:-1]]
-    return (np.arange(tree.size) < len(tree.depth_array), count >= 2,
-            np.where(count == 1, first, NO_NODE))
 
 
 def _first_after(text: PText, starts: np.ndarray) -> np.ndarray:
@@ -114,22 +104,19 @@ def _canonical_ids(text: PText, reps: np.ndarray,
 
 
 def annotate(tree: TrayTree, index: PsaIndex) -> TrayAnnotations:
-    """The nodes' flags (``_shape_flags``) and the dispatch array of every
-    branching node, in one numpy pass over the branching nodes' children.
+    """The nodes' flags and the dispatch array of every branching node, in
+    one numpy pass over the branching nodes' children (``tray_shape``).
 
     A branching node's dispatch array comes from the canonical renaming of
-    its representative window, its leftmost leaf's suffix
-    ``psa[lo[v] - 1]`` (every suffix in the block shares the node's label,
-    so any would do). ``_canonical_ids`` computes the renamings of all
-    branching nodes as one table; no other node's is ever read.
+    its representative window, its leftmost suffix (every suffix in the
+    block shares the node's label, so any would do). ``_canonical_ids``
+    computes the renamings of all branching nodes as one table.
 
     For a node of depth D with representative suffix i, a child whose edge
     starts with distance k > 0 continues the canonical form with the
     canonical id of ``T[i+D-k]`` (the window position the distance points
     at); the distance-0 child is the continuation for every canonical id
-    not used inside the window; a static child sits at its own rank. A
-    child's first edge symbol is symbol D+1 of its leftmost suffix, read
-    through the window adjustment.
+    not used inside the window; a static child sits at its own rank.
 
     The children of all branching nodes are taken at once, each is given
     its first rank and its count of ranks, and every (node, rank) cell is
@@ -141,23 +128,11 @@ def annotate(tree: TrayTree, index: PsaIndex) -> TrayAnnotations:
     text = index.text
     width = text.sigma + text.pi + 1
     pi = text.pi
-    is_pnode, is_branching, heavy_child = _shape_flags(tree)
-    nodes = is_branching.nonzero()[0]
-    psa = index.psa
-    depth = tree.depth_array[nodes]
-    reps = psa[tree.lo_array[nodes] - 1]
+    flags, (nodes, depth, reps), (kids, row, sym) = tray_shape(tree, index)
     table = _canonical_ids(text, reps, depth)
-    # Per child c of a branching node: row[c] is its node's index in
-    # nodes, kids[c] its id and d[c] its node's depth.
-    count = np.diff(tree.child_cuts)
-    kids = tree.child_ids[np.repeat(is_branching, count)]
-    row = np.repeat(np.arange(len(nodes)), count[nodes])
-    d = depth[row]
-    sym = _window_symbols(text.code_array, psa[tree.lo_array[kids] - 1] - 1,
-                          d + 1)
     far = (sym == 0).nonzero()[0]  # a symbol not seen inside the window
     near = ((sym > 0) & (sym < STATIC_BASE)).nonzero()[0]
-    x = text.symbol_array[reps[row[near]] + d[near] - sym[near] - 1]
+    x = text.symbol_array[reps[row[near]] + depth[row[near]] - sym[near] - 1]
     wrong = (x > pi).nonzero()[0]
     if len(wrong):
         raise ConstructionError(
@@ -177,11 +152,8 @@ def annotate(tree: TrayTree, index: PsaIndex) -> TrayAnnotations:
             f"p-array collision at node {nodes[j]}, rank {k}")
     flat = np.full(len(nodes) * width, NO_NODE, dtype=np.int64)
     flat[cell] = np.repeat(kids, spans)
-    return TrayAnnotations(
-        is_pnode=is_pnode.tolist(), is_branching=is_branching.tolist(),
-        heavy_child=heavy_child.tolist(),
-        parray=dict(zip(nodes.tolist(),
-                        flat.reshape(len(nodes), width).tolist())))
+    return TrayAnnotations(*map(np.ndarray.tolist, flags), parray=dict(
+        zip(nodes.tolist(), flat.reshape(len(nodes), width).tolist())))
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -314,8 +286,8 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations,
     """Check classification flags, the counting bounds on branching nodes
     and dispatch cells, and that every dispatch array agrees with its node.
 
-    The flags are read off the tree's layout and shape again by
-    ``_shape_flags``; ``validate_tree`` proves them.
+    The flags, children and first edge symbols come from ``tray_shape``,
+    as ``annotate`` reads them; ``validate_tree`` proves the flags.
     Dispatch agreement is recomputed from the definition at each branching
     node, trusting none of the stored annotations: the canonical renaming
     of the representative window (the leftmost leaf's) comes from the f-array
@@ -323,25 +295,21 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations,
     the rank its first edge symbol selects (a static at its own rank,
     distance k at the canonical id of ``T[rep+depth-k]``, distance 0 at
     every canonical id the window leaves unused), every child appears and
-    every other cell is empty. The children and their first edge symbols
-    are read for all branching nodes at once, as ``annotate`` reads them.
+    every other cell is empty.
     """
     text = index.text
-    threshold = heavy_threshold(text)
     n, size = text.n, tree.size
     if not (len(ann.is_pnode) == len(ann.is_branching)
             == len(ann.heavy_child) == size):
         raise ValidationError("annotations do not match the tree's size")
-    is_pnode, is_branching, heavy_child = _shape_flags(tree)
-    for name, got, want in (("p-node flag", ann.is_pnode, is_pnode),
-                            ("branching flag", ann.is_branching, is_branching),
-                            ("heavy child", ann.heavy_child, heavy_child)):
-        wrong = (np.fromiter(got, dtype=want.dtype, count=size)
-                 != want).nonzero()[0]
+    flags, (nodes, depths, reps), (kids, rows, syms) = tray_shape(tree, index)
+    for name, got, want in zip(
+            ("p-node flag", "branching flag", "heavy child"),
+            (ann.is_pnode, ann.is_branching, ann.heavy_child), flags):
+        wrong = (np.asarray(got) != want).nonzero()[0]
         if len(wrong):
             raise ValidationError(f"{name} wrong at node {wrong[0]}")
-    nodes = is_branching.nonzero()[0]
-    if len(nodes) > n // threshold:
+    if len(nodes) > n // heavy_threshold(text):
         raise ValidationError("branching node count exceeds n/max(sigma,pi)")
     if sorted(ann.parray) != nodes.tolist():
         raise ValidationError("dispatch arrays are not those of the "
@@ -350,19 +318,10 @@ def validate_annotations(tree: TrayTree, ann: TrayAnnotations,
         raise ValidationError("p-array cells exceed 2n")
     # f-arrays of the representative suffixes: symbol x's first offset in
     # the suffix at rep, 1-based, or 0 when it does not occur there.
-    reps = index.psa[tree.lo_array[nodes] - 1]
     first = _first_after(text, reps - 1)
     farr = np.where(first < n, first - reps[:, None] + 2, 0)
-    # The branching nodes' children, node by node, each with symbol D + 1
-    # of its leftmost suffix, D its node's depth; cuts[j] starts node j's.
-    count = np.diff(tree.child_cuts)
-    kids = tree.child_ids[np.repeat(is_branching, count)]
-    depths = tree.depth_array[nodes]
-    starts = index.psa[tree.lo_array[kids] - 1] - 1
-    syms = _window_symbols(text.code_array, starts,
-                           np.repeat(depths, count[nodes]) + 1).tolist()
-    cuts = np.append(0, np.cumsum(count[nodes])).tolist()
-    kids = kids.tolist()
+    cuts = np.searchsorted(rows, np.arange(len(nodes) + 1)).tolist()
+    kids, syms = kids.tolist(), syms.tolist()
     width = text.sigma + text.pi + 1
     for v, depth, rep, row, begin, end in zip(
             nodes.tolist(), depths.tolist(), reps.tolist(), farr.tolist(),

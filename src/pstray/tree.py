@@ -14,9 +14,9 @@ loop: each adjacent-LCP boundary belongs to the interval bounded by its
 nearest strictly smaller LCPs, so the heavy intervals are those spans that
 reach the threshold, and a heavy node's boundaries cut it into its
 children. Each node fact is stored once: a node's children are its CSR
-slice, and its parent is the node whose slice lists it. Edge labels are
-never stored; an edge is a depth window of any suffix below the node,
-resolved symbol-by-symbol through the O(1) window adjustment.
+slice (the tray reads those through ``tray_shape``), and its parent is
+the node whose slice lists it. Edge labels are never stored; an edge is
+a depth window of any suffix below the node, read by ``_window_symbols``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ import numpy as np
 from .alphabet import PText
 from .errors import ValidationError
 from .suffixes import PsaIndex, _window_symbols
+
+
+NO_NODE = -1  # an empty dispatch cell, or no heavy child
 
 
 def heavy_threshold(text: PText) -> int:
@@ -189,6 +192,28 @@ def build_tree(index: PsaIndex) -> TrayTree:
         child_ids=kid[keep], child_cuts=cuts)
 
 
+def tray_shape(tree: TrayTree, index: PsaIndex):
+    """``(is_pnode, is_branching, heavy_child)`` per node: an id with a
+    depth, two or more children, the one child or ``NO_NODE``; ``(nodes,
+    depth, reps)`` per branching node, ascending, ``reps`` its leftmost
+    suffix ``psa[lo - 1]``; and ``(kids, row, sym)`` per child of one, in
+    CSR order: its id, its node's index in ``nodes`` and its first edge
+    symbol, symbol D + 1 of its leftmost suffix, D its node's depth."""
+    cuts, listed, lo = tree.child_cuts, tree.child_ids, tree.lo_array
+    count = np.diff(cuts)
+    is_branching = count >= 2
+    heavy_child = np.where(count == 1, np.append(listed, NO_NODE)[cuts[:-1]],
+                           NO_NODE)
+    nodes = is_branching.nonzero()[0]
+    depth, reps = tree.depth_array[nodes], index.psa[lo[nodes] - 1]
+    kids = listed[np.repeat(is_branching, count)]
+    row = np.repeat(np.arange(len(nodes)), count[nodes])
+    sym = _window_symbols(index.text.code_array, index.psa[lo[kids] - 1] - 1,
+                          depth[row] + 1)
+    return ((np.arange(tree.size) < len(tree.depth_array), is_branching,
+             heavy_child), (nodes, depth, reps), (kids, row, sym))
+
+
 def validate_tree(tree: TrayTree, index: PsaIndex) -> None:
     """Check in O(n), against the suffix and LCP arrays, that the tree
     holds exactly the heavy LCP intervals and the children a query can
@@ -207,8 +232,8 @@ def validate_tree(tree: TrayTree, index: PsaIndex) -> None:
         if np.count_nonzero(bad):
             raise ValidationError(message)
 
-    n, size, text = index.n, tree.size, index.text
-    threshold = heavy_threshold(text)
+    n, size = index.n, tree.size
+    threshold = heavy_threshold(index.text)
     depth, lo, hi = tree.depth_array, tree.lo_array, tree.hi_array
     cuts, listed = tree.child_cuts, tree.child_ids
     fail(not 1 <= size <= max(2 * n - 1, 1) or len(hi) != size
@@ -273,6 +298,7 @@ def validate_tree(tree: TrayTree, index: PsaIndex) -> None:
     fail((np.diff(piece, append=n + 1) >= threshold)
          & (pnode & (lo < hi))[own[piece]],
          "a p-node's own ranks hold a heavy block at its depth")
-    sym = _window_symbols(text.code_array, index.psa[first - 1] - 1, d + 1)
-    fail((sym[1:] <= sym[:-1]) & same,
+    # Only branching nodes list siblings, so theirs are all the pairs.
+    _, _, (_, row, sym) = tray_shape(tree, index)
+    fail((sym[1:] <= sym[:-1]) & (row[1:] == row[:-1]),
          "children are not in first-symbol order")

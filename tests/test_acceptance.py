@@ -22,7 +22,8 @@ from pstray.oracle import (bijection_p_match, encode_pattern, fpos_stream,
 from pstray.suffixes import QueryStats, report
 from pstray.tray import NO_NODE, assemble, query
 
-from conftest import DEMO_PLCP, DEMO_PSA, decode, make_text, window_codes
+from conftest import (DEMO_PLCP, DEMO_PSA, decode, make_text, random_pattern,
+                      window_codes)
 from test_tree import label_map
 
 PI_POOL = list("uvwxyz")
@@ -55,22 +56,6 @@ def _random_instance(rng):
     return ingest(raw, spec)
 
 
-def _random_suite_pattern(rng, text, max_m=50):
-    tokens = sorted(text.tok2id)
-    pi_toks = sorted(t for t in tokens if text.spec.is_parameterized(t))
-    if rng.random() < 0.5 and text.n > 2:
-        m = rng.randint(1, min(max_m, text.n - 1))
-        start = rng.randint(1, text.n - m)
-        window = [text.id2tok[c] for c in
-                  text.symbol_array[start - 1:start - 1 + m].tolist()]
-        shuffled = pi_toks[:]
-        rng.shuffle(shuffled)
-        renaming = dict(zip(pi_toks, shuffled))
-        return "".join(renaming.get(c, c) for c in window)
-    m = rng.randint(1, max_m)
-    return "".join(rng.choice(tokens) for _ in range(m))
-
-
 @pytest.fixture(scope="module")
 def random_suite():
     """250 texts x 40 patterns = 10^4 (text, pattern) trials.
@@ -95,7 +80,7 @@ def random_suite():
         if not (branch_ok and cells_ok):
             structural_violations += 1
         for _ in range(40):
-            pattern = _random_suite_pattern(rng, text)
+            pattern = random_pattern(rng, text, max_m=50)
             occ, stats = query(index, pattern)
             enc = encode_pattern(text, pattern)
             expect = sorted(naive_ppm(text, enc)) if enc else []
@@ -374,7 +359,7 @@ def test_criterion_7_serialization(tmp_path, demo_text, demo_index):
         index_io.save(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes(), "round trip not byte-exact"
         while battery < (i + 1) * 34:
-            pattern = _random_suite_pattern(rng, text, max_m=20)
+            pattern = random_pattern(rng, text, max_m=20)
             assert query(index, pattern)[0] == query(loaded, pattern)[0]
             battery += 1
     assert battery >= 100

@@ -1,12 +1,14 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
-from pstray.alphabet import (AlphabetSpec, ingest, parse_alphabet_spec,
-                             pattern_codes)
+from pstray.alphabet import (AlphabetSpec, PText, ingest,
+                             parse_alphabet_spec, pattern_codes)
 from pstray.encoding import prev, spe
-from pstray.errors import ClassificationError, InputError, QueryError
+from pstray.errors import (ClassificationError, InputError, QueryError,
+                           ValidationError)
 from pstray.oracle import encode_pattern
 from pstray.tray import assemble
 
@@ -121,6 +123,37 @@ def test_alphabet_spec_refuses_non_string_sets(members):
         AlphabetSpec(mode="tokens", **members)
 
 
+# A lone surrogate is a str that UTF-8 cannot encode: each of these built,
+# and index_io.save then raised UnicodeEncodeError.
+def test_tokens_utf8_cannot_encode_are_refused():
+    bad = re.escape(repr("\ud800"))
+    with pytest.raises(InputError, match=f"text token {bad}"):
+        ingest("x\ud800y\udc80", AlphabetSpec(pi_members=frozenset("xy")))
+    with pytest.raises(InputError, match=f"text token {bad}"):
+        make_text("a \udc80b \ud800 a", pi=["a"], mode="tokens")
+    with pytest.raises(InputError, match="declared token"):
+        AlphabetSpec(pi_members=frozenset(["x", "\udc80"]))
+    with pytest.raises(InputError, match="declared token"):
+        AlphabetSpec(pi_members=frozenset("x"),
+                     sigma_members=frozenset(["A\ud800"]))
+
+
+# Symbol arrays ingest cannot make, passed by hand: each built an index of
+# a text with no end marker last, or raised TypeError, IndexError or
+# OverflowError.
+@pytest.mark.parametrize("symbols", [
+    np.array([1, 2, 1]), np.array([1.0, 2.0, 3.0]), np.array([1, 3, 2, 3]),
+    np.array([0, 2, 3]), np.array([1, 4, 3]), np.array([], dtype=np.int64),
+    [1, 2, 3], np.array([[1, 3]]), np.array([1, 2, 3], dtype=np.int32),
+], ids=["no-end-marker", "float", "end-marker-inside", "id-0",
+        "id-past-the-end-marker", "empty", "list", "2-d", "int32"])
+def test_text_refuses_symbols_ingest_cannot_make(symbols):
+    with pytest.raises(ValidationError, match="text symbols"):
+        assemble(PText(symbol_array=symbols, pi=1, sigma=2,
+                       tok2id={"x": 1, "A": 2},
+                       spec=AlphabetSpec(pi_members=frozenset("x"))))
+
+
 # A symbol's id is its lexicographic rank in the occurring alphabet, every
 # parameterized symbol ranked below every static one: the dispatch arrays
 # are indexed by it.
@@ -151,6 +184,14 @@ def test_parse_alphabet_spec():
         parse_alphabet_spec("pi: x\n")
     with pytest.raises(InputError):
         parse_alphabet_spec("pi: x\nsigma: auto\nwhat: ever\n")
+    # A repeated key is refused, not read last-one-wins.
+    for content, line, key in (("pi: x\npi: y\nsigma: auto", 2, "pi"),
+                               ("sigma: A\npi: x\nsigma: auto", 3, "sigma"),
+                               ("mode: bytes\npi: x\nsigma: A\n\nMode: tokens",
+                                5, "mode")):
+        with pytest.raises(InputError,
+                           match=f"line {line}: repeated key '{key}'"):
+            parse_alphabet_spec(content)
 
 
 def test_encode_pattern(demo_text):

@@ -10,10 +10,12 @@ from pstray.encoding import pfunction_from_fpos
 from pstray.oracle import fpos
 from pstray.suffixes import build_psa
 from pstray.tray import _canonical_ids, assemble, validate_annotations
-from pstray.tree import _nearest_smaller, build_tree, validate_tree
+from pstray.tree import (NO_NODE, _nearest_smaller, build_tree, tray_shape,
+                         validate_tree)
 
-from conftest import (kept_intervals, lcp_intervals, make_text,
-                      naive_intervals, random_text, tree_intervals)
+from conftest import (DEMO_TEXT, children, edge_symbol, kept_intervals,
+                      lcp_intervals, leaf_count, make_text, naive_intervals,
+                      random_text, tree_intervals)
 from test_suffixes import clone_text
 
 
@@ -99,6 +101,32 @@ def test_nearest_smaller_matches_a_scan():
         want = [max(j for j in range(i) if h[j] < h[i])
                 for i in range(1, len(h) - 1)]
         assert got == want
+
+
+def test_tray_shape_matches_the_child_lists():
+    """Flags from leaf counts, the branching nodes with their depths and
+    leftmost suffixes, and their children in order with each one's first
+    edge symbol, node by node from the child lists."""
+    texts = [make_text(DEMO_TEXT, pi="xyz", sigma="A")] + construction_texts()
+    for t in texts:
+        index = assemble(t)
+        tree, idx = index.tree, index.psa_index
+        flags, (nodes, depth, reps), (kids, row, sym) = tray_shape(tree, idx)
+        threshold = max(t.sigma, t.pi)
+        lists = [children(tree, v) for v in range(tree.size)]
+        heavy = [[u for u in c if leaf_count(tree, u) >= threshold]
+                 for c in lists]
+        branching = [v for v in range(tree.size) if len(heavy[v]) >= 2]
+        assert [flag.tolist() for flag in flags] == [
+            [leaf_count(tree, v) >= threshold for v in range(tree.size)],
+            [len(h) >= 2 for h in heavy],
+            [h[0] if len(h) == 1 else NO_NODE for h in heavy]]
+        assert nodes.tolist() == branching
+        assert depth.tolist() == [tree.depth[v] for v in branching]
+        assert reps.tolist() == [idx.starts[tree.lo[v] - 1] for v in branching]
+        pairs = [(j, u) for j, v in enumerate(branching) for u in lists[v]]
+        assert list(zip(row.tolist(), kids.tolist())) == pairs
+        assert sym.tolist() == [edge_symbol(tree, idx, u, 1) for _, u in pairs]
 
 
 def test_annotations_match_definitions():

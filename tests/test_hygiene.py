@@ -313,8 +313,8 @@ def test_star_import_of_the_package_runs():
 ARRAY_PASSES = {
     "suffixes.py": {"validate_psa": [], "_window_symbols": [],
                     "_last_corrections": []},
-    "tree.py": {"build_tree": []},
-    "tray.py": {"_shape_flags": [], "_first_after": [], "_canonical_ids": [],
+    "tree.py": {"build_tree": [], "tray_shape": []},
+    "tray.py": {"_first_after": [], "_canonical_ids": [],
                 "annotate": [], "_ranges": []},
 }
 

@@ -470,6 +470,19 @@ def test_position_and_lcp_width_boundaries(tmp_path, raw, part, width):
         assert loaded.query(pat)[0] == want
 
 
+def test_tokens_outside_the_bmp_round_trip(tmp_path):
+    """A token past U+FFFF takes four UTF-8 bytes and is no surrogate."""
+    t = make_text("\U0001d465A\U0001d466\U0001d465A",
+                  pi=["\U0001d465", "\U0001d466"], sigma=["A"])
+    p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
+    index_io.save(assemble(t), p1)
+    loaded = index_io.load(p1)
+    index_io.save(loaded, p2)
+    assert p2.read_bytes() == p1.read_bytes()
+    assert loaded.text.tok2id == t.tok2id and loaded.text.spec == t.spec
+    assert loaded.query("\U0001d466A")[0] == [1, 4]
+
+
 def test_undecodable_token_is_refused(tmp_path, demo_index):
     def spoil(parts):  # the first byte of the first token
         pi = bytearray(parts["pi"])
