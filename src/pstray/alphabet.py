@@ -237,16 +237,17 @@ def pattern_codes(text: PText,
     """prev codes and canonical ids of a raw pattern, in one pass over its
     tokens; None when it cannot occur in the text.
 
-    Equal to ``prev`` and ``spe`` of ``oracle.encode_pattern(text, raw)``,
-    without building the id list between them. A parameterized token needs
-    no text id, because only equality within the pattern matters: its
-    canonical id is the number of distinct parameterized tokens up to its
-    first occurrence, and its prev code the distance back to its last one.
-    More distinct parameterized tokens than the text's ``pi`` give None,
-    since no window of the text holds more. A static token takes one
-    ``tok2id`` lookup; one the text has never seen, ``$`` included, gives
-    None. Every token is read first: raises QueryError for an empty pattern
-    and for one that is neither a string nor a sequence of string tokens.
+    Where it can occur, equal to ``prev`` and ``spe`` of ``encode_pattern``
+    in ``oracle``, without building the id list between them. A
+    parameterized token needs no text id, as only equality within the
+    pattern matters: its canonical id is the number of distinct
+    parameterized tokens up to its first occurrence, and its prev code the
+    distance back to its last one. More distinct parameterized tokens than
+    the text's ``pi`` give None, since no window of the text holds more. A
+    static token takes one ``tok2id`` lookup; one the text has never seen,
+    ``$`` included, gives None. Every token is read first: raises QueryError
+    for an empty pattern and for one that is neither a string nor a sequence
+    of string tokens.
     """
     try:
         tokens = text.spec.tokenize(raw)

@@ -20,7 +20,8 @@ from pathlib import Path
 from . import index_io
 from .alphabet import ingest, parse_alphabet_spec, pattern_codes
 from .errors import InputError, PstrayError
-from .oracle import encode_pattern, naive_ppm, plain_range_search
+from .oracle import (encode_pattern, naive_ppm, plain_range_search,
+                     random_pattern)
 from .suffixes import QueryStats, report
 from .tray import assemble, query
 from .tree import heavy_threshold
@@ -85,8 +86,7 @@ def cmd_query(args) -> int:
         for key, val in stats.as_dict().items():
             print(f"{key}={val}", file=sys.stderr)
     if args.oracle_check:
-        encoded = encode_pattern(index.text, pattern)
-        expect = sorted(naive_ppm(index.text, encoded)) if encoded else []
+        expect = naive_ppm(index.text, encode_pattern(index.text, pattern))
         if occ != expect:
             print(f"oracle mismatch: index={occ} oracle={expect}",
                   file=sys.stderr)
@@ -158,29 +158,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _random_pattern(rng: random.Random, text) -> str | list[str]:
-    """Half window-with-renaming (guaranteed-ish hits), half random draws."""
-    n = text.n
-    tokens = sorted(text.tok2id)
-    pi_toks = sorted(t for t in tokens if text.spec.is_parameterized(t))
-    if rng.random() < 0.5 and n > 2:
-        m = rng.randint(1, min(12, n - 1))
-        start = rng.randint(1, n - m)
-        window = [text.id2tok[c] for c in
-                  text.symbol_array[start - 1:start - 1 + m].tolist()]
-        if pi_toks:
-            shuffled = pi_toks[:]
-            rng.shuffle(shuffled)
-            renaming = dict(zip(pi_toks, shuffled))
-            window = [renaming.get(t, t) for t in window]
-    else:
-        m = rng.randint(1, 12)
-        window = [rng.choice(tokens) for _ in range(m)]
-    if text.spec.mode == "bytes":
-        return "".join(window)
-    return window
-
-
 def cmd_self_check(args) -> int:
     text = _load_text(args)
     if args.trials <= 0:
@@ -189,10 +166,9 @@ def cmd_self_check(args) -> int:
     index.validate()
     rng = random.Random(args.seed)
     for trial in range(args.trials):
-        pattern = _random_pattern(rng, text)
+        pattern = random_pattern(rng, text, max_m=12)
         occ, _ = query(index, pattern)
-        encoded = encode_pattern(text, pattern)
-        expect = sorted(naive_ppm(text, encoded)) if encoded else []
+        expect = naive_ppm(text, encode_pattern(text, pattern))
         if occ != expect:
             print(f"self-check mismatch at trial {trial}: pattern={pattern!r} "
                   f"index={occ} oracle={expect}", file=sys.stderr)

@@ -3,23 +3,25 @@
 These are definitional transcriptions used to generate expected values and
 to cross-check the optimized paths in tests and `self-check`, beside the
 definitional helpers the index never calls: the per-suffix f-arrays and
-the p-match test. The references share no code with the indexed paths:
-suffixes are materialized, renamings are enumerated, matches are rescanned
-per position.
+the p-match test. The references share no code with the indexed paths
+(``naive_parray`` takes only the heavy threshold): suffixes are
+materialized, renamings are enumerated, matches are rescanned per position.
 
-Two helpers serve those comparisons and read the index's own pattern
-intake and suffix comparison: ``encode_pattern`` maps a pattern to the
-text ids ``naive_ppm`` takes, and ``plain_range_search`` is the plain
-binary search over the suffix array, the tests' reference for
-``suffixes.range_search`` and the full-range baseline of ``pstray bench``.
+Helpers of those comparisons: ``random_pattern`` draws their patterns;
+``encode_pattern`` maps one to the ids ``naive_ppm`` takes, checking it
+without the query's intake; ``plain_range_search``, the plain binary
+search over the suffix array, is the tests' reference for ``range_search``
+and ``pstray bench``'s baseline, and alone shares code with the index: its
+suffix comparison.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from random import Random
 from typing import Iterator, Sequence
 
-from .alphabet import PText, pattern_codes
+from .alphabet import BYTE_MODE, PText
 from .encoding import STATIC_BASE, prev, spe
 from .errors import CapacityError, QueryError, ValidationError
 from .suffixes import PsaIndex, QueryStats, compare_suffix
@@ -30,27 +32,46 @@ MAX_ORACLE_DISTINCT = 8
 MAX_ORACLE_TEXT = 5000
 
 
-def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int] | None:
-    """Map a pattern onto the text's internal ids.
-
-    Parameterized tokens unknown to the text get fresh negative ids (their
-    identity only matters up to equality within the pattern). A pattern
-    that cannot match anywhere, with a static token the text has never
-    seen or more distinct parameterized tokens than its ``pi``, gives
-    None. The pattern is checked by ``pattern_codes``, so this returns
-    None and raises QueryError where it does: for an empty pattern and for
-    one that is neither a string nor a sequence of string tokens.
-    """
-    if pattern_codes(text, raw) is None:
-        return None
-    out: list[int] = []
+def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int]:
+    """Map a pattern onto the ids ``naive_ppm`` compares with the text's:
+    a token's text id, else a fresh negative one for a parameterized token
+    (only equality within the pattern matters) and one above the end
+    marker's, which no window holds, for a static token or ``$``. Raises
+    QueryError unless the pattern is a nonempty string or sequence of
+    string tokens, checked here and not by the query's intake."""
+    try:
+        tokens = text.spec.tokenize(raw)
+    except TypeError:
+        tokens = []
+    if not tokens or not all(isinstance(tok, str) for tok in tokens):
+        raise QueryError("a pattern is a nonempty string or sequence of "
+                         "string tokens")
     fresh: dict[str, int] = {}
-    for tok in text.spec.tokenize(raw):
-        sym = text.tok2id.get(tok)
-        if sym is None:  # a parameterized token, as pattern_codes passed it
-            sym = fresh.setdefault(tok, -len(fresh) - 1)
-        out.append(sym)
-    return out
+    for tok in tokens:
+        if tok not in text.tok2id and tok not in fresh:
+            fresh[tok] = (-len(fresh) - 1 if text.spec.is_parameterized(tok)
+                          else text.sentinel + len(fresh) + 1)
+    ids = text.tok2id | fresh
+    return [ids[tok] for tok in tokens]
+
+
+def random_pattern(rng: Random, text: PText,
+                   max_m: int = 14) -> str | list[str]:
+    """Half the time a window of the text of at most ``max_m`` tokens with
+    its parameterized tokens permuted, else at most ``max_m`` random tokens
+    of the text: a string in byte mode, a token list in token mode."""
+    tokens = sorted(text.tok2id)
+    if rng.random() < 0.5 and text.n > 2:
+        m = rng.randint(1, min(max_m, text.n - 1))
+        start = rng.randint(1, text.n - m)
+        shuffled = [tok for tok in tokens if text.spec.is_parameterized(tok)]
+        rng.shuffle(shuffled)
+        renaming = dict(zip(sorted(shuffled), shuffled))
+        window = [renaming.get(text.id2tok[c], text.id2tok[c]) for c in
+                  text.symbol_array[start - 1:start - 1 + m].tolist()]
+    else:
+        window = [rng.choice(tokens) for _ in range(rng.randint(1, max_m))]
+    return "".join(window) if text.spec.mode == BYTE_MODE else window
 
 
 def _lower_bound_plain(index, pattern_prev, lo, hi, skip, strict, stats):
@@ -93,9 +114,9 @@ def plain_range_search(index: PsaIndex, pattern_prev: list[int], lo: int,
 
 
 def naive_ppm(text: PText, pattern: Sequence[int]) -> list[int]:
-    """Every 1-based position whose window p-matches the pattern, by
-    re-deriving the window's prev encoding from scratch (early exit on the
-    first differing symbol)."""
+    """Every 1-based position, ascending, whose window p-matches the
+    pattern, by re-deriving the window's prev encoding from scratch (early
+    exit on the first differing symbol)."""
     symbols = text.symbol_array.tolist()
     pi = text.pi
     n = text.n

@@ -75,6 +75,8 @@ class PsaIndex:
     and slicing in the search loops: the suffix of 1-based rank ``r``
     starts at ``starts[r - 1]``. ``starts`` is the index's one
     rank-to-start list; the tree reaches its nodes' suffixes through it.
+    Raises ValidationError, before copying, unless ``psa`` and ``plcp``
+    are int64 arrays of shape (n,); ``validate_psa`` checks their words.
     """
 
     text: PText = field(repr=False)
@@ -84,6 +86,11 @@ class PsaIndex:
     lcps: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not all(isinstance(words, np.ndarray) and words.dtype == np.int64
+                   and words.shape == (self.n,)
+                   for words in (self.psa, self.plcp)):
+            raise ValidationError(f"psa and plcp are not int64 arrays of "
+                                  f"shape ({self.n},)")
         self.starts = self.psa.tolist()
         self.lcps = self.plcp.tolist()
 
@@ -473,10 +480,6 @@ def validate_psa(index: PsaIndex, full: bool = True) -> None:
     """
     n = index.n
     psa = index.psa
-    if len(psa) != n or len(index.plcp) != n:
-        raise ValidationError("index arrays do not match text length")
-    if n == 0:
-        return
     # n entries in 1..n form a permutation iff they hit n distinct values.
     if (psa.min() < 1 or psa.max() > n
             or np.count_nonzero(np.bincount(psa, minlength=n + 1)) != n):

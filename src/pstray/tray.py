@@ -193,6 +193,8 @@ def build_tray(index: PsaIndex) -> PSTrayIndex:
 
     The one construction path for the tree and its annotations, from the
     suffix index alone: both ``assemble`` and ``index_io.load`` call it.
+    It trusts its index: one not made by ``build_psa`` or ``load`` must
+    pass ``validate_psa`` first, or the tray may answer wrongly.
     """
     tree = build_tree(index)
     return PSTrayIndex(psa_index=index, tree=tree, ann=annotate(tree, index))

@@ -64,23 +64,6 @@ def random_text(rng: random.Random, max_n=120, max_pi=6, max_sigma=3):
     return make_text(raw, pi=pis)
 
 
-def random_pattern(rng: random.Random, text, max_m=14):
-    """Half window-with-renaming, half random over the text's tokens."""
-    tokens = sorted(text.tok2id)
-    pi_toks = sorted(t for t in tokens if text.spec.is_parameterized(t))
-    if rng.random() < 0.5 and text.n > 2:
-        m = rng.randint(1, min(max_m, text.n - 1))
-        start = rng.randint(1, text.n - m)
-        window = [text.id2tok[c] for c in
-                  text.symbol_array[start - 1:start - 1 + m].tolist()]
-        shuffled = pi_toks[:]
-        rng.shuffle(shuffled)
-        renaming = dict(zip(pi_toks, shuffled))
-        return "".join(renaming.get(c, c) for c in window)
-    m = rng.randint(1, max_m)
-    return "".join(rng.choice(tokens) for _ in range(m))
-
-
 def fibonacci_word(n, a, b):
     """The first n letters of the Fibonacci word over a, b."""
     w, v = a, a + b

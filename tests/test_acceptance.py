@@ -18,12 +18,11 @@ from pstray.alphabet import AlphabetSpec, ingest, pattern_codes
 from pstray.encoding import STATIC_BASE, prev, spe
 from pstray.oracle import (bijection_p_match, encode_pattern, fpos_stream,
                            naive_parray, naive_ppm, naive_spe, p_match,
-                           plain_range_search)
+                           plain_range_search, random_pattern)
 from pstray.suffixes import QueryStats, report
 from pstray.tray import NO_NODE, assemble, query
 
-from conftest import (DEMO_PLCP, DEMO_PSA, decode, make_text, random_pattern,
-                      window_codes)
+from conftest import DEMO_PLCP, DEMO_PSA, decode, make_text, window_codes
 from test_tree import label_map
 
 PI_POOL = list("uvwxyz")
@@ -83,12 +82,11 @@ def random_suite():
             pattern = random_pattern(rng, text, max_m=50)
             occ, stats = query(index, pattern)
             enc = encode_pattern(text, pattern)
-            expect = sorted(naive_ppm(text, enc)) if enc else []
             trials.append((
-                occ == expect,
+                occ == naive_ppm(text, enc),
                 stats.max_range_searched < range_bound,
                 stats.symbol_comparisons <=
-                4 * (len(enc or [1]) + math.log2(text.n)) + len(occ),
+                4 * (len(enc) + math.log2(text.n)) + len(occ),
             ))
     elapsed = time.monotonic() - t0
     return {"trials": trials, "violations": structural_violations,
@@ -153,6 +151,24 @@ def test_criterion_2_oracle_equivalence(random_suite):
     assert random_suite["elapsed"] < 60.0, \
         f"random suite took {random_suite['elapsed']:.1f}s"
     _passed(2, f"({len(trials)} trials, {random_suite['elapsed']:.1f} s)")
+
+
+def test_criterion_2_comparison_sees_a_faulty_intake(monkeypatch):
+    """The comparison can fail: an intake that wrongly refuses each pattern
+    with exactly pi distinct parameterized tokens, on the README text."""
+    text = make_text("xyzAxxxAyyzAzx", pi="xyz", sigma="A")
+    index = assemble(text)
+    rng = random.Random(0)
+    patterns = [random_pattern(rng, text) for _ in range(200)]
+    want = [naive_ppm(text, encode_pattern(text, p)) for p in patterns]
+    assert [query(index, p)[0] for p in patterns] == want
+
+    def refuse_at_pi(t, raw):
+        params = set(t.spec.tokenize(raw)) & t.spec.pi_members
+        return None if len(params) >= t.pi else pattern_codes(t, raw)
+
+    monkeypatch.setattr("pstray.tray.pattern_codes", refuse_at_pi)
+    assert [query(index, p)[0] for p in patterns] != want
 
 
 # -------------------------------------------------------------- criterion 3

@@ -9,7 +9,7 @@ from pstray.alphabet import (AlphabetSpec, PText, ingest,
 from pstray.encoding import prev, spe
 from pstray.errors import (ClassificationError, InputError, QueryError,
                            ValidationError)
-from pstray.oracle import encode_pattern
+from pstray.oracle import encode_pattern, naive_ppm
 from pstray.tray import assemble
 
 from conftest import decode, make_text
@@ -197,19 +197,19 @@ def test_parse_alphabet_spec():
 def test_encode_pattern(demo_text):
     t = demo_text
     assert encode_pattern(t, "xAyy") == [1, 4, 2, 2]
-    # unknown static: no possible occurrence
-    assert encode_pattern(t, "xBy") is None
-    assert encode_pattern(t, "x$") is None
-    # '$' its own pattern cannot match either
-    assert encode_pattern(t, "$") is None
+    # An unknown static, '$' included, takes an id above the end marker's,
+    # which no window holds: no possible occurrence.
+    for raw in ("xBy", "x$", "$"):
+        assert max(encode_pattern(t, raw)) > t.sentinel
+        assert naive_ppm(t, encode_pattern(t, raw)) == []
 
 
 @pytest.mark.parametrize(
     "raw", [[["x"]], 5, [1, 2]],
     ids=["unhashable-token", "not-iterable", "int-tokens"])
 def test_encode_pattern_refuses_malformed_patterns(raw):
-    # Each raised TypeError or, for int tokens, returned None ("occurs
-    # nowhere"); pattern_codes raises QueryError for all three.
+    # The intake and the oracle each check the pattern themselves, and
+    # both refuse all three.
     t = make_text("xyAxyyAxBBz", pi="xyz")
     with pytest.raises(QueryError):
         pattern_codes(t, raw)
@@ -220,22 +220,21 @@ def test_encode_pattern_refuses_malformed_patterns(raw):
 def test_encode_pattern_fresh_parameterized():
     t = make_text("zAxAyyxyAxxy", pi="wxyz", sigma="A")
     enc = encode_pattern(t, "wAzw")
-    assert enc is not None
     assert enc[0] == enc[3] < 0 and enc[1] == t.tok2id["A"]
 
 
 def test_pattern_codes_equal_prev_and_spe_of_encoding():
-    """The one-pass intake against prev and spe of encode_pattern, in both
-    input modes and for both string and token-list input. Patterns draw on
-    parameterized tokens the text never saw, unknown statics and '$', and
-    often hold more distinct parameterized tokens than the text, which
-    gives None from both: no window of the text holds that many."""
+    """The one-pass intake against the definition, in both input modes and
+    for both string and token-list input. It gives None, and the oracle no
+    occurrence, exactly when the pattern holds a static token the text
+    never saw ('$' included) or more distinct parameterized tokens than pi,
+    which no window holds; else prev and spe of encode_pattern."""
     rng = random.Random(2031)
     params = {"bytes": list("uvwxyz"),
               "tokens": ["p0", "p1", "p2", "p3", "p4", "p5"]}
     statics = {"bytes": list("ABCD"), "tokens": ["S0", "S1", "S2", "S3"]}
     unknown = {"bytes": list("QR$"), "tokens": ["Q0", "R1", "$"]}
-    seen = {"none": 0, "unseen_param": 0, "over_pi": 0, "matchable": 0}
+    seen = {"new_static": 0, "unseen_param": 0, "over_pi": 0, "matchable": 0}
     for mode, sep in (("bytes", ""), ("tokens", " ")):
         for _ in range(40):
             used = rng.sample(params[mode], rng.randint(0, 3))
@@ -246,15 +245,17 @@ def test_pattern_codes_equal_prev_and_spe_of_encoding():
             pool = params[mode] + stat + unknown[mode] * (rng.random() < 0.3)
             for _ in range(30):
                 tokens = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+                over_pi = len(set(tokens) & set(params[mode])) > t.pi
+                new_static = any(tok not in params[mode]
+                                 and tok not in t.tok2id for tok in tokens)
                 for raw in (sep.join(tokens), tokens):
                     got = pattern_codes(t, raw)
                     enc = encode_pattern(t, raw)
-                    over_pi = len(set(tokens) & set(params[mode])) > t.pi
-                    if enc is None:
+                    if over_pi or new_static:
                         assert got is None, raw
-                        seen["over_pi" if over_pi else "none"] += 1
+                        assert naive_ppm(t, enc) == [], raw
+                        seen["over_pi" if over_pi else "new_static"] += 1
                         continue
-                    assert not over_pi, raw
                     assert got == (prev(enc, t.pi), spe(enc, t.pi)), raw
                     seen["matchable"] += 1
                     seen["unseen_param"] += min(enc) < 0

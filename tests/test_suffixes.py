@@ -8,12 +8,13 @@ import pstray.suffixes as sfx
 from pstray.alphabet import pattern_codes
 from pstray.encoding import STATIC_BASE, prev
 from pstray.errors import QueryError, ValidationError
-from pstray.oracle import encode_pattern, naive_psa, plain_range_search
+from pstray.oracle import (encode_pattern, naive_psa, plain_range_search,
+                           random_pattern)
 from pstray.suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
                              range_search, report, validate_psa)
 
 from conftest import (DEMO_PLCP, DEMO_PSA, make_text, naive_intervals,
-                      random_pattern, random_text, sym_codes, window_codes)
+                      random_text, sym_codes, window_codes)
 
 
 def test_demo_psa_plcp(demo_index):
@@ -405,10 +406,7 @@ def test_variants_agree_randomized():
         pats += ["x" * j for j in (1, 2, 5, 30)]
         pats += ["xy" * j for j in (1, 3, 20)]
         for pat in pats:
-            enc = encode_pattern(t, pat)
-            if not enc:
-                continue
-            pp = prev(enc, t.pi)
+            pp = prev(encode_pattern(t, pat), t.pi)
             want = plain_range_search(idx, pp, 1, t.n, 0, QueryStats())
             assert range_search(idx, pp, 1, t.n, 0) == want
             # Any range meets the skip-0 precondition; one ending inside a
@@ -486,6 +484,15 @@ def test_validator_catches_corruption(demo_index):
         idx = PsaIndex(text=t, psa=np.array(psa), plcp=np.array([0, 1]))
         with pytest.raises(ValidationError, match=message):
             validate_psa(idx)
+
+
+def test_index_refuses_arrays_of_the_wrong_shape(demo_index):
+    """A psa one word short, a float psa, a list plcp and a 2-d psa."""
+    psa, plcp = demo_index.psa_index.psa, demo_index.psa_index.plcp
+    for arrays in ((psa[:-1], plcp), (psa.astype(float), plcp),
+                   (psa, plcp.tolist()), (psa[None, :], plcp)):
+        with pytest.raises(ValidationError, match="not int64 arrays"):
+            PsaIndex(demo_index.text, *arrays)
 
 
 def test_linear_check_catches_order_faults(demo_index):
