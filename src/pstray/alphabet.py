@@ -87,9 +87,6 @@ class AlphabetSpec:
             raise TypeError(f"{type(raw).__name__} is unordered")
         return list(raw)
 
-    def is_parameterized(self, token: str) -> bool:
-        return token in self.pi_members
-
 
 def parse_alphabet_spec(content: str) -> AlphabetSpec:
     """Parse the three-line alphabet spec format.
@@ -129,9 +126,9 @@ class PText:
     Made from its int64 ``symbol_array`` (built by ``ingest``, read by
     ``index_io.load``; position ``p`` is ``symbol_array[p-1]``, the last
     alone is the sentinel, else ValidationError) and the token ids ``tok2id``,
-    and immutable. Derived once: ``id2tok``, the inverse of ``tok2id``
-    with ``$`` at the sentinel; ``by_symbol``, the 0-based positions of
-    the parameterized symbols sorted by symbol (symbol x's, ascending, are
+    and immutable: the constructor freezes ``symbol_array`` and every array
+    it derives. Derived once: ``by_symbol``, the 0-based positions of the
+    parameterized symbols sorted by symbol (symbol x's, ascending, are
     ``by_symbol[symbol_cuts[x-1]:symbol_cuts[x]]``, with ``symbol_cuts``
     an int64 array too); ``code_array``, the prev codes; and their list
     ``prev_codes``, which the query's suffix comparisons index.
@@ -142,7 +139,6 @@ class PText:
     sigma: int
     tok2id: dict[str, int]
     spec: AlphabetSpec
-    id2tok: dict[int, str] = field(init=False, repr=False)
     by_symbol: np.ndarray = field(init=False, repr=False)
     symbol_cuts: np.ndarray = field(init=False, repr=False)
     code_array: np.ndarray = field(init=False, repr=False)
@@ -156,13 +152,14 @@ class PText:
                 and symbols[:-1].max(initial=0) < end):
             raise ValidationError(f"text symbols are not int64 ids "
                                   f"1..{end - 1} ended by the end marker {end}")
-        self.id2tok = {v: k for k, v in self.tok2id.items()}
-        self.id2tok[end] = SENTINEL_TOKEN
         self.by_symbol = sort_by_symbol(symbols, self.pi)
         self.symbol_cuts = np.bincount(symbols[self.by_symbol],
                                        minlength=self.pi + 1).cumsum()
         self.code_array = prev_array(symbols, self.by_symbol)
         self.prev_codes = self.code_array.tolist()
+        for words in (symbols, self.by_symbol, self.symbol_cuts,
+                      self.code_array):
+            words.flags.writeable = False
 
     @property
     def n(self) -> int:

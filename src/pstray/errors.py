@@ -21,10 +21,6 @@ class ConstructionError(PstrayError):
     """Internal consistency failure while building the index."""
 
 
-class CapacityError(PstrayError):
-    """A brute-force oracle was asked to exceed its stated capacity."""
-
-
 class FormatError(PstrayError):
     """Index file is structurally invalid (bad magic, version, lengths)."""
 

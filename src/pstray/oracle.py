@@ -2,10 +2,12 @@
 
 These are definitional transcriptions used to generate expected values and
 to cross-check the optimized paths in tests and `self-check`, beside the
-definitional helpers the index never calls: the per-suffix f-arrays and
-the p-match test. The references share no code with the indexed paths
-(``naive_parray`` takes only the heavy threshold): suffixes are
-materialized, renamings are enumerated, matches are rescanned per position.
+definitional helpers the index never calls: the prev encoding and
+canonical renaming of one sequence (``prev`` and ``spe``), the per-suffix
+f-arrays and the p-match test. The references share no code with the
+indexed paths (``naive_parray`` takes only the heavy threshold): suffixes
+are materialized, renamings are enumerated, matches are rescanned per
+position. They raise ValueError past their stated capacity.
 
 Helpers of those comparisons: ``random_pattern`` draws their patterns;
 ``encode_pattern`` maps one to the ids ``naive_ppm`` takes, checking it
@@ -22,14 +24,57 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .alphabet import BYTE_MODE, PText
-from .encoding import STATIC_BASE, prev, spe
-from .errors import CapacityError, QueryError, ValidationError
+from .encoding import STATIC_BASE
+from .errors import QueryError, ValidationError
 from .suffixes import PsaIndex, QueryStats, compare_suffix
 from .tray import NO_NODE
 from .tree import TrayTree, heavy_threshold
 
 MAX_ORACLE_DISTINCT = 8
 MAX_ORACLE_TEXT = 5000
+
+
+def prev(w: Sequence[int], pi: int) -> list[int]:
+    """prev encoding of a symbol sequence.
+
+    Static symbols are copied (as static codes); the first occurrence of a
+    parameterized symbol becomes distance 0 and every later occurrence the
+    distance to the previous one. One left-to-right pass with a
+    last-occurrence bucket.
+    """
+    out: list[int] = []
+    last: dict[int, int] = {}
+    for i, c in enumerate(w):
+        if c <= pi:
+            j = last.get(c)
+            out.append(0 if j is None else i - j)
+            last[c] = i
+        else:
+            out.append(STATIC_BASE + c)
+    return out
+
+
+def spe(w: Sequence[int], pi: int) -> list[int]:
+    """Canonical renaming: the lexicographically least string that matches
+    ``w`` up to a bijection of its parameterized symbols.
+
+    The l-th distinct parameterized symbol (by first occurrence) becomes
+    canonical id l; statics pass through. When ``w`` uses more distinct
+    parameterized symbols than ``pi`` the output runs past the canonical
+    range, which callers treat as "cannot occur in this text".
+    """
+    out: list[int] = []
+    renaming: dict[int, int] = {}
+    for c in w:
+        if c <= pi:
+            sub = renaming.get(c)
+            if sub is None:
+                sub = len(renaming) + 1
+                renaming[c] = sub
+            out.append(sub)
+        else:
+            out.append(c)
+    return out
 
 
 def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int]:
@@ -49,7 +94,7 @@ def encode_pattern(text: PText, raw: str | Sequence[str]) -> list[int]:
     fresh: dict[str, int] = {}
     for tok in tokens:
         if tok not in text.tok2id and tok not in fresh:
-            fresh[tok] = (-len(fresh) - 1 if text.spec.is_parameterized(tok)
+            fresh[tok] = (-len(fresh) - 1 if tok in text.spec.pi_members
                           else text.sentinel + len(fresh) + 1)
     ids = text.tok2id | fresh
     return [ids[tok] for tok in tokens]
@@ -64,10 +109,11 @@ def random_pattern(rng: Random, text: PText,
     if rng.random() < 0.5 and text.n > 2:
         m = rng.randint(1, min(max_m, text.n - 1))
         start = rng.randint(1, text.n - m)
-        shuffled = [tok for tok in tokens if text.spec.is_parameterized(tok)]
+        shuffled = [tok for tok in tokens if tok in text.spec.pi_members]
         rng.shuffle(shuffled)
         renaming = dict(zip(sorted(shuffled), shuffled))
-        window = [renaming.get(text.id2tok[c], text.id2tok[c]) for c in
+        renamed = {i: renaming.get(tok, tok) for tok, i in text.tok2id.items()}
+        window = [renamed[c] for c in
                   text.symbol_array[start - 1:start - 1 + m].tolist()]
     else:
         window = [rng.choice(tokens) for _ in range(rng.randint(1, max_m))]
@@ -151,8 +197,8 @@ def naive_spe(w: Sequence[int], pi: int) -> list[int]:
             distinct.append(c)
     k = len(distinct)
     if k > MAX_ORACLE_DISTINCT:
-        raise CapacityError(f"{k} distinct parameterized symbols exceeds "
-                            f"oracle capacity {MAX_ORACLE_DISTINCT}")
+        raise ValueError(f"{k} distinct parameterized symbols exceeds "
+                         f"oracle capacity {MAX_ORACLE_DISTINCT}")
     best: list[int] | None = None
     for perm in permutations(range(1, k + 1)):
         mapping = dict(zip(distinct, perm))
@@ -224,7 +270,7 @@ def naive_psa(text: PText) -> tuple[list[int], list[int]]:
     prev-encoded suffix."""
     n = text.n
     if n > MAX_ORACLE_TEXT:
-        raise CapacityError(f"text length {n} exceeds oracle capacity")
+        raise ValueError(f"text length {n} exceeds oracle capacity")
     symbols = text.symbol_array.tolist()
     encoded = [tuple(prev(symbols[i - 1:], text.pi)) for i in range(1, n + 1)]
     order = sorted(range(1, n + 1), key=lambda i: encoded[i - 1])

@@ -77,6 +77,7 @@ class PsaIndex:
     rank-to-start list; the tree reaches its nodes' suffixes through it.
     Raises ValidationError, before copying, unless ``psa`` and ``plcp``
     are int64 arrays of shape (n,); ``validate_psa`` checks their words.
+    The constructor freezes both arrays, so the copies cannot go stale.
     """
 
     text: PText = field(repr=False)
@@ -93,6 +94,7 @@ class PsaIndex:
                                   f"shape ({self.n},)")
         self.starts = self.psa.tolist()
         self.lcps = self.plcp.tolist()
+        self.psa.flags.writeable = self.plcp.flags.writeable = False
 
     @property
     def n(self) -> int:

@@ -32,11 +32,6 @@ from .suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
 from .tree import (NO_NODE, TrayTree, build_tree, heavy_threshold,
                    tray_shape, validate_tree)
 
-__all__ = [
-    "TrayAnnotations", "QueryStats", "PSTrayIndex", "annotate", "build_tray",
-    "assemble", "query", "validate_annotations",
-]
-
 
 @dataclass(eq=False)
 class TrayAnnotations:

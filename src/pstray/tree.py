@@ -51,7 +51,8 @@ class TrayTree:
     from the root) of the p-nodes alone, ids 0..P-1, as only they are read.
     Children are in CSR form: those of node v, in lexicographic edge order,
     are ``child_ids[child_cuts[v]:child_cuts[v + 1]]``. Derived once: the
-    lists ``depth``, ``lo`` and ``hi`` that the query loop indexes.
+    lists ``depth``, ``lo`` and ``hi`` that the query loop indexes. The
+    constructor freezes the five arrays.
     """
 
     depth_array: np.ndarray
@@ -67,6 +68,9 @@ class TrayTree:
         self.depth = self.depth_array.tolist()
         self.lo = self.lo_array.tolist()
         self.hi = self.hi_array.tolist()
+        for words in (self.depth_array, self.lo_array, self.hi_array,
+                      self.child_ids, self.child_cuts):
+            words.flags.writeable = False
 
     @property
     def size(self) -> int:

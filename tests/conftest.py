@@ -22,11 +22,16 @@ def make_text(raw, pi="xyz", sigma=None, mode="bytes"):
     return ingest(raw, spec)
 
 
+def token_names(text):
+    """id -> external token of a text, with ``$`` at the end marker."""
+    return {i: tok for tok, i in text.tok2id.items()} | {text.sentinel: "$"}
+
+
 def decode(text, positions):
     """External tokens of the given 1-based positions of a text."""
     sep = " " if text.spec.mode == TOKEN_MODE else ""
-    symbols = text.symbol_array
-    return sep.join(text.id2tok[symbols[p - 1]] for p in positions)
+    symbols, names = text.symbol_array, token_names(text)
+    return sep.join(names[symbols[p - 1]] for p in positions)
 
 
 def window_codes(text, start, depth):

@@ -15,10 +15,10 @@ import pytest
 
 from pstray import index_io
 from pstray.alphabet import AlphabetSpec, ingest, pattern_codes
-from pstray.encoding import STATIC_BASE, prev, spe
+from pstray.encoding import STATIC_BASE
 from pstray.oracle import (bijection_p_match, encode_pattern, fpos_stream,
                            naive_parray, naive_ppm, naive_spe, p_match,
-                           plain_range_search, random_pattern)
+                           plain_range_search, prev, random_pattern, spe)
 from pstray.suffixes import QueryStats, report
 from pstray.tray import NO_NODE, assemble, query
 

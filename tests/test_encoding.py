@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from pstray.encoding import (STATIC_BASE, pfunction_from_fpos, prev,
-                             prev_array, sort_by_symbol, spe)
+from pstray.encoding import (STATIC_BASE, pfunction_from_fpos, prev_array,
+                             sort_by_symbol)
 from pstray.errors import QueryError
 from pstray.oracle import (bijection_p_match, fpos, fpos_stream, naive_spe,
-                           p_match)
+                           p_match, prev, spe)
 from pstray.suffixes import _window_symbols
 
 from conftest import make_text, random_text, sym_codes, window_codes

@@ -1,10 +1,13 @@
 """Source hygiene: no module of the package imports a name it never reads
 or imports inside a function body, no function takes a parameter it never
 reads, no function or method outside the references is left that no
-package code reads, and every name a module exports in ``__all__`` is
-bound in it."""
+package code reads, every name a module exports in ``__all__`` is bound
+in it, the package exports exactly what README documents, and no index
+module imports the references."""
 
 import ast
+import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +308,76 @@ def test_star_import_of_the_package_runs():
     exec("from pstray import *", namespace)
     import pstray
     assert set(pstray.__all__) <= set(namespace)
+
+
+def documented_names(readme: str, top_level) -> set[str]:
+    """The names README's Library section documents: those its ``from
+    pstray import`` statement imports, and every backticked name, bare or
+    after ``pstray.`` and before any call parentheses, that ``top_level``
+    holds."""
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"from pstray import (\([^)]*\)|.*)", section).group(1)
+    spans = (re.fullmatch(r"(?:pstray\.)?(\w+)(?:\(.*\))?", span)
+             for span in re.findall(r"`([^`]*)`", section))
+    names = {match.group(1) for match in spans if match}
+    return set(re.findall(r"\w+", block)) | (names & set(top_level))
+
+
+def test_the_package_exports_what_readme_documents():
+    import pstray
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    top_level = {name for name, value in vars(pstray).items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType)}
+    assert documented_names(readme, top_level) == \
+        set(pstray.__all__) - {"__version__"}
+
+
+def test_documented_name_check_sees_what_it_should():
+    readme = ("`z`\n"
+              "## Library\n"
+              "```python\n"
+              "from pstray import (a,\n"
+              "                    b)\n"
+              "```\n"
+              "`c`, `pstray.d(x, y)`, `e()`, `mod.f`, `g`, `pstray.h`\n"
+              "## Later\n"
+              "`i`\n")
+    assert documented_names(readme, "cdefhiz") == set("abcdeh")
+
+
+# The index's own modules; the references in ``oracle`` serve the tests,
+# ``self-check`` and ``pstray bench``, never a build or a query.
+INDEX_MODULES = ("alphabet", "encoding", "suffixes", "tree", "tray",
+                 "index_io")
+
+
+def imported_names(source: str) -> set[str]:
+    """Every dotted part of each module that ``source`` imports, and every
+    name it imports from one."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {part for a in node.names for part in a.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            found |= set((node.module or "").split("."))
+            found |= {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize("name", INDEX_MODULES)
+def test_no_index_module_imports_the_references(name):
+    assert "oracle" not in imported_names((PACKAGE / f"{name}.py").read_text())
+
+
+def test_imported_name_check_sees_what_it_should():
+    source = ("import os.path as p\n"
+              "from . import oracle\n"
+              "from .tray import query\n"
+              "def f():\n"
+              "    from pstray.x import y\n")
+    assert imported_names(source) == {"os", "path", "", "oracle", "tray",
+                                      "query", "pstray", "x", "y"}
 
 
 # The tray's construction path, the suffix sort's correction offsets and

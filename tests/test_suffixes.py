@@ -6,10 +6,10 @@ import pytest
 
 import pstray.suffixes as sfx
 from pstray.alphabet import pattern_codes
-from pstray.encoding import STATIC_BASE, prev
+from pstray.encoding import STATIC_BASE
 from pstray.errors import QueryError, ValidationError
 from pstray.oracle import (encode_pattern, naive_psa, plain_range_search,
-                           random_pattern)
+                           prev, random_pattern)
 from pstray.suffixes import (PsaIndex, QueryStats, build_psa, compare_suffix,
                              range_search, report, validate_psa)
 
@@ -445,34 +445,35 @@ def test_psa_index_is_linear_space():
 
 
 def test_validator_catches_corruption(demo_index):
-    import copy
-
-    def swap(idx, r):
-        idx.psa[r], idx.psa[r + 1] = idx.psa[r + 1], idx.psa[r]
+    def swap(r):
+        return lambda psa, plcp: psa.__setitem__([r, r + 1], psa[[r + 1, r]])
 
     def set_plcp(r, h):
-        return lambda idx: idx.plcp.__setitem__(r, h)
+        return lambda psa, plcp: plcp.__setitem__(r, h)
 
     # DEMO_PLCP[6] == 5: ranks 5 and 6 share a long prefix. Ranks 0 and 1
     # and ranks 2 and 3 (of "xxyAyx") stay in order one symbol past the
     # overstated plcp, so only the prefix comparison catches those.
     corruptions = [
-        lambda idx: swap(idx, 0),
-        lambda idx: swap(idx, 5),  # a swapped pair with a long shared prefix
+        swap(0),
+        swap(5),                   # a swapped pair with a long shared prefix
         set_plcp(6, 6),            # overstated
         set_plcp(1, 5),            # overstated
         set_plcp(6, 4),            # short
         set_plcp(6, 40),           # past the suffix's end
         set_plcp(7, -1),
     ]
+    idx = demo_index.psa_index
     for corrupt in corruptions:
-        idx = copy.deepcopy(demo_index.psa_index)
-        corrupt(idx)
+        psa, plcp = idx.psa.copy(), idx.plcp.copy()
+        corrupt(psa, plcp)
         with pytest.raises(ValidationError):
-            validate_psa(idx)
+            validate_psa(PsaIndex(text=idx.text, psa=psa, plcp=plcp))
     t = make_text("xxyAyx", pi="xy")
     idx = build_psa(t)
-    idx.plcp[3] += 1
+    plcp = idx.plcp.copy()
+    plcp[3] += 1
+    idx = PsaIndex(text=t, psa=idx.psa, plcp=plcp)
     with pytest.raises(ValidationError, match="overstates"):
         validate_psa(idx)
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from pstray import index_io
-from pstray.encoding import spe
 from pstray.errors import QueryError
 from pstray.oracle import (encode_pattern, naive_parray, naive_ppm,
-                           random_pattern)
+                           random_pattern, spe)
 from pstray.suffixes import build_psa
 from pstray.tray import (NO_NODE, _canonical_ids, annotate, assemble,
                          build_tray, query, validate_annotations)

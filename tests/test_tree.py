@@ -3,24 +3,26 @@ import random
 import numpy as np
 import pytest
 
-from pstray.encoding import STATIC_BASE, prev
+from pstray.encoding import STATIC_BASE
+from pstray.oracle import prev
 from pstray.suffixes import PsaIndex, build_psa
 from pstray.tree import TrayTree, build_tree, validate_tree
 
 from conftest import (children, edge_length, edge_symbol, is_leaf,
                       kept_intervals, leaf_count, make_text, naive_intervals,
-                      node_depth, node_label, random_text, tree_intervals)
+                      node_depth, node_label, random_text, token_names,
+                      tree_intervals)
 
 
 def label_map(index, tree, text):
     """pretty label -> node id, for golden lookups on small trees."""
-    out = {}
+    out, names = {}, token_names(text)
     for v in range(tree.size):
         codes = node_label(tree, index, v)
         pretty = []
         for c in codes:
             pretty.append(str(c) if c < STATIC_BASE
-                          else text.id2tok[c - STATIC_BASE])
+                          else names[c - STATIC_BASE])
         out["".join(pretty)] = v
     return out
 
